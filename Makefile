@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzz faultcheck lint vuln bench-json bench-coldstart bench-failover bench-fairness bench-dataplane scenario-ci scenario-json ci clean
+.PHONY: all build vet test race flake fuzz faultcheck lint vuln bench-json bench-coldstart bench-failover bench-fairness bench-dataplane scenario-ci scenario-json ci clean
 
 all: build
 
@@ -15,6 +15,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Flake hunt: the concurrent packages twenty times over under the race
+# detector. A test that passes once can still lose an interleaving most
+# of the time (the lease-revocation race merged at 65 % failure because
+# CI ran it once); any failure here is a bug, not noise.
+flake:
+	$(GO) test -count=20 -race ./internal/core ./internal/client ./internal/cplane ./internal/shm ./internal/scenario
 
 # Short fuzzing smoke run over the wire-protocol decoder.
 fuzz:

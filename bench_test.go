@@ -182,7 +182,7 @@ func BenchmarkAblationWarmReuse(b *testing.B) {
 				WithoutResultComputation(),
 			}
 			if mode == "cold-every-time" {
-				opts = append(opts, WithIdleTimeout(time.Millisecond))
+				opts = append(opts, WithKeepAlive(time.Millisecond, 0))
 			}
 			p, err := New(opts...)
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -22,20 +23,25 @@ import (
 // top of this bound.
 const DefaultMaxConnStreams = 64
 
-// maxCoalescedWrite caps how many reply bytes the mux writer batches
+// maxCoalescedWrite caps how many reply bytes the session writer batches
 // into one socket write before flushing.
 const maxCoalescedWrite = 64 << 10
 
-// muxSession serves one multiplexed (protocol version 2) connection:
-// a single reader goroutine (the connection's handler) fans invocation
-// frames out to bounded worker goroutines, and a single writer goroutine
-// serializes their replies back onto the socket, coalescing bursts into
-// one write. Per-stream MsgCancel frames cancel the matching in-flight
-// invocation's context without disturbing sibling streams.
+// muxSession serves one connection, whichever protocol version its peer
+// speaks: a single reader goroutine (the connection's handler) fans
+// invocation frames out to bounded stream workers, and a single writer
+// goroutine serializes their replies back onto the socket, coalescing
+// bursts into one write. Every reply carries its request's Version and
+// StreamID, so a version-1 peer is simply the session with one stream in
+// flight: its frames name no stream, and the reader holds each one back
+// until the previous reply has left. Per-stream MsgCancel frames cancel
+// the matching in-flight invocation's context without disturbing sibling
+// streams, and the reader's blocked read is the disconnect detector that
+// cancels them all.
 type muxSession struct {
-	t  *TCPServer
-	sc *serverConn
-	br *bufio.Reader
+	t    *TCPServer
+	conn net.Conn
+	br   *bufio.Reader
 
 	// wmu guards socket writes. The reply path is adaptive: with a
 	// single stream in flight, repliers write inline (no goroutine
@@ -48,6 +54,11 @@ type muxSession struct {
 	writeCh    chan *wire.Message
 	writerDone chan struct{}
 	sem        chan struct{}
+	// work hands an invocation frame to a parked stream worker. Workers
+	// are reused across streams — a fresh goroutine would re-grow its
+	// stack through Server.Invoke on every call — and exit when the
+	// session finishes.
+	work chan *wire.Message
 
 	mu      sync.Mutex
 	streams map[uint64]context.CancelFunc
@@ -55,28 +66,39 @@ type muxSession struct {
 	wg sync.WaitGroup
 }
 
-// serveMux runs a multiplexed session on sc until the peer disconnects
-// or the endpoint drains. It owns the connection's read side; replies
-// flow through the session writer.
-func (t *TCPServer) serveMux(sc *serverConn) {
-	s := &muxSession{
+func newMuxSession(t *TCPServer, conn net.Conn) *muxSession {
+	return &muxSession{
 		t:          t,
-		sc:         sc,
-		br:         bufio.NewReaderSize(sc, 32<<10),
+		conn:       conn,
+		br:         bufio.NewReaderSize(conn, 32<<10),
 		writeCh:    make(chan *wire.Message, 64),
 		writerDone: make(chan struct{}),
 		sem:        make(chan struct{}, t.maxConnStreams()),
+		work:       make(chan *wire.Message),
 		streams:    make(map[uint64]context.CancelFunc),
 	}
+}
+
+// handle runs a session on an accepted connection until the peer
+// disconnects or the endpoint drains.
+func (t *TCPServer) handle(conn net.Conn) {
+	defer t.wg.Done()
+	defer func() {
+		t.mu.Lock()
+		delete(t.conns, conn)
+		t.mu.Unlock()
+		conn.Close()
+	}()
+	s := newMuxSession(t, conn)
 	go s.writeLoop()
 	s.readLoop()
-	if t.leases != nil {
+	if t.arena != nil {
 		// Client disconnect mid-lease: every lease this connection held is
 		// revoked so its bytes return to the arena budget. No notice is
 		// sent — the peer is gone.
-		if n := t.leases.releaseOwner(s); n > 0 {
+		if n := t.arena.RevokeOwner(s); n > 0 {
 			t.srv.Logger().Info("released arena leases on disconnect",
-				"remote", sc.RemoteAddr(), "leases", n)
+				"remote", conn.RemoteAddr(), "leases", n)
 		}
 	}
 }
@@ -95,48 +117,72 @@ func (s *muxSession) readLoop() {
 				s.finish(false)
 				return
 			}
-			// Peer gone (or stream desynchronized): cancel every
-			// in-flight stream so runners stop burning device time for
-			// answers nobody will read.
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+				// The peer is not speaking the protocol (or the stream
+				// desynchronized): tell it why, best effort.
+				s.send(&wire.Message{Type: wire.MsgError, Header: wire.Header{
+					Error: err.Error(), Code: wire.CodeInternal,
+				}})
+			}
+			// Peer gone: cancel every in-flight stream so runners stop
+			// burning device time for answers nobody will read.
 			s.finish(true)
 			return
+		}
+		if msg.Version < wire.VersionMux {
+			// A version-1 reply names no stream, so replies must leave in
+			// request order: the previous request finishes first.
+			s.wg.Wait()
 		}
 		switch msg.Type {
 		case wire.MsgInvoke:
 			s.sem <- struct{}{} // per-connection stream bound
 			s.wg.Add(1)
-			go s.serveInvoke(msg)
+			select {
+			case s.work <- msg: // a parked worker takes it
+			default:
+				go s.streamWorker(msg)
+			}
 		case wire.MsgCancel:
 			s.cancelStream(msg.Header.StreamID)
 		case wire.MsgLease:
 			s.serveLease(msg)
 		case wire.MsgHello:
-			// Redundant hello on an upgraded connection: re-acknowledge.
-			s.send(&wire.Message{Version: wire.VersionMux, Type: wire.MsgHelloAck, Header: wire.Header{
-				MuxVersion: wire.VersionMux,
-				MaxStreams: cap(s.sem),
-				StreamID:   msg.Header.StreamID,
-			}})
+			// An offer of the multiplexed protocol is accepted with the
+			// stream bound this session enforces; anything less is
+			// acknowledged at version 1.
+			ack := wire.Header{MuxVersion: wire.Version}
+			if msg.Header.MuxVersion >= wire.VersionMux {
+				ack = wire.Header{MuxVersion: wire.VersionMux, MaxStreams: cap(s.sem)}
+			}
+			s.reply(msg, wire.MsgHelloAck, ack, nil)
 		case wire.MsgRegister:
 			s.serveRegister(msg)
 		case wire.MsgList:
-			s.send(&wire.Message{Version: wire.VersionMux, Type: wire.MsgListResult, Header: wire.Header{
-				Names:    s.t.srv.Kernels(),
-				StreamID: msg.Header.StreamID,
-			}})
+			s.reply(msg, wire.MsgListResult, wire.Header{Names: s.t.srv.Kernels()}, nil)
 		case wire.MsgStats:
 			s.serveStats(msg)
 		case wire.MsgControl:
 			s.serveControl(msg)
 		default:
-			s.sendErr(msg.Header.StreamID, fmt.Errorf("unexpected message type %s", msg.Type))
+			s.sendErr(msg, fmt.Errorf("unexpected message type %s", msg.Type))
 		}
 	}
 }
 
+// streamWorker serves invocation streams one after another, starting
+// with msg, until the session finishes.
+func (s *muxSession) streamWorker(msg *wire.Message) {
+	for ok := true; ok; msg, ok = <-s.work {
+		s.serveInvoke(msg)
+		<-s.sem
+		s.wg.Done()
+	}
+}
+
 // finish joins the session: optionally cancels all in-flight streams,
-// waits for their replies to be queued, then flushes and stops the
-// writer.
+// waits for their replies to be queued, then dismisses the stream
+// workers and flushes and stops the writer.
 func (s *muxSession) finish(cancelStreams bool) {
 	if cancelStreams {
 		s.mu.Lock()
@@ -146,6 +192,7 @@ func (s *muxSession) finish(cancelStreams bool) {
 		s.mu.Unlock()
 	}
 	s.wg.Wait()
+	close(s.work)
 	close(s.writeCh)
 	<-s.writerDone
 }
@@ -156,9 +203,9 @@ func (s *muxSession) writeFailed(err error) {
 	if s.failed.Swap(true) {
 		return
 	}
-	s.t.srv.Logger().Warn("mux reply write failed, closing connection",
-		"remote", s.sc.RemoteAddr(), "err", err)
-	s.sc.Conn.Close()
+	s.t.srv.Logger().Warn("reply write failed, closing connection",
+		"remote", s.conn.RemoteAddr(), "err", err)
+	s.conn.Close()
 }
 
 // writeLoop drains replies that lost the inline-write race, coalescing
@@ -173,8 +220,8 @@ func (s *muxSession) writeLoop() {
 		var err error
 		buf, err = wire.Append(buf, m)
 		if err != nil {
-			s.t.srv.Logger().Warn("mux reply encode failed",
-				"remote", s.sc.RemoteAddr(), "type", m.Type.String(), "err", err)
+			s.t.srv.Logger().Warn("reply encode failed",
+				"remote", s.conn.RemoteAddr(), "type", m.Type.String(), "err", err)
 		}
 	}
 	flush := func() {
@@ -183,7 +230,7 @@ func (s *muxSession) writeLoop() {
 			return
 		}
 		s.wmu.Lock()
-		_, err := s.sc.Conn.Write(buf)
+		_, err := s.conn.Write(buf)
 		s.wmu.Unlock()
 		if err != nil {
 			s.writeFailed(err)
@@ -228,7 +275,7 @@ func (s *muxSession) send(msg *wire.Message) {
 		return
 	}
 	if len(s.sem) <= 1 && s.wmu.TryLock() {
-		err := wire.Write(s.sc.Conn, msg)
+		err := wire.Write(s.conn, msg)
 		s.wmu.Unlock()
 		if err != nil {
 			s.writeFailed(err)
@@ -238,16 +285,18 @@ func (s *muxSession) send(msg *wire.Message) {
 	s.writeCh <- msg
 }
 
-// sendErr queues an error reply on the given stream, classified with the
-// wire protocol's machine-readable code.
-func (s *muxSession) sendErr(streamID uint64, err error) {
+// reply answers req in kind: same protocol version, same stream (none
+// on a version-1 request).
+func (s *muxSession) reply(req *wire.Message, typ wire.MsgType, h wire.Header, body []byte) {
+	h.StreamID = req.Header.StreamID
+	s.send(&wire.Message{Version: req.Version, Type: typ, Header: h, Body: body})
+}
+
+// sendErr answers req with an error, classified with the wire
+// protocol's machine-readable code.
+func (s *muxSession) sendErr(req *wire.Message, err error) {
 	code, retryable := errorCode(err)
-	s.send(&wire.Message{Version: wire.VersionMux, Type: wire.MsgError, Header: wire.Header{
-		StreamID:  streamID,
-		Error:     err.Error(),
-		Code:      code,
-		Retryable: retryable,
-	}})
+	s.reply(req, wire.MsgError, wire.Header{Error: err.Error(), Code: code, Retryable: retryable}, nil)
 }
 
 // addStream registers a stream's cancel function for MsgCancel lookup.
@@ -283,30 +332,20 @@ func (s *muxSession) cancelStream(id uint64) {
 // path for this connection) from "no budget right now" (the client
 // simply retries on a later invocation).
 func (s *muxSession) serveLease(msg *wire.Message) {
-	id := msg.Header.StreamID
-	if s.t.leases == nil {
-		s.send(&wire.Message{Version: wire.VersionMux, Type: wire.MsgLeaseAck, Header: wire.Header{
-			StreamID: id,
-			Error:    "out-of-band leases not configured",
-			Code:     wire.CodeInternal,
-		}})
+	if s.t.arena == nil {
+		s.reply(msg, wire.MsgLeaseAck, wire.Header{
+			Error: "out-of-band leases not configured", Code: wire.CodeInternal,
+		}, nil)
 		return
 	}
-	l, err := s.t.leases.grant(s, msg.Header.LeaseBytes)
+	l, err := s.t.arena.AcquireFor(s, msg.Header.LeaseBytes)
 	if err != nil {
-		s.send(&wire.Message{Version: wire.VersionMux, Type: wire.MsgLeaseAck, Header: wire.Header{
-			StreamID:  id,
-			Error:     err.Error(),
-			Code:      wire.CodeUnavailable,
-			Retryable: true,
-		}})
+		s.reply(msg, wire.MsgLeaseAck, wire.Header{
+			Error: err.Error(), Code: wire.CodeUnavailable, Retryable: true,
+		}, nil)
 		return
 	}
-	s.send(&wire.Message{Version: wire.VersionMux, Type: wire.MsgLeaseAck, Header: wire.Header{
-		StreamID:   id,
-		LeaseID:    l.ID(),
-		LeaseBytes: l.Cap(),
-	}})
+	s.reply(msg, wire.MsgLeaseAck, wire.Header{LeaseID: l.ID(), LeaseBytes: l.Cap()}, nil)
 }
 
 // sendLeaseRevoke pushes a lease revocation notice to the client. It
@@ -318,7 +357,7 @@ func (s *muxSession) sendLeaseRevoke(id uint64) {
 		return
 	}
 	s.wmu.Lock()
-	err := wire.Write(s.sc.Conn, &wire.Message{
+	err := wire.Write(s.conn, &wire.Message{
 		Version: wire.VersionMux,
 		Type:    wire.MsgLeaseRevoke,
 		Header:  wire.Header{LeaseID: id},
@@ -329,29 +368,38 @@ func (s *muxSession) sendLeaseRevoke(id uint64) {
 	}
 }
 
-// resolveLease maps a leased invoke onto its arena window, pinning the
-// lease for the invocation's lifetime (Retain) so a concurrent revoke
-// cannot recycle the slab under a running kernel. A lease that was
-// revoked resolves to errLeaseRevoked — retryable, the client resends
-// in-band — while an ID this connection never held is an internal error.
+// errLeaseRevoked is answered to an invoke naming a lease that was
+// revoked (drain, breaker-open, or disconnect). It maps to the wire
+// protocol's LEASE_REVOKED code and is retryable: the client drops the
+// stale lease and resends the same request in-band, invisibly to its
+// caller.
+var errLeaseRevoked = errors.New("core: arena lease revoked; resend in-band")
+
+// errLeaseWindow is answered to an invoke whose payload length does not
+// fit the leased window it names.
+var errLeaseWindow = errors.New("core: payload length outside lease window")
+
+// resolveLease maps a leased invoke onto its arena window, pinned for
+// the invocation's lifetime so a concurrent revoke cannot recycle the
+// slab under a running kernel. A lease that was revoked resolves to
+// errLeaseRevoked — retryable, the client resends in-band — while an ID
+// this connection never held (shm.ErrUnknownLease) or a length outside
+// the window (errLeaseWindow) is the client's bug.
 func (s *muxSession) resolveLease(msg *wire.Message) (*shm.Lease, error) {
-	lt := s.t.leases
-	if lt == nil {
-		return nil, errors.New("out-of-band leases not configured")
+	if s.t.arena == nil {
+		return nil, shm.ErrUnknownLease
 	}
-	id := msg.Header.LeaseID
-	l, ok := lt.lookup(s, id)
-	if !ok {
-		if lt.arena.WasRevoked(id) {
-			return nil, errLeaseRevoked
-		}
-		return nil, fmt.Errorf("unknown lease %d", id)
+	l, err := s.t.arena.Resolve(s, msg.Header.LeaseID)
+	if errors.Is(err, shm.ErrRevoked) {
+		return nil, errLeaseRevoked
+	}
+	if err != nil {
+		return nil, err
 	}
 	if n := msg.Header.LeaseLen; n < 0 || n > l.Cap() {
-		return nil, fmt.Errorf("lease %d: payload length %d exceeds %d-byte window", id, n, l.Cap())
-	}
-	if err := l.Retain(); err != nil {
-		return nil, errLeaseRevoked
+		l.Release()
+		return nil, fmt.Errorf("%w: lease %d holds %d bytes, payload claims %d",
+			errLeaseWindow, l.ID(), l.Cap(), n)
 	}
 	return l, nil
 }
@@ -361,17 +409,15 @@ func (s *muxSession) resolveLease(msg *wire.Message) (*shm.Lease, error) {
 func (s *muxSession) serveRegister(msg *wire.Message) {
 	k, err := kernels.ByName(msg.Header.Kernel)
 	if err != nil {
-		s.sendErr(msg.Header.StreamID, fmt.Errorf("%w: %v", ErrUnknownKernel, err))
+		// Not in the library: classify as UNKNOWN_KERNEL on the wire.
+		s.sendErr(msg, fmt.Errorf("%w: %v", ErrUnknownKernel, err))
 		return
 	}
 	if err := s.t.srv.Register(k); err != nil && !errors.Is(err, ErrAlreadyRegistered) {
-		s.sendErr(msg.Header.StreamID, err)
+		s.sendErr(msg, err)
 		return
 	}
-	s.send(&wire.Message{Version: wire.VersionMux, Type: wire.MsgRegistered, Header: wire.Header{
-		Kernel:   msg.Header.Kernel,
-		StreamID: msg.Header.StreamID,
-	}})
+	s.reply(msg, wire.MsgRegistered, wire.Header{Kernel: msg.Header.Kernel}, nil)
 }
 
 // serveControl handles a cluster control-plane frame inline (heartbeats
@@ -379,40 +425,35 @@ func (s *muxSession) serveRegister(msg *wire.Message) {
 func (s *muxSession) serveControl(msg *wire.Message) {
 	h := s.t.controlHandler()
 	if h == nil {
-		s.sendErr(msg.Header.StreamID, errors.New("cluster control plane not enabled"))
+		s.sendErr(msg, errors.New("cluster control plane not enabled"))
 		return
 	}
 	resp, err := h(msg.Body)
 	if err != nil {
-		s.sendErr(msg.Header.StreamID, err)
+		s.sendErr(msg, err)
 		return
 	}
-	s.send(&wire.Message{Version: wire.VersionMux, Type: wire.MsgControlAck, Header: wire.Header{
-		StreamID: msg.Header.StreamID,
-	}, Body: resp})
+	s.reply(msg, wire.MsgControlAck, wire.Header{}, resp)
 }
 
 // serveStats handles a stats frame inline.
 func (s *muxSession) serveStats(msg *wire.Message) {
 	stats, err := marshalStats(s.t.srv)
 	if err != nil {
-		s.sendErr(msg.Header.StreamID, err)
+		s.sendErr(msg, err)
 		return
 	}
-	s.send(&wire.Message{Version: wire.VersionMux, Type: wire.MsgStatsResult, Header: wire.Header{
-		Stats:    stats,
-		StreamID: msg.Header.StreamID,
-	}})
+	s.reply(msg, wire.MsgStatsResult, wire.Header{Stats: stats}, nil)
 }
 
-// serveInvoke runs one invocation stream to completion on its own
-// goroutine, bounded by the session's stream semaphore and the server's
+// serveInvoke runs one invocation stream to completion on a stream
+// worker, bounded by the session's stream semaphore and the server's
 // admission control.
 func (s *muxSession) serveInvoke(msg *wire.Message) {
-	defer s.wg.Done()
-	defer func() { <-s.sem }()
 	id := msg.Header.StreamID
 
+	// Legacy (pre-tenant) peers leave Tenant empty; the server maps that
+	// to the deterministic "default" tenant at admission.
 	req := &kernels.Request{Params: kernels.Params(msg.Header.Params), Tenant: msg.Header.Tenant}
 	var lease *shm.Lease
 	switch {
@@ -422,7 +463,7 @@ func (s *muxSession) serveInvoke(msg *wire.Message) {
 		// wire, and the serving path reads the window in place.
 		l, err := s.resolveLease(msg)
 		if err != nil {
-			s.sendErr(id, err)
+			s.sendErr(msg, err)
 			return
 		}
 		defer l.Release()
@@ -432,12 +473,12 @@ func (s *muxSession) serveInvoke(msg *wire.Message) {
 		s.t.srv.dpMet.oobBytes.Add(uint64(msg.Header.LeaseLen))
 	case msg.Header.ShmKey != "":
 		if s.t.regions == nil {
-			s.sendErr(id, errors.New("out-of-band transfer not configured"))
+			s.sendErr(msg, errors.New("out-of-band transfer not configured"))
 			return
 		}
 		data, err := s.t.regions.Get(msg.Header.ShmKey)
 		if err != nil {
-			s.sendErr(id, err)
+			s.sendErr(msg, err)
 			return
 		}
 		req.Data = data
@@ -449,8 +490,8 @@ func (s *muxSession) serveInvoke(msg *wire.Message) {
 	ctx, cancel, err := invokeContext(msg)
 	if err != nil {
 		s.t.srv.Logger().Warn("rejecting expired invocation",
-			"kernel", msg.Header.Kernel, "remote", s.sc.RemoteAddr(), "stream", id, "err", err)
-		s.sendErr(id, err)
+			"kernel", msg.Header.Kernel, "remote", s.conn.RemoteAddr(), "stream", id, "err", err)
+		s.sendErr(msg, err)
 		return
 	}
 	defer cancel()
@@ -464,20 +505,21 @@ func (s *muxSession) serveInvoke(msg *wire.Message) {
 			// connection died): the reply is best-effort; sibling
 			// streams on this connection are unaffected.
 			s.t.srv.Logger().Info("invocation cancelled",
-				"kernel", msg.Header.Kernel, "remote", s.sc.RemoteAddr(), "stream", id, "cause", ctx.Err())
+				"kernel", msg.Header.Kernel, "remote", s.conn.RemoteAddr(), "stream", id, "cause", ctx.Err())
 		}
-		s.sendErr(id, err)
+		s.sendErr(msg, err)
 		return
 	}
 
-	out := &wire.Message{Version: wire.VersionMux, Type: wire.MsgResult, Header: wire.Header{
-		Kernel:        msg.Header.Kernel,
-		Values:        resp.Values,
-		ColdStart:     report.Cold,
-		InvocationID:  report.InvocationID,
-		DurationNanos: int64(report.Total()),
-		StreamID:      id,
-	}}
+	out := wire.Header{
+		Kernel:          msg.Header.Kernel,
+		Values:          resp.Values,
+		ColdStart:       report.Cold,
+		CachedColdStart: report.CachedCold,
+		InvocationID:    report.InvocationID,
+		DurationNanos:   int64(report.Total()),
+	}
+	body := resp.Data
 	switch {
 	case lease != nil && len(resp.Data) > 0 && int64(len(resp.Data)) <= lease.Cap():
 		// The result rides back through the same leased window the
@@ -486,16 +528,17 @@ func (s *muxSession) serveInvoke(msg *wire.Message) {
 		// concurrent revoke cannot recycle the slab before the client —
 		// which holds its own pin — reads the result out.
 		copy(lease.Bytes(), resp.Data)
-		out.Header.LeaseID = msg.Header.LeaseID
-		out.Header.LeaseResultLen = int64(len(resp.Data))
+		out.LeaseID = msg.Header.LeaseID
+		out.LeaseResultLen = int64(len(resp.Data))
+		body = nil
 	case msg.Header.WantShmResult && s.t.regions != nil && len(resp.Data) > 0:
 		key, err := s.t.regions.Create(resp.Data)
 		if err != nil {
-			s.sendErr(id, err)
+			s.sendErr(msg, err)
 			return
 		}
-		out.Header.ResultShmKey = key
-		s.send(out)
+		out.ResultShmKey = key
+		s.reply(msg, wire.MsgResult, out, nil)
 		if s.failed.Load() {
 			// The session died before (or while) the reply was written:
 			// the client will never read and delete the result region, so
@@ -503,8 +546,6 @@ func (s *muxSession) serveInvoke(msg *wire.Message) {
 			s.t.regions.Delete(key)
 		}
 		return
-	default:
-		out.Body = resp.Data
 	}
-	s.send(out)
+	s.reply(msg, wire.MsgResult, out, body)
 }

@@ -68,86 +68,87 @@ func startTCPArena(t *testing.T, arena *shm.ArenaPool) (*Server, *TCPServer) {
 }
 
 // TestShmResultRegionFreedOnDeadPeer is the regression test for the
-// legacy-path result-region leak: an invocation asking for an
-// out-of-band result whose peer dies before the reply is written must
-// return the region's bytes to the registry budget. Before the fix the
-// region stayed allocated forever — nobody would ever read and delete
-// it — and this test fails with a non-zero registry.
+// result-region leak: an invocation asking for an out-of-band result
+// whose peer dies before the reply is written must return the region's
+// bytes to the registry budget. Before the fix the region stayed
+// allocated forever — nobody would ever read and delete it — and this
+// test fails with a non-zero registry. One session serves both protocol
+// versions, so the same cleanup must hold for each.
 func TestShmResultRegionFreedOnDeadPeer(t *testing.T) {
-	srv, tcp, _ := startTCP(t)
-	if err := srv.Register(dataKernel{}); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
+	for _, tc := range []struct {
+		name    string
+		version uint8
+		stream  uint64
+	}{
+		{"v1", wire.Version, 0},
+		{"v2", wire.VersionMux, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, tcp, _ := startTCP(t)
+			if err := srv.Register(dataKernel{}); err != nil {
+				t.Fatalf("Register: %v", err)
+			}
 
-	ours, theirs := net.Pipe()
-	t.Cleanup(func() { ours.Close(); theirs.Close() })
-	sc := &serverConn{Conn: deadWriteConn{ours}}
+			ours, theirs := net.Pipe()
+			t.Cleanup(func() { ours.Close(); theirs.Close() })
+			s := newMuxSession(tcp, deadWriteConn{ours})
+			go s.writeLoop()
+			t.Cleanup(func() { s.finish(false) })
 
-	ok := tcp.handleInvoke(sc, &wire.Message{
-		Type: wire.MsgInvoke,
-		Header: wire.Header{
-			Kernel:        "data",
-			WantShmResult: true,
-		},
-		Body: []byte("payload"),
-	})
-	if ok {
-		t.Fatal("handleInvoke reported a usable connection after a failed reply write")
-	}
-	if used := tcp.regions.Used(); used != 0 {
-		t.Fatalf("registry holds %d bytes after dead-peer reply, want 0 (result region leaked)", used)
-	}
-}
-
-// TestMuxShmResultRegionFreedOnFailedSession is the mux-path twin of the
-// dead-peer leak regression: when the session write fails while the
-// result-region reply is in flight, the region must be deleted rather
-// than stranded against the registry budget.
-func TestMuxShmResultRegionFreedOnFailedSession(t *testing.T) {
-	srv, tcp, _ := startTCP(t)
-	if err := srv.Register(dataKernel{}); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-
-	ours, theirs := net.Pipe()
-	t.Cleanup(func() { ours.Close(); theirs.Close() })
-	s := &muxSession{
-		t:          tcp,
-		sc:         &serverConn{Conn: deadWriteConn{ours}},
-		writeCh:    make(chan *wire.Message, 64),
-		writerDone: make(chan struct{}),
-		sem:        make(chan struct{}, 8),
-		streams:    make(map[uint64]context.CancelFunc),
-	}
-	go s.writeLoop()
-	t.Cleanup(func() { s.finish(false) })
-
-	s.sem <- struct{}{}
-	s.wg.Add(1)
-	s.serveInvoke(&wire.Message{
-		Version: wire.VersionMux,
-		Type:    wire.MsgInvoke,
-		Header: wire.Header{
-			Kernel:        "data",
-			WantShmResult: true,
-			StreamID:      7,
-		},
-		Body: []byte("payload"),
-	})
-	if !s.failed.Load() {
-		t.Fatal("session did not observe the reply write failure")
-	}
-	if used := tcp.regions.Used(); used != 0 {
-		t.Fatalf("registry holds %d bytes after failed-session reply, want 0 (result region leaked)", used)
+			s.serveInvoke(&wire.Message{
+				Version: tc.version,
+				Type:    wire.MsgInvoke,
+				Header: wire.Header{
+					Kernel:        "data",
+					WantShmResult: true,
+					StreamID:      tc.stream,
+				},
+				Body: []byte("payload"),
+			})
+			if !s.failed.Load() {
+				t.Fatal("session did not observe the reply write failure")
+			}
+			if used := tcp.regions.Used(); used != 0 {
+				t.Fatalf("registry holds %d bytes after dead-peer reply, want 0 (result region leaked)", used)
+			}
+		})
 	}
 }
 
-// fakeLeaseOwner records revocation notices pushed to a connection.
-type fakeLeaseOwner struct {
-	revoked chan uint64
+// leaseOverWire negotiates one arena lease on an upgraded connection and
+// returns its ID.
+func leaseOverWire(t *testing.T, conn net.Conn, bytes int64) uint64 {
+	t.Helper()
+	err := wire.Write(conn, &wire.Message{Version: wire.VersionMux, Type: wire.MsgLease, Header: wire.Header{
+		LeaseBytes: bytes, StreamID: 1,
+	}})
+	if err != nil {
+		t.Fatalf("write lease: %v", err)
+	}
+	ack, err := wire.Read(conn)
+	if err != nil {
+		t.Fatalf("read lease ack: %v", err)
+	}
+	if ack.Type != wire.MsgLeaseAck || ack.Header.LeaseID == 0 {
+		t.Fatalf("lease ack = %s (%s), want granted lease", ack.Type, ack.Header.Error)
+	}
+	return ack.Header.LeaseID
 }
 
-func (f *fakeLeaseOwner) sendLeaseRevoke(id uint64) { f.revoked <- id }
+// wantRevokeNotice reads the next frame and requires it to be the
+// revocation notice for lease id.
+func wantRevokeNotice(t *testing.T, conn net.Conn, id uint64) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	defer conn.SetReadDeadline(time.Time{})
+	msg, err := wire.Read(conn)
+	if err != nil {
+		t.Fatalf("no revoke notice: %v", err)
+	}
+	if msg.Type != wire.MsgLeaseRevoke || msg.Header.LeaseID != id {
+		t.Fatalf("frame = %s for lease %d, want revoke notice for lease %d", msg.Type, msg.Header.LeaseID, id)
+	}
+}
 
 // TestDisconnectMidLeaseReturnsBudget is the regression test for the
 // arena-budget accounting on client disconnect: a connection that dies
@@ -157,70 +158,59 @@ func TestDisconnectMidLeaseReturnsBudget(t *testing.T) {
 	arena := shm.NewArenaPool(1 << 20)
 	_, tcp := startTCPArena(t, arena)
 
-	owner := &fakeLeaseOwner{revoked: make(chan uint64, 4)}
-	if _, err := tcp.leases.grant(owner, 4096); err != nil {
-		t.Fatalf("grant: %v", err)
-	}
-	if _, err := tcp.leases.grant(owner, 8192); err != nil {
-		t.Fatalf("grant: %v", err)
-	}
+	conn := dialWire(t, tcp.Addr())
+	muxHandshake(t, conn)
+	first := leaseOverWire(t, conn, 4096)
+	leaseOverWire(t, conn, 8192)
 	if st := arena.Stats(); st.Active != 2 || st.Granted == 0 {
 		t.Fatalf("arena before disconnect = %+v, want 2 active leases", st)
 	}
+	// A second connection must not be able to use (or free) the first
+	// one's leases, and keeps its own across the other's disconnect.
+	other := dialWire(t, tcp.Addr())
+	muxHandshake(t, other)
+	kept := leaseOverWire(t, other, 4096)
 
-	if n := tcp.leases.releaseOwner(owner); n != 2 {
-		t.Fatalf("releaseOwner = %d leases, want 2", n)
-	}
+	conn.Close()
+	waitFor(t, 2*time.Second, func() bool { return arena.Stats().Active == 1 }, "disconnected connection's leases to be revoked")
 	st := arena.Stats()
-	if st.Active != 0 || st.Granted != 0 {
-		t.Fatalf("arena after disconnect = %+v, want all bytes returned to budget", st)
+	if want := int64(4096); st.Granted != want {
+		t.Fatalf("arena after disconnect = %+v, want only the other connection's %d bytes granted", st, want)
 	}
 	if st.Revocations != 2 {
 		t.Fatalf("revocations = %d, want 2", st.Revocations)
 	}
-	select {
-	case id := <-owner.revoked:
-		t.Fatalf("disconnect path notified the dead peer about lease %d", id)
-	default:
+	if _, ok := arena.Get(kept); !ok {
+		t.Fatal("disconnect revoked a lease held by another connection")
+	}
+	if _, err := arena.Resolve(nil, first); !errors.Is(err, shm.ErrRevoked) {
+		t.Fatalf("resolving the dead connection's lease = %v, want ErrRevoked", err)
 	}
 
 	// The returned budget must be grantable again.
-	if _, err := tcp.leases.grant(owner, 4096); err != nil {
-		t.Fatalf("grant after release: %v", err)
-	}
+	leaseOverWire(t, other, 8192)
 }
 
 // TestBreakerOpenRevokesLeases wires the breaker-transition hook through
-// the lease table: a device breaker opening revokes every outstanding
-// lease and pushes a MsgLeaseRevoke notice to each owner.
+// the arena: a device breaker opening revokes every outstanding lease
+// and pushes a MsgLeaseRevoke notice to each owner.
 func TestBreakerOpenRevokesLeases(t *testing.T) {
 	arena := shm.NewArenaPool(1 << 20)
 	srv, tcp := startTCPArena(t, arena)
 
-	owner := &fakeLeaseOwner{revoked: make(chan uint64, 4)}
-	l, err := tcp.leases.grant(owner, 4096)
-	if err != nil {
-		t.Fatalf("grant: %v", err)
-	}
+	conn := dialWire(t, tcp.Addr())
+	muxHandshake(t, conn)
+	id := leaseOverWire(t, conn, 4096)
 
 	srv.onBreakerTransition("gpu0", breaker.Closed, breaker.Open)
 
-	select {
-	case id := <-owner.revoked:
-		if id != l.ID() {
-			t.Fatalf("revoke notice names lease %d, want %d", id, l.ID())
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no revoke notice after breaker opened")
-	}
+	wantRevokeNotice(t, conn, id)
 	if st := arena.Stats(); st.Active != 0 || st.Granted != 0 {
 		t.Fatalf("arena after breaker-open = %+v, want all leases revoked", st)
 	}
 
 	// Half-open and close transitions must not disturb fresh leases.
-	if _, err := tcp.leases.grant(owner, 4096); err != nil {
-		t.Fatalf("grant after breaker: %v", err)
-	}
+	leaseOverWire(t, conn, 4096)
 	srv.onBreakerTransition("gpu0", breaker.Open, breaker.HalfOpen)
 	srv.onBreakerTransition("gpu0", breaker.HalfOpen, breaker.Closed)
 	if st := arena.Stats(); st.Active != 1 {
@@ -235,21 +225,16 @@ func TestDrainRevokesLeases(t *testing.T) {
 	arena := shm.NewArenaPool(1 << 20)
 	_, tcp := startTCPArena(t, arena)
 
-	owner := &fakeLeaseOwner{revoked: make(chan uint64, 4)}
-	if _, err := tcp.leases.grant(owner, 4096); err != nil {
-		t.Fatalf("grant: %v", err)
-	}
+	conn := dialWire(t, tcp.Addr())
+	muxHandshake(t, conn)
+	id := leaseOverWire(t, conn, 4096)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := tcp.Drain(ctx); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	select {
-	case <-owner.revoked:
-	case <-time.After(time.Second):
-		t.Fatal("no revoke notice on drain")
-	}
+	wantRevokeNotice(t, conn, id)
 	if st := arena.Stats(); st.Active != 0 || st.Granted != 0 {
 		t.Fatalf("arena after drain = %+v, want all leases revoked", st)
 	}

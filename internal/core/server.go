@@ -86,8 +86,7 @@ func (p PlacementPolicy) String() string {
 // predictive pre-warm pool re-boots runners ahead of forecast demand.
 type KeepAlive struct {
 	// Idle releases a runner's device slot after this much idle modeled
-	// time (0 = retain forever). It generalizes the original
-	// RunnerIdleTimeout knob, which is still honored as a fallback.
+	// time (0 = retain forever).
 	Idle time.Duration
 	// SweepEvery is the reaper cadence in modeled time (default Idle/2).
 	SweepEvery time.Duration
@@ -117,9 +116,6 @@ type Config struct {
 	// RoutingOverhead is the modeled per-invocation cost of request
 	// routing and serialization inside the host. Default 2 ms.
 	RoutingOverhead time.Duration
-	// RunnerIdleTimeout releases runners idle for this long (0 = never).
-	// Deprecated alias for KeepAlive.Idle; ignored when that is set.
-	RunnerIdleTimeout time.Duration
 	// KeepAlive tunes scale-to-zero and predictive pre-warming.
 	KeepAlive KeepAlive
 	// Artifacts is the content-addressed compiled-kernel cache consulted
@@ -335,9 +331,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
-	}
-	if cfg.KeepAlive.Idle == 0 {
-		cfg.KeepAlive.Idle = cfg.RunnerIdleTimeout
 	}
 	if cfg.KeepAlive.SweepEvery <= 0 {
 		cfg.KeepAlive.SweepEvery = cfg.KeepAlive.Idle / 2

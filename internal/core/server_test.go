@@ -329,7 +329,7 @@ func TestOverbookingWhenAtCapacity(t *testing.T) {
 
 func TestRunnerReaperScalesDown(t *testing.T) {
 	s, _, _ := newTestServer(t, 2, func(c *Config) {
-		c.RunnerIdleTimeout = 2 * time.Second
+		c.KeepAlive.Idle = 2 * time.Second
 	})
 	k := &fakeKernel{name: "k", kind: accel.GPU, cost: stdCost()}
 	if err := s.Register(k); err != nil {

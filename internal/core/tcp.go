@@ -5,14 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 
 	"kaas/internal/accel"
 	"kaas/internal/breaker"
-	"kaas/internal/kernels"
 	"kaas/internal/shm"
 	"kaas/internal/wire"
 )
@@ -37,6 +35,10 @@ func errorCode(err error) (code string, retryable bool) {
 		return wire.CodeLeaseRevoked, true
 	case errors.Is(err, ErrUnknownKernel), errors.Is(err, ErrNoDevice):
 		return wire.CodeUnknownKernel, false
+	case errors.Is(err, shm.ErrUnknownLease), errors.Is(err, errLeaseWindow):
+		// A handle this connection never held, or a length outside its
+		// window, is a client bug: resending cannot help.
+		return wire.CodeInternal, false
 	default:
 		return wire.CodeInternal, false
 	}
@@ -60,10 +62,10 @@ type TCPServer struct {
 	srv     *Server
 	ln      net.Listener
 	regions *shm.Registry
-	// arena and leases back the zero-copy out-of-band data plane on
-	// multiplexed connections (WithArenaPool); both nil when it is off.
-	arena  *shm.ArenaPool
-	leases *leaseTable
+	// arena backs the zero-copy out-of-band data plane (WithArenaPool) and
+	// is the only record of which connection owns which lease; nil when
+	// the data plane is off.
+	arena *shm.ArenaPool
 
 	mu           sync.Mutex
 	conns        map[net.Conn]struct{}
@@ -117,17 +119,14 @@ func (t *TCPServer) maxConnStreams() int {
 // TCPOption configures a TCPServer at construction.
 type TCPOption func(*TCPServer)
 
-// WithArenaPool enables the zero-copy out-of-band data plane: clients on
-// multiplexed connections negotiate leases over windows of this pooled
+// WithArenaPool enables the zero-copy out-of-band data plane: clients
+// negotiate leases over windows of this pooled
 // tensor arena and move payloads by handle instead of copying them
 // through the wire protocol. The pool must be the same instance the
 // clients map (same host). Leases are revoked — their bytes returned to
 // the pool's budget — on connection close, drain, and breaker-open.
 func WithArenaPool(p *shm.ArenaPool) TCPOption {
-	return func(t *TCPServer) {
-		t.arena = p
-		t.leases = newLeaseTable(p)
-	}
+	return func(t *TCPServer) { t.arena = p }
 }
 
 // ServeTCP starts accepting KaaS protocol connections on addr
@@ -168,7 +167,7 @@ func ServeTCPListener(s *Server, ln net.Listener, regions *shm.Registry, opts ..
 			if to != breaker.Open {
 				return
 			}
-			if n := t.leases.revokeAll(); n > 0 {
+			if n := t.revokeLeases(); n > 0 {
 				s.Logger().Warn("revoked arena leases on breaker open",
 					"device", dev, "leases", n)
 			}
@@ -227,16 +226,14 @@ func (t *TCPServer) Drain(ctx context.Context) error {
 	// Revoke every arena lease up front: draining connections may still
 	// finish their in-flight invocation, but new payloads go in-band, and
 	// the arena's bytes are back in the budget before the endpoint closes.
-	if t.leases != nil {
-		if n := t.leases.revokeAll(); n > 0 {
+	if t.arena != nil {
+		if n := t.revokeLeases(); n > 0 {
 			t.srv.Logger().Info("revoked arena leases for drain", "leases", n)
 		}
 	}
-	// Poke every connection out of a blocking idle read: the expired
-	// read deadline fails the read, and the handler exits silently
-	// because the server is draining. A connection inside an invocation
-	// is unaffected — its disconnect watcher treats the timeout as
-	// benign, and the handler closes the connection after replying.
+	// Poke every session out of its blocking read: the expired read
+	// deadline fails the read, and because the server is draining the
+	// session lets its in-flight requests finish and reply, then closes.
 	for _, c := range conns {
 		c.SetReadDeadline(aLongTimeAgo)
 	}
@@ -289,83 +286,18 @@ func (t *TCPServer) acceptLoop() {
 	}
 }
 
-// serverConn wraps one client connection with a pushback buffer: the
-// mid-invocation disconnect watcher may read (at most) one byte that
-// belongs to the next request, which is replayed here before the real
-// socket is read again.
-type serverConn struct {
-	net.Conn
-	pending []byte
-}
-
-// Read serves pushed-back bytes before touching the socket.
-func (c *serverConn) Read(p []byte) (int, error) {
-	if len(c.pending) > 0 {
-		n := copy(p, c.pending)
-		c.pending = c.pending[n:]
-		return n, nil
-	}
-	return c.Conn.Read(p)
-}
-
-func (t *TCPServer) handle(conn net.Conn) {
-	defer t.wg.Done()
-	defer func() {
-		t.mu.Lock()
-		delete(t.conns, conn)
-		t.mu.Unlock()
-		conn.Close()
-	}()
-
-	sc := &serverConn{Conn: conn}
-	for {
-		msg, err := wire.Read(sc)
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() && t.isDraining() {
-				return // poked out of an idle read by Drain
-			}
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				t.reply(sc, &wire.Message{
-					Type:   wire.MsgError,
-					Header: wire.Header{Error: err.Error(), Code: wire.CodeInternal},
-				})
-			}
-			return
-		}
-		if msg.Type == wire.MsgHello {
-			if msg.Header.MuxVersion >= wire.VersionMux {
-				// Upgrade to the multiplexed protocol: acknowledge with
-				// the negotiated version and hand the connection to a
-				// mux session, which owns it until it closes.
-				ok := t.reply(sc, &wire.Message{Type: wire.MsgHelloAck, Header: wire.Header{
-					MuxVersion: wire.VersionMux,
-					MaxStreams: t.maxConnStreams(),
-					StreamID:   msg.Header.StreamID,
-				}})
-				if !ok {
-					return
-				}
-				t.serveMux(sc)
-				return
-			}
-			// The peer offered nothing newer than the legacy protocol:
-			// acknowledge version 1 and keep serving one request at a
-			// time on this connection.
-			if !t.reply(sc, &wire.Message{Type: wire.MsgHelloAck, Header: wire.Header{MuxVersion: wire.Version}}) {
-				return
-			}
-			continue
-		}
-		if !t.dispatch(sc, msg) {
-			return
-		}
-		if t.isDraining() {
-			// The request in flight when the drain started got its
-			// reply; now the connection closes.
-			return
+// revokeLeases withdraws every arena lease on every connection and
+// pushes each owner a MsgLeaseRevoke notice, used on drain and
+// breaker-open. Clients fall back to in-band transfer transparently. It
+// reports how many leases were revoked.
+func (t *TCPServer) revokeLeases() int {
+	all := t.arena.RevokeAll()
+	for _, r := range all {
+		if s, ok := r.Owner.(*muxSession); ok {
+			s.sendLeaseRevoke(r.ID)
 		}
 	}
+	return len(all)
 }
 
 // marshalStats encodes the server's statistics document for a
@@ -376,58 +308,6 @@ func marshalStats(srv *Server) (json.RawMessage, error) {
 		return nil, fmt.Errorf("encode stats: %w", err)
 	}
 	return stats, nil
-}
-
-// dispatch handles one message; it reports whether the connection should
-// stay open.
-func (t *TCPServer) dispatch(sc *serverConn, msg *wire.Message) bool {
-	switch msg.Type {
-	case wire.MsgRegister:
-		return t.handleRegister(sc, msg)
-	case wire.MsgInvoke:
-		return t.handleInvoke(sc, msg)
-	case wire.MsgList:
-		return t.reply(sc, &wire.Message{
-			Type:   wire.MsgListResult,
-			Header: wire.Header{Names: t.srv.Kernels()},
-		})
-	case wire.MsgStats:
-		stats, err := marshalStats(t.srv)
-		if err != nil {
-			return t.replyErr(sc, err)
-		}
-		return t.reply(sc, &wire.Message{
-			Type:   wire.MsgStatsResult,
-			Header: wire.Header{Stats: stats},
-		})
-	case wire.MsgControl:
-		h := t.controlHandler()
-		if h == nil {
-			return t.replyErr(sc, errors.New("cluster control plane not enabled"))
-		}
-		resp, err := h(msg.Body)
-		if err != nil {
-			return t.replyErr(sc, err)
-		}
-		return t.reply(sc, &wire.Message{Type: wire.MsgControlAck, Body: resp})
-	default:
-		return t.replyErr(sc, fmt.Errorf("unexpected message type %s", msg.Type))
-	}
-}
-
-func (t *TCPServer) handleRegister(sc *serverConn, msg *wire.Message) bool {
-	k, err := kernels.ByName(msg.Header.Kernel)
-	if err != nil {
-		// Not in the library: classify as UNKNOWN_KERNEL on the wire.
-		return t.replyErr(sc, fmt.Errorf("%w: %v", ErrUnknownKernel, err))
-	}
-	if err := t.srv.Register(k); err != nil && !errors.Is(err, ErrAlreadyRegistered) {
-		return t.replyErr(sc, err)
-	}
-	return t.reply(sc, &wire.Message{
-		Type:   wire.MsgRegistered,
-		Header: wire.Header{Kernel: msg.Header.Kernel},
-	})
 }
 
 // invokeContext builds the invocation context from the request's wire
@@ -445,127 +325,4 @@ func invokeContext(msg *wire.Message) (context.Context, context.CancelFunc, erro
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return ctx, cancel, nil
-}
-
-// watchPeer watches for the client vanishing while an invocation is in
-// flight: a read on an idle request/response connection only returns
-// when the peer disconnects (or, rarely, pipelines the next request —
-// whose first byte is pushed back). The returned stop function must be
-// called before the connection is read or replied to again.
-func (t *TCPServer) watchPeer(sc *serverConn, cancel context.CancelFunc) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		buf := make([]byte, 1)
-		n, err := sc.Conn.Read(buf)
-		if n > 0 {
-			sc.pending = append(sc.pending, buf[:n]...)
-		}
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				return // unblocked by stop()
-			}
-			cancel() // peer gone: cancel the kernel's context
-		}
-	}()
-	return func() {
-		sc.Conn.SetReadDeadline(aLongTimeAgo)
-		<-done
-		sc.Conn.SetReadDeadline(time.Time{})
-	}
-}
-
-func (t *TCPServer) handleInvoke(sc *serverConn, msg *wire.Message) bool {
-	// Legacy (pre-tenant) peers leave Tenant empty; the server maps that
-	// to the deterministic "default" tenant at admission.
-	req := &kernels.Request{Params: kernels.Params(msg.Header.Params), Tenant: msg.Header.Tenant}
-	switch {
-	case msg.Header.ShmKey != "":
-		if t.regions == nil {
-			return t.replyErr(sc, errors.New("out-of-band transfer not configured"))
-		}
-		data, err := t.regions.Get(msg.Header.ShmKey)
-		if err != nil {
-			return t.replyErr(sc, err)
-		}
-		req.Data = data
-	case len(msg.Body) > 0:
-		req.Data = msg.Body
-		t.srv.dpMet.inbandBytes.Add(uint64(len(msg.Body)))
-	}
-
-	ctx, cancel, err := invokeContext(msg)
-	if err != nil {
-		t.srv.Logger().Warn("rejecting expired invocation",
-			"kernel", msg.Header.Kernel, "remote", sc.RemoteAddr(), "err", err)
-		return t.replyErr(sc, err)
-	}
-	defer cancel()
-	stopWatch := t.watchPeer(sc, cancel)
-
-	resp, report, err := t.srv.Invoke(ctx, msg.Header.Kernel, req)
-	stopWatch()
-	if err != nil {
-		if ctx.Err() != nil {
-			// The client gave up (deadline or disconnect): the reply is
-			// best-effort and the connection is not worth keeping.
-			t.srv.Logger().Info("invocation cancelled",
-				"kernel", msg.Header.Kernel, "remote", sc.RemoteAddr(), "cause", ctx.Err())
-			t.replyErr(sc, err)
-			return false
-		}
-		return t.replyErr(sc, err)
-	}
-
-	out := &wire.Message{
-		Type: wire.MsgResult,
-		Header: wire.Header{
-			Kernel:          msg.Header.Kernel,
-			Values:          resp.Values,
-			ColdStart:       report.Cold,
-			CachedColdStart: report.CachedCold,
-			InvocationID:    report.InvocationID,
-			DurationNanos:   int64(report.Total()),
-		},
-	}
-	if msg.Header.WantShmResult && t.regions != nil && len(resp.Data) > 0 {
-		key, err := t.regions.Create(resp.Data)
-		if err != nil {
-			return t.replyErr(sc, err)
-		}
-		out.Header.ResultShmKey = key
-		if !t.reply(sc, out) {
-			// The peer vanished before the reply landed: nobody will ever
-			// read (and delete) the result region, so its bytes must be
-			// returned to the registry budget here or they leak forever.
-			t.regions.Delete(key)
-			return false
-		}
-		return true
-	}
-	out.Body = resp.Data
-	return t.reply(sc, out)
-}
-
-func (t *TCPServer) replyErr(conn net.Conn, err error) bool {
-	code, retryable := errorCode(err)
-	return t.reply(conn, &wire.Message{
-		Type:   wire.MsgError,
-		Header: wire.Header{Error: err.Error(), Code: code, Retryable: retryable},
-	})
-}
-
-// reply writes one message, reporting whether the connection is still
-// usable. A failed write means the peer is gone: the connection is
-// closed (so the handler loop stops reading from a dead peer) and the
-// failure is logged rather than silently swallowed.
-func (t *TCPServer) reply(conn net.Conn, msg *wire.Message) bool {
-	if err := wire.Write(conn, msg); err != nil {
-		t.srv.Logger().Warn("reply write failed, closing connection",
-			"remote", conn.RemoteAddr(), "type", msg.Type.String(), "err", err)
-		conn.Close()
-		return false
-	}
-	return true
 }

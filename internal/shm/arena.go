@@ -1,6 +1,7 @@
 package shm
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -11,7 +12,11 @@ import (
 const MinLeaseBytes = 4 << 10
 
 // ErrRevoked indicates the lease was revoked before the operation.
-var ErrRevoked = fmt.Errorf("shm: lease revoked")
+var ErrRevoked = errors.New("shm: lease revoked")
+
+// ErrUnknownLease indicates a lease ID that was never granted, or that is
+// live under a different owner than the one presenting it.
+var ErrUnknownLease = errors.New("shm: unknown lease")
 
 // Supported reports whether this host can back tensor arenas, with a
 // human-readable detail. The simulated shared memory is in-process and
@@ -34,15 +39,19 @@ func Supported() (bool, string) {
 // (new Retains fail) but the slab rejoins the free list only when
 // in-flight users release it, so a server can revoke mid-invocation
 // without yanking memory out from under a running kernel.
+//
+// The pool is the single record of a lease's owner and state, all under
+// mu. IDs are sequential and leave the live map only through revocation,
+// so every ID is in exactly one of three states: live (in leases),
+// revoked (0 < id <= seq and not live), or never granted.
 type ArenaPool struct {
 	mu       sync.Mutex
 	capacity int64
 	granted  int64              // bytes held by live leases
 	pooled   int64              // bytes parked on the free lists
 	free     map[int64][][]byte // size class -> free slabs
-	leases   map[uint64]*Lease
-	revoked  map[uint64]struct{} // tombstones: distinguish stale from bogus
-	seq      uint64
+	leases   map[uint64]*Lease  // live leases
+	seq      uint64             // last ID granted
 
 	grants      uint64
 	reuses      uint64
@@ -56,15 +65,15 @@ func NewArenaPool(capacity int64) *ArenaPool {
 		capacity: capacity,
 		free:     make(map[int64][][]byte),
 		leases:   make(map[uint64]*Lease),
-		revoked:  make(map[uint64]struct{}),
 	}
 }
 
 // Lease is a granted window into an arena slab.
 type Lease struct {
-	id   uint64
-	pool *ArenaPool
-	buf  []byte
+	id    uint64
+	pool  *ArenaPool
+	buf   []byte
+	owner any // who may Resolve it; fixed at grant
 
 	// guarded by pool.mu
 	refs     int
@@ -81,9 +90,16 @@ func classFor(n int64) int64 {
 	return c
 }
 
-// Acquire grants a lease over a window of at least bytes capacity,
-// reusing a pooled slab of the same size class when one is free.
+// Acquire grants an ownerless lease; see AcquireFor.
 func (p *ArenaPool) Acquire(bytes int64) (*Lease, error) {
+	return p.AcquireFor(nil, bytes)
+}
+
+// AcquireFor grants owner a lease over a window of at least bytes
+// capacity, reusing a pooled slab of the same size class when one is
+// free. The owner (any comparable value; a server passes the connection)
+// is who Resolve answers and RevokeOwner sweeps.
+func (p *ArenaPool) AcquireFor(owner any, bytes int64) (*Lease, error) {
 	if bytes <= 0 {
 		return nil, fmt.Errorf("shm: lease size %d must be positive", bytes)
 	}
@@ -108,7 +124,7 @@ func (p *ArenaPool) Acquire(bytes int64) (*Lease, error) {
 		buf = make([]byte, class)
 	}
 	p.seq++
-	l := &Lease{id: p.seq, pool: p, buf: buf}
+	l := &Lease{id: p.seq, pool: p, buf: buf, owner: owner}
 	p.leases[l.id] = l
 	p.granted += class
 	p.grants++
@@ -139,14 +155,24 @@ func (p *ArenaPool) Get(id uint64) (*Lease, bool) {
 	return l, ok
 }
 
-// WasRevoked reports whether id names a lease that existed and was
-// revoked — the stale-lease case a client can recover from by falling
-// back to in-band transfer, as opposed to an ID that was never granted.
-func (p *ArenaPool) WasRevoked(id uint64) bool {
+// Resolve maps an ID presented by owner onto its lease, pinned as by
+// Retain so a concurrent revoke cannot recycle the slab under the
+// caller; the caller must Release it. The state is decided under the
+// pool's one lock: a revoked ID is ErrRevoked, and an ID never granted,
+// or live under another owner, is ErrUnknownLease.
+func (p *ArenaPool) Resolve(owner any, id uint64) (*Lease, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	_, ok := p.revoked[id]
-	return ok
+	l, live := p.leases[id]
+	switch {
+	case live && l.owner == owner:
+		l.refs++
+		return l, nil
+	case !live && 0 < id && id <= p.seq:
+		return nil, ErrRevoked
+	default:
+		return nil, ErrUnknownLease
+	}
 }
 
 // Revoke withdraws a lease. The budget is credited as soon as no
@@ -156,32 +182,56 @@ func (p *ArenaPool) Revoke(id uint64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	l, ok := p.leases[id]
-	if !ok {
-		return false
+	if ok {
+		p.revokeLocked(l)
 	}
-	delete(p.leases, id)
-	p.revoked[id] = struct{}{}
+	return ok
+}
+
+// RevokeOwner withdraws every lease granted to owner (a connection that
+// closed) and reports how many there were.
+func (p *ArenaPool) RevokeOwner(owner any) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, l := range p.leases {
+		if l.owner == owner {
+			p.revokeLocked(l)
+			n++
+		}
+	}
+	return n
+}
+
+// Revoked names one lease RevokeAll withdrew and whom it was granted to.
+type Revoked struct {
+	Owner any
+	ID    uint64
+}
+
+// RevokeAll withdraws every live lease, used on drain and breaker-open.
+// It returns what it revoked so the caller can notify each owner after
+// the pool's lock is dropped.
+func (p *ArenaPool) RevokeAll() []Revoked {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	all := make([]Revoked, 0, len(p.leases))
+	for _, l := range p.leases {
+		all = append(all, Revoked{Owner: l.owner, ID: l.id})
+		p.revokeLocked(l)
+	}
+	return all
+}
+
+// revokeLocked moves a live lease to revoked: unlinking it is what marks
+// the ID revoked, so no reader can see it in neither state.
+func (p *ArenaPool) revokeLocked(l *Lease) {
+	delete(p.leases, l.id)
 	p.revocations++
 	l.isDead = true
 	if l.refs == 0 {
 		p.returnSlabLocked(l)
 	}
-	return true
-}
-
-// RevokeAll withdraws every live lease and returns their IDs, used on
-// drain and teardown.
-func (p *ArenaPool) RevokeAll() []uint64 {
-	p.mu.Lock()
-	ids := make([]uint64, 0, len(p.leases))
-	for id := range p.leases {
-		ids = append(ids, id)
-	}
-	p.mu.Unlock()
-	for _, id := range ids {
-		p.Revoke(id)
-	}
-	return ids
 }
 
 // returnSlabLocked credits the lease's bytes back to the budget and

@@ -2,6 +2,7 @@ package shm
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -82,11 +83,11 @@ func TestArenaRevokeDeferredWhileRetained(t *testing.T) {
 	if _, err := p.Acquire(8 << 10); err != nil {
 		t.Fatalf("Acquire after last release: %v", err)
 	}
-	if !p.WasRevoked(l.ID()) {
-		t.Error("WasRevoked = false for a revoked lease")
+	if _, err := p.Resolve(nil, l.ID()); !errors.Is(err, ErrRevoked) {
+		t.Errorf("Resolve of a revoked lease: err = %v, want ErrRevoked", err)
 	}
-	if p.WasRevoked(999) {
-		t.Error("WasRevoked = true for a never-granted ID")
+	if _, err := p.Resolve(nil, 999); !errors.Is(err, ErrUnknownLease) {
+		t.Errorf("Resolve of a never-granted ID: err = %v, want ErrUnknownLease", err)
 	}
 }
 
@@ -97,9 +98,8 @@ func TestArenaRevokeAll(t *testing.T) {
 			t.Fatalf("Acquire %d: %v", i, err)
 		}
 	}
-	ids := p.RevokeAll()
-	if len(ids) != 3 {
-		t.Fatalf("RevokeAll returned %d ids, want 3", len(ids))
+	if all := p.RevokeAll(); len(all) != 3 {
+		t.Fatalf("RevokeAll returned %d leases, want 3", len(all))
 	}
 	st := p.Stats()
 	if st.Active != 0 || st.Granted != 0 || st.Revocations != 3 {
@@ -145,6 +145,113 @@ func TestArenaConcurrentAcquireRevoke(t *testing.T) {
 	st := p.Stats()
 	if st.Active != 0 || st.Granted != 0 {
 		t.Errorf("leaked leases: %+v", st)
+	}
+}
+
+// TestLeaseStateMachine drives the lease machine with seeded operation
+// sequences from several goroutines, one owner each, and checks the
+// invariant table after every step: an ID is live, revoked, or never
+// granted — to its owner a granted ID resolves to a pinned lease or
+// ErrRevoked (and never comes back once revoked), to anyone else it is
+// ErrUnknownLease while live — and the pool never exceeds its budget.
+func TestLeaseStateMachine(t *testing.T) {
+	const (
+		owners   = 4
+		steps    = 400
+		capacity = 64 * MinLeaseBytes
+	)
+	p := NewArenaPool(capacity)
+	type stranger struct{}
+	var wg sync.WaitGroup
+	for g := 0; g < owners; g++ {
+		wg.Add(1)
+		go func(owner int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(1 + owner)))
+			var (
+				ids  []uint64            // every ID granted to this owner
+				dead = map[uint64]bool{} // IDs this owner knows are revoked
+				pins []*Lease
+			)
+			killAll := func() {
+				for _, id := range ids {
+					dead[id] = true
+				}
+			}
+			for step := 0; step < steps; step++ {
+				switch op := rng.Intn(10); {
+				case op < 4: // grant
+					l, err := p.AcquireFor(owner, 1+rng.Int63n(4*MinLeaseBytes))
+					if err == nil {
+						ids = append(ids, l.ID())
+					} else if !errors.Is(err, ErrNoSpace) {
+						t.Errorf("owner %d step %d: AcquireFor: %v", owner, step, err)
+					}
+				case op < 6 && len(ids) > 0: // resolve and keep the pin
+					if l, err := p.Resolve(owner, ids[rng.Intn(len(ids))]); err == nil {
+						pins = append(pins, l)
+					}
+				case op < 8 && len(pins) > 0: // release
+					pins[len(pins)-1].Release()
+					pins = pins[:len(pins)-1]
+				case op == 8: // revoke-owner
+					p.RevokeOwner(owner)
+					killAll()
+				case op == 9 && step%8 == 0: // revoke-all, rarer: it hits every owner
+					for _, r := range p.RevokeAll() {
+						if o, ok := r.Owner.(int); !ok || o < 0 || o >= owners {
+							t.Errorf("RevokeAll named owner %v for lease %d", r.Owner, r.ID)
+						}
+					}
+					killAll()
+				}
+
+				for _, id := range ids {
+					l, err := p.Resolve(owner, id)
+					switch {
+					case err == nil && (dead[id] || l.ID() != id):
+						t.Errorf("owner %d step %d: lease %d resolved to lease %d (revoked before: %v)",
+							owner, step, id, l.ID(), dead[id])
+						l.Release()
+					case err == nil:
+						l.Release()
+					case errors.Is(err, ErrRevoked):
+						dead[id] = true // another owner's revoke-all
+					default:
+						t.Errorf("owner %d step %d: own lease %d: %v", owner, step, id, err)
+					}
+					// To anyone else the ID is unknown while live; ErrRevoked
+					// is right once it is, and another owner's revoke-all
+					// may land before this owner learns of it.
+					_, err = p.Resolve(stranger{}, id)
+					if !errors.Is(err, ErrRevoked) && (dead[id] || !errors.Is(err, ErrUnknownLease)) {
+						t.Errorf("owner %d step %d: stranger resolving lease %d (revoked before: %v): %v",
+							owner, step, id, dead[id], err)
+					}
+				}
+				for _, never := range []uint64{0, 1 << 62} {
+					if _, err := p.Resolve(owner, never); !errors.Is(err, ErrUnknownLease) {
+						t.Errorf("owner %d step %d: never-granted ID %d: %v, want ErrUnknownLease", owner, step, never, err)
+					}
+				}
+				if st := p.Stats(); st.Granted+st.Pooled > capacity {
+					t.Errorf("owner %d step %d: granted %d + pooled %d exceeds capacity %d",
+						owner, step, st.Granted, st.Pooled, capacity)
+				}
+				if t.Failed() {
+					break
+				}
+			}
+			for _, l := range pins {
+				l.Release()
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	p.RevokeAll()
+	if st := p.Stats(); st.Granted != 0 || st.Active != 0 {
+		t.Errorf("every lease revoked and every pin released, yet %+v", st)
 	}
 }
 

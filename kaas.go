@@ -169,7 +169,6 @@ type config struct {
 	maxInFlight   int
 	maxPerDevice  int
 	placement     core.PlacementPolicy
-	idleTimeout   time.Duration
 	listenAddr    string
 	listener      net.Listener
 	disableResult bool
@@ -258,14 +257,6 @@ func WithMaxRunnersPerDevice(n int) Option {
 // WithPlacement selects the runner placement policy.
 func WithPlacement(p core.PlacementPolicy) Option {
 	return func(c *config) { c.placement = p }
-}
-
-// WithIdleTimeout reaps task runners idle for longer than d.
-//
-// Deprecated: use WithKeepAlive, which also controls the sweep cadence.
-// WithIdleTimeout is kept as a shorthand for WithKeepAlive(d, 0).
-func WithIdleTimeout(d time.Duration) Option {
-	return func(c *config) { c.idleTimeout = d }
 }
 
 // WithKeepAlive sets the scale-to-zero policy: runners idle longer than
@@ -529,7 +520,6 @@ func New(opts ...Option) (*Platform, error) {
 		MaxInFlightPerRunner: cfg.maxInFlight,
 		MaxRunnersPerDevice:  cfg.maxPerDevice,
 		Placement:            cfg.placement,
-		RunnerIdleTimeout:    cfg.idleTimeout,
 		KeepAlive:            cfg.keepAlive,
 		Artifacts:            artifacts,
 		MaxInFlightTotal:     cfg.maxInFlightTotal,

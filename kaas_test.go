@@ -112,7 +112,7 @@ func TestPlatformOptions(t *testing.T) {
 		WithMaxInFlight(2),
 		WithMaxRunnersPerDevice(2),
 		WithPlacement(PlaceRoundRobin),
-		WithIdleTimeout(10*time.Second),
+		WithKeepAlive(10*time.Second, 0),
 		WithoutResultComputation(),
 	)
 	if err != nil {
