@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race flake fuzz faultcheck lint vuln bench-json bench-coldstart bench-failover bench-fairness bench-dataplane scenario-ci scenario-json ci clean
+.PHONY: all build vet test race flake fuzz faultcheck lint vuln bench-smoke bench bench-json bench-coldstart bench-failover bench-fairness bench-dataplane scenario-ci scenario-json ci clean
 
 all: build
 
@@ -52,6 +52,17 @@ vuln:
 	else \
 		echo "govulncheck not found; skipping (CI runs it)"; \
 	fi
+
+# The repository's benchmark (BENCHMARK.json) lives in the nested module
+# bench/, which the root module's build and test do not reach although it
+# compiles against internal/wire, internal/client and internal/core.
+# bench-smoke builds it and runs its unit tests and a 0.3 s pass of the
+# workloads (~3 s); bench is the full end-to-end pass, pinned to one CPU.
+bench-smoke:
+	cd bench && $(GO) test ./...
+
+bench:
+	bash bench/run.sh
 
 # Performance baseline: one pass over the paper-figure benchmarks plus a
 # pooled-vs-multiplexed transport sweep, recorded as BENCH_PR5.json.

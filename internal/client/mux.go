@@ -322,7 +322,10 @@ func (m *muxConn) readLoop() {
 }
 
 // writeLoop drains frames enqueued by callers with sibling streams in
-// flight, coalescing queued bursts into one write.
+// flight, coalescing queued bursts into one write. A frame whose body
+// wire.AppendSplit leaves in the caller's slice ends its batch: the small
+// frames queued before it, its head and its body leave in that order in
+// one vectored write.
 func (m *muxConn) writeLoop() {
 	buf := make([]byte, 0, 16<<10)
 	for {
@@ -332,29 +335,19 @@ func (m *muxConn) writeLoop() {
 		case <-m.dead:
 			return
 		}
+		var body []byte
 		var err error
-		buf, err = wire.Append(buf[:0], msg)
-		if err != nil {
-			// Encoding was pre-validated by FrameSize on the hot path;
-			// a failure here means the message is unencodable for
-			// everyone on this socket.
-			m.fail(err)
-			return
-		}
+		buf, body, err = wire.AppendSplit(buf[:0], msg)
 		// Coalesce the backlog into one write. When the queue momentarily
 		// empties, yield once before flushing: callers blocked on the
 		// scheduler get a chance to append their frames to this batch,
 		// deepening it by several frames per syscall under load.
 		yielded := false
 	coalesce:
-		for len(buf) < maxCoalescedWrite {
+		for err == nil && body == nil && len(buf) < maxCoalescedWrite {
 			select {
 			case next := <-m.writeCh:
-				buf, err = wire.Append(buf, next)
-				if err != nil {
-					m.fail(err)
-					return
-				}
+				buf, body, err = wire.AppendSplit(buf, next)
 			default:
 				if !yielded {
 					yielded = true
@@ -364,10 +357,15 @@ func (m *muxConn) writeLoop() {
 				break coalesce
 			}
 		}
-		m.wmu.Lock()
-		_, err = m.conn.Write(buf)
-		m.wmu.Unlock()
+		if err == nil {
+			m.wmu.Lock()
+			err = wire.WriteSplit(m.conn, buf, body)
+			m.wmu.Unlock()
+		}
 		if err != nil {
+			// Requests are pre-validated by CheckEncodable, so an encode
+			// failure here, like a failed write, is the socket's and not
+			// one caller's.
 			m.fail(err)
 			return
 		}

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"kaas/internal/accel"
 	"kaas/internal/kernels"
 	"kaas/internal/wire"
 )
@@ -254,5 +256,86 @@ func TestMuxFallbackToLegacyServer(t *testing.T) {
 	// Subsequent calls skip the handshake entirely and keep working.
 	if _, err := c.Invoke("echo", kernels.Params{"x": 8}, nil); err != nil {
 		t.Fatalf("second Invoke via fallback: %v", err)
+	}
+}
+
+// echoKernel returns its input payload and its "op" param.
+type echoKernel struct{}
+
+func (echoKernel) Name() string     { return "echo" }
+func (echoKernel) Kind() accel.Kind { return accel.GPU }
+func (echoKernel) Cost(*kernels.Request) (kernels.Cost, error) {
+	return kernels.Cost{Work: 1}, nil
+}
+func (echoKernel) Execute(req *kernels.Request) (*kernels.Response, error) {
+	return &kernels.Response{Values: map[string]float64{"op": req.Params["op"]}, Data: req.Data}, nil
+}
+
+// TestMuxLargeAndSmallFramesShareSocket runs eight streams over one shared
+// connection, half with 256 KiB bodies (written from the caller's slice,
+// not copied into the batch) and half header-only, with every frame going
+// through the coalescing writers on both ends: each reply must carry its
+// own request's bytes, and the connection must survive — a frame torn or
+// reordered on the socket desynchronizes the peer's decoder and kills it.
+func TestMuxLargeAndSmallFramesShareSocket(t *testing.T) {
+	srv, ln := startFaultyServer(t, nil)
+	for _, k := range []kernels.Kernel{slowKernel{}, echoKernel{}} {
+		if err := srv.Register(k); err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+	}
+	c := Dial(ln.Addr().String(), WithMux(1))
+	defer c.Close()
+
+	// A slow stream in flight throughout keeps the inline write path shut
+	// on both ends: the client sees a sibling in flight, the server a
+	// second stream slot taken.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	slowDone := make(chan struct{})
+	go func() {
+		defer close(slowDone)
+		c.InvokeContext(ctx, "slow", nil, nil)
+	}()
+	waitUntil(t, 5*time.Second, func() bool { return srv.Stats().InFlight >= 1 }, "slow invocation in flight")
+
+	// A torn frame leaves a peer waiting for bytes that never come.
+	echoCtx, echoCancel := context.WithTimeout(ctx, 30*time.Second)
+	defer echoCancel()
+	const streams, rounds = 8, 6
+	var wg sync.WaitGroup
+	for s := 0; s < streams; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				op := float64(s*rounds + r + 1)
+				var data []byte
+				if s%2 == 0 {
+					data = make([]byte, 256<<10)
+					for i := range data {
+						data[i] = byte(i*7 + int(op))
+					}
+				}
+				res, err := c.InvokeContext(echoCtx, "echo", kernels.Params{"op": op}, data)
+				if err != nil {
+					t.Errorf("stream %d round %d: %v", s, r, err)
+					return
+				}
+				if res.Values["op"] != op {
+					t.Errorf("stream %d round %d: reply carries op %v, want %v", s, r, res.Values["op"], op)
+				}
+				if !bytes.Equal(res.Data, data) {
+					t.Errorf("stream %d round %d: reply body (%d bytes) is not the request's", s, r, len(res.Data))
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	cancel()
+	<-slowDone
+
+	if n := ln.Accepted(); n != 1 {
+		t.Errorf("server accepted %d connections, want the 1 shared one to survive", n)
 	}
 }

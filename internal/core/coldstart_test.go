@@ -303,7 +303,10 @@ func TestBlockedColdStartRechecksInModeledTime(t *testing.T) {
 // removal, driving the runner's in-flight count negative — accounting
 // drift that made claimed runners look reapable.
 func TestFailoverKeepsSiblingClaimAccounting(t *testing.T) {
-	s, host, _ := newTestServer(t, 1, nil)
+	// No breaker: the siblings' failures together would open it, and the
+	// slower one's retry would be answered ErrUnavailable instead of
+	// reaching the failed device. This test is about claim accounting.
+	s, host, _ := newTestServer(t, 1, func(cfg *Config) { cfg.BreakerThreshold = -1 })
 	dev := host.Devices()[0]
 
 	arrived := make(chan struct{}, 2)

@@ -209,33 +209,35 @@ func (s *muxSession) writeFailed(err error) {
 }
 
 // writeLoop drains replies that lost the inline-write race, coalescing
-// queued bursts into one socket write.
+// queued bursts into one socket write. A reply whose body
+// wire.AppendSplit leaves in place ends its batch: the small frames queued
+// before it, its head and its body leave in that order in one vectored
+// write.
 func (s *muxSession) writeLoop() {
 	defer close(s.writerDone)
 	buf := make([]byte, 0, 16<<10)
+	var body []byte
 	appendMsg := func(m *wire.Message) {
 		if s.failed.Load() {
 			return
 		}
 		var err error
-		buf, err = wire.Append(buf, m)
+		buf, body, err = wire.AppendSplit(buf, m)
 		if err != nil {
 			s.t.srv.Logger().Warn("reply encode failed",
 				"remote", s.conn.RemoteAddr(), "type", m.Type.String(), "err", err)
 		}
 	}
 	flush := func() {
-		if s.failed.Load() || len(buf) == 0 {
-			buf = buf[:0]
-			return
+		if !s.failed.Load() && len(buf) > 0 {
+			s.wmu.Lock()
+			err := wire.WriteSplit(s.conn, buf, body)
+			s.wmu.Unlock()
+			if err != nil {
+				s.writeFailed(err)
+			}
 		}
-		s.wmu.Lock()
-		_, err := s.conn.Write(buf)
-		s.wmu.Unlock()
-		if err != nil {
-			s.writeFailed(err)
-		}
-		buf = buf[:0]
+		buf, body = buf[:0], nil
 	}
 	for msg := range s.writeCh {
 		appendMsg(msg)
@@ -245,7 +247,7 @@ func (s *muxSession) writeLoop() {
 		// syscall under load.
 		yielded := false
 	coalesce:
-		for len(buf) < maxCoalescedWrite {
+		for body == nil && len(buf) < maxCoalescedWrite {
 			select {
 			case next, ok := <-s.writeCh:
 				if !ok {

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"testing"
 	"time"
 
 	"kaas/internal/accel"
+	"kaas/internal/kernels"
 	"kaas/internal/shm"
 	"kaas/internal/vclock"
 	"kaas/internal/wire"
@@ -258,5 +260,95 @@ func TestMuxDrainFinishesStreams(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("drain did not finish after the stream completed")
+	}
+}
+
+// echoKernel returns its input payload and its "op" param.
+type echoKernel struct{}
+
+func (echoKernel) Name() string     { return "echo" }
+func (echoKernel) Kind() accel.Kind { return accel.GPU }
+func (echoKernel) Cost(*kernels.Request) (kernels.Cost, error) {
+	return kernels.Cost{Work: 1}, nil
+}
+func (echoKernel) Execute(req *kernels.Request) (*kernels.Response, error) {
+	return &kernels.Response{Values: map[string]float64{"op": req.Params["op"]}, Data: req.Data}, nil
+}
+
+// TestMuxWriterKeepsFramesWholeAndOrdered pipelines eight streams over one
+// connection, half with 256 KiB bodies the writer sends from where they
+// lie and half header-only, all through the coalescing writer: every
+// reply must decode off the socket stream and carry its own request's
+// bytes, whatever order the streams finish in.
+func TestMuxWriterKeepsFramesWholeAndOrdered(t *testing.T) {
+	srv, tcp, _ := startTCP(t)
+	for _, k := range []kernels.Kernel{slowKernel{}, echoKernel{}} {
+		if err := srv.Register(k); err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+	}
+	conn := dialWire(t, tcp.Addr())
+	muxHandshake(t, conn)
+	// A torn frame leaves the reader waiting for bytes that never come.
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+
+	// A slow stream in flight throughout keeps a second stream slot taken,
+	// so no echo reply is written inline: all go through the writer queue.
+	const slowStream = 1 << 20
+	err := wire.Write(conn, &wire.Message{Version: wire.VersionMux, Type: wire.MsgInvoke,
+		Header: wire.Header{Kernel: "slow", StreamID: slowStream}})
+	if err != nil {
+		t.Fatalf("write slow invoke: %v", err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return srv.Stats().InFlight == 1 }, "slow invocation in flight")
+
+	const streams, rounds = 8, 6
+	payload := func(id uint64) []byte {
+		if id%2 == 0 {
+			return nil
+		}
+		b := make([]byte, 256<<10)
+		for i := range b {
+			b[i] = byte(uint64(i)*7 + id)
+		}
+		return b
+	}
+	writeErr := make(chan error, 1)
+	go func() {
+		for id := uint64(1); id <= streams*rounds; id++ {
+			err := wire.Write(conn, &wire.Message{Version: wire.VersionMux, Type: wire.MsgInvoke, Header: wire.Header{
+				Kernel: "echo", Params: map[string]float64{"op": float64(id)}, StreamID: id,
+			}, Body: payload(id)})
+			if err != nil {
+				writeErr <- err
+				return
+			}
+		}
+		writeErr <- nil
+	}()
+
+	seen := make(map[uint64]bool)
+	for i := 0; i < streams*rounds; i++ {
+		reply, err := wire.Read(conn)
+		if err != nil {
+			t.Fatalf("read reply %d: %v", i, err)
+		}
+		id := reply.Header.StreamID
+		if reply.Type != wire.MsgResult {
+			t.Fatalf("stream %d: reply %s (%s), want result", id, reply.Type, reply.Header.Error)
+		}
+		if seen[id] {
+			t.Fatalf("stream %d answered twice", id)
+		}
+		seen[id] = true
+		if reply.Header.Values["op"] != float64(id) {
+			t.Errorf("stream %d: reply carries op %v", id, reply.Header.Values["op"])
+		}
+		if !bytes.Equal(reply.Body, payload(id)) {
+			t.Errorf("stream %d: reply body (%d bytes) is not the request's", id, len(reply.Body))
+		}
+	}
+	if err := <-writeErr; err != nil {
+		t.Fatalf("write invoke: %v", err)
 	}
 }

@@ -377,7 +377,10 @@ func New(cfg Config) (*Server, error) {
 		})
 	}
 	if cfg.KeepAlive.Idle > 0 {
+		// Under the lock: the reaper may fire, and reschedule, at once.
+		s.mu.Lock()
 		s.scheduleReapLocked()
+		s.mu.Unlock()
 	}
 	return s, nil
 }

@@ -331,10 +331,10 @@ func (n *Node) miss(p *peer, err error) {
 		p.alive = false
 		p.downs++
 	}
-	misses := p.misses
+	misses, name := p.misses, p.name
 	n.mu.Unlock()
 	if down {
-		n.log.Warn("peer down", "peer", p.name, "addr", p.addr, "misses", misses, "err", err)
+		n.log.Warn("peer down", "peer", name, "addr", p.addr, "misses", misses, "err", err)
 	}
 }
 
@@ -352,9 +352,10 @@ func (n *Node) heard(p *peer, g *Gossip) {
 		p.ups++
 	}
 	p.last = *g
+	name := p.name
 	n.mu.Unlock()
 	if up {
-		n.log.Info("peer up", "peer", p.name, "addr", p.addr)
+		n.log.Info("peer up", "peer", name, "addr", p.addr)
 	}
 }
 
@@ -367,16 +368,18 @@ func (n *Node) ReportUnreachable(addr string) {
 	n.mu.Lock()
 	p := n.peers[addr]
 	down := p != nil && p.alive
+	var name string
 	if down {
 		p.alive = false
 		p.downs++
 		if p.misses < n.cfg.SuspectAfter {
 			p.misses = n.cfg.SuspectAfter
 		}
+		name = p.name
 	}
 	n.mu.Unlock()
 	if down {
-		n.log.Warn("peer down", "peer", p.name, "addr", addr, "cause", "unreachable")
+		n.log.Warn("peer down", "peer", name, "addr", addr, "cause", "unreachable")
 	}
 }
 

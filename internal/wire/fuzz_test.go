@@ -77,8 +77,8 @@ func seedFrames(t testing.TB) [][]byte {
 }
 
 // FuzzRead throws arbitrary byte streams at the frame decoder: it must
-// never panic, and any frame it accepts must re-encode and decode to the
-// same message.
+// never panic, and every frame it accepts, up to the first it rejects,
+// must re-encode and decode to the same message.
 func FuzzRead(f *testing.F) {
 	for _, frame := range seedFrames(f) {
 		f.Add(frame)
@@ -106,22 +106,40 @@ func FuzzRead(f *testing.F) {
 		}
 	}
 
+	// A shared socket's stream: a header-only frame, a frame whose body
+	// leaves by the vectored path, and another header-only frame.
+	var stream []byte
+	for _, m := range []*Message{
+		{Version: VersionMux, Type: MsgInvoke, Header: Header{Kernel: "probe", StreamID: 1}},
+		bodyMessage(256 << 10),
+		{Version: VersionMux, Type: MsgCancel, Header: Header{StreamID: 1}},
+	} {
+		var err error
+		if stream, err = Append(stream, m); err != nil {
+			f.Fatalf("seed Append: %v", err)
+		}
+	}
+	f.Add(stream)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Accepted frames must survive a round trip.
-		var buf bytes.Buffer
-		if err := Write(&buf, msg); err != nil {
-			t.Fatalf("re-encode accepted frame: %v", err)
-		}
-		again, err := Read(&buf)
-		if err != nil {
-			t.Fatalf("re-decode accepted frame: %v", err)
-		}
-		if again.Type != msg.Type || !bytes.Equal(again.Body, msg.Body) {
-			t.Fatalf("round trip changed frame: %+v != %+v", again, msg)
+		rd := bytes.NewReader(data)
+		for {
+			msg, err := Read(rd)
+			if err != nil {
+				return
+			}
+			// Accepted frames must survive a round trip.
+			var buf bytes.Buffer
+			if err := Write(&buf, msg); err != nil {
+				t.Fatalf("re-encode accepted frame: %v", err)
+			}
+			again, err := Read(&buf)
+			if err != nil {
+				t.Fatalf("re-decode accepted frame: %v", err)
+			}
+			if again.Type != msg.Type || !bytes.Equal(again.Body, msg.Body) {
+				t.Fatalf("round trip changed frame: %+v != %+v", again, msg)
+			}
 		}
 	})
 }
