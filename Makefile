@@ -64,12 +64,10 @@ bench-smoke:
 bench:
 	bash bench/run.sh
 
-# Performance baseline: one pass over the paper-figure benchmarks plus a
-# pooled-vs-multiplexed transport sweep, recorded as BENCH_PR5.json.
+# One pass over the paper-figure benchmarks, recorded as
+# bench_figures.txt.
 bench-json:
 	$(GO) test -run='^$$' -bench=Fig -benchtime=1x . | tee bench_figures.txt
-	$(GO) run ./cmd/kaasbench -sweep 5000 -sweep-conc 1,8,64 -sweep-conns 4 \
-		-sweep-out BENCH_PR5.json -sweep-figures bench_figures.txt
 
 # Scenario gate: run the replay/chaos matrix tests, then replay the full
 # matrix twice with the same seed and require byte-identical deterministic

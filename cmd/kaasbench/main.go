@@ -76,16 +76,7 @@ func run(args []string) error {
 	lgConc := fs.Int("loadgen-conc", 8, "concurrent clients for -loadgen")
 	overload := fs.Int("overload", 0, "drive this many invocations past the admission limits and report shed rate, admitted p99, and breaker transitions (0 = off)")
 	ovConc := fs.Int("overload-conc", 64, "concurrent clients for -overload")
-	mux := fs.Bool("mux", false, "use the multiplexed transport (protocol v2) for -loadgen")
-	conns := fs.Int("conns", 4, "shared connections for -mux")
-	sweep := fs.Int("sweep", 0, "compare pooled vs. multiplexed transports with this many invocations per cell (0 = off)")
-	sweepReps := fs.Int("sweep-reps", 3, "measurement repetitions per -sweep cell (the best is kept)")
-	sweepConc := fs.String("sweep-conc", "1,8,64", "comma-separated concurrency levels for -sweep")
-	sweepConns := fs.Int("sweep-conns", 4, "shared connections for the muxed cells of -sweep")
-	sweepKernel := fs.String("sweep-kernel", "mci", "kernel for -sweep")
-	sweepOut := fs.String("sweep-out", "", "write the -sweep report as JSON to this file")
-	sweepFigures := fs.String("sweep-figures", "", "file of go test -bench output to embed in the -sweep report")
-	sweepProfile := fs.String("sweep-cpuprofile", "", "write a pprof CPU profile per -sweep cell with this path prefix")
+	conns := fs.Int("conns", 4, "shared connections for -loadgen")
 	coldstart := fs.Bool("coldstart", false, "measure the cold/cached-cold/warm temperature ladder and the diurnal scale-to-zero device-seconds tradeoff")
 	coldstartOut := fs.String("coldstart-out", "", "write the -coldstart report as JSON to this file")
 	failover := fs.Int("failover", 0, "run the cross-host failover ladder (steady / node-kill / post-recovery) with this many invocations per phase, plus the retry-budget storm comparison (0 = off)")
@@ -153,30 +144,12 @@ func run(args []string) error {
 		return runOverload(os.Stdout, *overload, *ovConc, *scale)
 	}
 
-	if *sweep > 0 {
-		levels, err := parseConcLevels(*sweepConc)
-		if err != nil {
-			return err
-		}
-		return runSweep(os.Stdout, sweepConfig{
-			Invocations: *sweep,
-			Reps:        *sweepReps,
-			Concurrency: levels,
-			Conns:       *sweepConns,
-			Kernel:      *sweepKernel,
-			Scale:       *scale,
-			Out:         *sweepOut,
-			Figures:     *sweepFigures,
-			CPUProfile:  *sweepProfile,
-		})
-	}
-
 	if *loadgen > 0 {
 		params, err := parseParams(fs.Args())
 		if err != nil {
 			return err
 		}
-		return runLoadgen(os.Stdout, *server, *lgKernel, *loadgen, *lgConc, *scale, params, *mux, *conns)
+		return runLoadgen(os.Stdout, *server, *lgKernel, *loadgen, *lgConc, *scale, params, *conns)
 	}
 
 	if *list {
@@ -224,7 +197,7 @@ func runFaultCheck(w *os.File, invocations int) error {
 	// corrupts, or writes drop after a budget of bytes — so the client
 	// must keep replacing connections for the whole run. SlowWrite conns
 	// survive on their own and are killed by the periodic CloseRandom
-	// below, exercising the stale-pooled-connection path.
+	// below, exercising the stale-shared-connection path.
 	script := faults.Script(
 		faults.Plan{Mode: faults.CloseMidFrame},
 		faults.Plan{Mode: faults.DropAfterN, N: 800},
@@ -279,7 +252,7 @@ func runFaultCheck(w *os.File, invocations int) error {
 	fmt.Fprintf(w, "  connections accepted: %d\n", ln.Accepted())
 	fmt.Fprintf(w, "  client attempts:      %d\n", m.Attempts)
 	fmt.Fprintf(w, "  retries:              %d\n", m.Retries)
-	fmt.Fprintf(w, "  stale pooled conns:   %d\n", m.StaleConns)
+	fmt.Fprintf(w, "  stale shared conns:   %d\n", m.StaleConns)
 	fmt.Fprintf(w, "  connection errors:    %d\n", m.ConnErrors)
 	fmt.Fprintf(w, "  remote errors:        %d\n", m.RemoteErrors)
 	fmt.Fprintf(w, "  latency (incl. retries): %s\n", percentileLine(&lat))
@@ -292,21 +265,17 @@ func runFaultCheck(w *os.File, invocations int) error {
 // runLoadgen fires n invocations of one kernel at conc concurrency and
 // prints the client-observed latency distribution split by cold and warm
 // starts. With a -server address it drives a running kaasd; otherwise it
-// hosts an in-process platform at the given time scale. With mux the
-// client multiplexes all calls over conns shared connections instead of
-// one connection per in-flight request.
-func runLoadgen(w io.Writer, server, kernel string, n, conc int, scale float64, params kaas.Params, mux bool, conns int) error {
+// hosts an in-process platform at the given time scale. The client
+// multiplexes all calls over conns shared connections.
+func runLoadgen(w io.Writer, server, kernel string, n, conc int, scale float64, params kaas.Params, conns int) error {
 	var c *kaas.Client
 	if server == "" {
-		popts := []kaas.Option{
+		p, err := kaas.New(
 			kaas.WithListenAddr("127.0.0.1:0"),
 			kaas.WithTimeScale(scale),
 			kaas.WithAccelerators(kaas.TeslaP100, kaas.TeslaP100),
-		}
-		if mux {
-			popts = append(popts, kaas.WithClientMux(conns))
-		}
-		p, err := kaas.New(popts...)
+			kaas.WithClientMux(conns),
+		)
 		if err != nil {
 			return err
 		}
@@ -317,15 +286,8 @@ func runLoadgen(w io.Writer, server, kernel string, n, conc int, scale float64, 
 		}
 		fmt.Fprintf(w, "loadgen: in-process platform (2x Tesla P100, scale %.0fx)\n", scale)
 	} else {
-		var copts []client.Option
-		if mux {
-			copts = append(copts, client.WithMux(conns))
-		}
-		c = client.Dial(server, copts...)
+		c = client.Dial(server, client.WithMux(conns))
 		fmt.Fprintf(w, "loadgen: driving %s\n", server)
-	}
-	if mux {
-		fmt.Fprintf(w, "loadgen: multiplexed transport over %d shared connections\n", conns)
 	}
 	defer c.Close()
 	if err := c.Register(kernel); err != nil {

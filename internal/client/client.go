@@ -3,10 +3,11 @@
 // (shared-memory) data transfer, plus optional network shaping so
 // loopback deployments can be measured as if remote.
 //
-// The client is built for a long-lived shared service: every call has a
-// context-aware variant that propagates deadlines onto socket read/write
-// deadlines and into the wire header (so the server can reject expired
-// work and cancel in-flight kernels), and connection-level failures can
+// The client is built for a long-lived shared service: all calls share a
+// few multiplexed connections, every call has a context-aware variant
+// that propagates its deadline into the wire header (so the server can
+// reject expired work and cancel in-flight kernels) and cancels its own
+// stream when the context ends, and connection-level failures can
 // be retried under a bounded RetryPolicy with exponential backoff and
 // deterministic jitter. Server-reported failures (RemoteError) carry the
 // wire protocol's machine-readable code: transient ones (OVERLOADED,
@@ -70,14 +71,13 @@ func WithShm(r *shm.Registry) Option {
 	return func(c *Client) { c.regions = r }
 }
 
-// WithArena enables the zero-copy out-of-band data plane on the
-// multiplexed transport: the client negotiates leases over windows of
-// the server's pooled tensor arena and moves invocation payloads by
-// handle — the bytes never ride the wire and the serving path reads the
-// shared window in place. The pool must be the same instance the server
-// serves (same host). Requires WithMux; connections whose server lacks
-// arena support, and leases revoked mid-flight (drain, breaker-open),
-// fall back to in-band transfer transparently.
+// WithArena enables the zero-copy out-of-band data plane: the client
+// negotiates leases over windows of the server's pooled tensor arena and
+// moves invocation payloads by handle — the bytes never ride the wire and
+// the serving path reads the shared window in place. The pool must be the
+// same instance the server serves (same host). Connections whose server
+// lacks arena support, and leases revoked mid-flight (drain,
+// breaker-open), fall back to in-band transfer transparently.
 func WithArena(p *shm.ArenaPool) Option {
 	return func(c *Client) { c.arena = p }
 }
@@ -102,20 +102,17 @@ func WithRetries(attempts int) Option {
 	return WithRetryPolicy(p)
 }
 
-// WithMux switches the client to the multiplexed transport: all
-// in-flight requests share a small fixed set of conns connections
-// (rather than one pooled connection per request), interleaved by
-// StreamID under protocol version 2. Cancelling one call sends a
+// defaultMuxConns is how many shared connections a client opens unless
+// WithMux says otherwise.
+const defaultMuxConns = 2
+
+// WithMux sets how many shared connections the client spreads its
+// in-flight requests over (default 2). Requests are interleaved by
+// StreamID under protocol version 2, and cancelling one call sends a
 // per-stream CANCEL frame instead of tearing down the shared socket.
-// Servers that predate multiplexing negotiate the client back to the
-// legacy pooled transport transparently. conns values below 1 mean 1.
+// conns values below 1 mean 1.
 func WithMux(conns int) Option {
-	return func(c *Client) {
-		if conns < 1 {
-			conns = 1
-		}
-		c.muxConns = conns
-	}
+	return func(c *Client) { c.slots = make([]muxSlot, max(conns, 1)) }
 }
 
 // WithRetryBudget attaches a cross-invocation retry budget: retries are
@@ -140,8 +137,8 @@ type Metrics struct {
 	Attempts uint64
 	// Retries counts policy-driven retry attempts.
 	Retries uint64
-	// StaleConns counts pooled connections found dead and replaced
-	// transparently.
+	// StaleConns counts shared connections found dead mid-call and
+	// replaced transparently.
 	StaleConns uint64
 	// ConnErrors counts connection-level failures observed.
 	ConnErrors uint64
@@ -162,23 +159,24 @@ type clientMetrics struct {
 	budgetExhausted atomic.Uint64
 }
 
-// Client talks to a KaaS server. It is safe for concurrent use: by
-// default each in-flight request uses its own pooled connection; with
-// WithMux all requests share a small fixed set of multiplexed
-// connections.
+// Client talks to a KaaS server. It is safe for concurrent use: all
+// in-flight requests share a small fixed set of multiplexed connections
+// (WithMux), spread round-robin; a dead connection is redialed on next
+// use.
 type Client struct {
-	addr     string
-	link     *netshape.Link
-	regions  *shm.Registry
-	arena    *shm.ArenaPool
-	timeout  time.Duration
-	retry    RetryPolicy
-	budget   *RetryBudget
-	muxConns int
-	tenant   string
+	addr    string
+	link    *netshape.Link
+	regions *shm.Registry
+	arena   *shm.ArenaPool
+	timeout time.Duration
+	retry   RetryPolicy
+	budget  *RetryBudget
+	tenant  string
 
-	mux         *muxPool
-	muxFallback atomic.Bool
+	// slots are the shared connections, opened lazily; next spreads
+	// requests over them round-robin.
+	slots []muxSlot
+	next  atomic.Uint64
 
 	metrics clientMetrics
 
@@ -186,21 +184,21 @@ type Client struct {
 	rng   *rand.Rand
 
 	mu     sync.Mutex
-	idle   []net.Conn
 	closed bool
 }
 
 // Dial creates a client for the server at addr. Connections are opened
 // lazily.
 func Dial(addr string, opts ...Option) *Client {
-	c := &Client{addr: addr, retry: RetryPolicy{MaxAttempts: 1}.withDefaults()}
+	c := &Client{
+		addr:  addr,
+		retry: RetryPolicy{MaxAttempts: 1}.withDefaults(),
+		slots: make([]muxSlot, defaultMuxConns),
+	}
 	for _, o := range opts {
 		o(c)
 	}
 	c.rng = rand.New(rand.NewSource(c.retry.Seed))
-	if c.muxConns > 0 {
-		c.mux = newMuxPool(c, c.muxConns)
-	}
 	return c
 }
 
@@ -216,38 +214,20 @@ func (c *Client) Metrics() Metrics {
 	}
 }
 
-// Close closes all pooled and multiplexed connections.
+// Close tears down every shared connection.
 func (c *Client) Close() {
 	c.mu.Lock()
 	c.closed = true
-	for _, conn := range c.idle {
-		conn.Close()
-	}
-	c.idle = nil
 	c.mu.Unlock()
-	if c.mux != nil {
-		c.mux.close()
+	for i := range c.slots {
+		slot := &c.slots[i]
+		slot.mu.Lock()
+		if slot.conn != nil {
+			slot.conn.fail(ErrClosed)
+			slot.conn = nil
+		}
+		slot.mu.Unlock()
 	}
-}
-
-// getConn returns a pooled or fresh connection, reporting whether it came
-// from the pool (pooled connections may be stale and get one transparent
-// replacement on failure).
-func (c *Client) getConn(ctx context.Context) (conn net.Conn, pooled bool, err error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, false, ErrClosed
-	}
-	if n := len(c.idle); n > 0 {
-		conn := c.idle[n-1]
-		c.idle = c.idle[:n-1]
-		c.mu.Unlock()
-		return conn, true, nil
-	}
-	c.mu.Unlock()
-	conn, err = c.dial(ctx)
-	return conn, false, err
 }
 
 // dial opens a fresh connection, honoring the context deadline.
@@ -263,20 +243,8 @@ func (c *Client) dial(ctx context.Context) (net.Conn, error) {
 	return conn, nil
 }
 
-// putConn returns a healthy connection to the pool.
-func (c *Client) putConn(conn net.Conn) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		conn.Close()
-		return
-	}
-	c.idle = append(c.idle, conn)
-}
-
-// roundTrip sends one message and reads one reply under the client's
-// retry policy, propagating the context deadline to the socket and the
-// wire header.
+// roundTrip sends one message and waits for its reply under the client's
+// retry policy, propagating the context deadline into the wire header.
 func (c *Client) roundTrip(ctx context.Context, msg *wire.Message) (*wire.Message, error) {
 	if c.timeout > 0 {
 		if _, ok := ctx.Deadline(); !ok {
@@ -312,6 +280,7 @@ func (c *Client) roundTrip(ctx context.Context, msg *wire.Message) (*wire.Messag
 				break
 			}
 			c.metrics.retries.Add(1)
+			msg = resendCopy(msg)
 		}
 		reply, err := c.attempt(ctx, msg)
 		if err == nil {
@@ -372,43 +341,48 @@ func (c *Client) backoff(ctx context.Context, retry int) bool {
 	}
 }
 
-// attempt performs one round trip, over the multiplexed transport when
-// enabled (and not negotiated away), else over a pooled connection. A
-// pooled connection that fails with a connection-level error is replaced
-// transparently exactly once: the pool cannot know the server closed an
-// idle connection until it is used.
+// attempt performs one round trip over a shared connection. A cached
+// connection found dead mid-call is replaced transparently exactly once:
+// the client cannot know the server closed an idle connection until it is
+// used.
 func (c *Client) attempt(ctx context.Context, msg *wire.Message) (*wire.Message, error) {
-	if c.mux != nil && !c.muxFallback.Load() {
-		reply, handled, err := c.mux.attempt(ctx, msg)
-		if handled {
-			return reply, err
-		}
-		// The server negotiated down to the legacy protocol: fall
-		// through to the pooled path (and stay there).
-	}
-	conn, pooled, err := c.getConn(ctx)
+	mc, fresh, err := c.conn(ctx)
 	if err != nil {
 		return nil, err
 	}
 	c.metrics.attempts.Add(1)
-	reply, err := c.do(ctx, conn, msg)
-	if err != nil && pooled && isConnError(err) && ctx.Err() == nil {
+	reply, err := mc.send(ctx, msg)
+	if err != nil && !fresh && isConnError(err) && ctx.Err() == nil {
 		c.metrics.staleConns.Add(1)
-		fresh, derr := c.dial(ctx)
-		if derr != nil {
-			return nil, derr
+		if mc, _, err = c.conn(ctx); err != nil {
+			return nil, err
 		}
 		c.metrics.attempts.Add(1)
-		return c.do(ctx, fresh, msg)
+		reply, err = mc.send(ctx, resendCopy(msg))
 	}
-	return reply, err
+	if err != nil {
+		return nil, err
+	}
+	if rerr := replyError(reply); rerr != nil {
+		return nil, rerr
+	}
+	return reply, nil
 }
 
-// ctxCause reports the context error behind a failed I/O operation, or
-// nil if the failure was not caused by the context. The socket deadline
-// is set to the context deadline, and the socket's timer can fire a
-// moment before the context's own — so a socket i/o timeout at or past
-// the context deadline counts as the deadline expiring.
+// resendCopy returns the message to send after a failed send of msg. The
+// failed connection's writer may still be encoding msg from its queue
+// while the next connection stamps its own version and stream ID, so the
+// resend goes out as a shallow copy (header maps and body are only read).
+func resendCopy(msg *wire.Message) *wire.Message {
+	cp := *msg
+	return &cp
+}
+
+// ctxCause reports the context error behind a failed handshake I/O
+// operation, or nil if the failure was not caused by the context. The
+// socket deadline is set to the context deadline, and the socket's timer
+// can fire a moment before the context's own — so a socket i/o timeout at
+// or past the context deadline counts as the deadline expiring.
 func ctxCause(ctx context.Context, err error) error {
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return ctxErr
@@ -420,58 +394,6 @@ func ctxCause(ctx context.Context, err error) error {
 		}
 	}
 	return nil
-}
-
-// do performs one round trip on one connection, applying link shaping to
-// both directions. The context deadline becomes the socket deadline, and
-// cancellation closes the connection so blocked I/O unblocks — which the
-// server observes as a client disconnect and cancels the kernel.
-func (c *Client) do(ctx context.Context, conn net.Conn, msg *wire.Message) (*wire.Message, error) {
-	if deadline, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(deadline)
-	}
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-
-	// Sizing a frame costs a full header encode — only worth it when a
-	// shaped link will charge for the bytes.
-	if c.link != nil {
-		if size, err := wire.FrameSize(msg); err == nil {
-			c.link.Transfer(size)
-		}
-	}
-	if err := wire.Write(conn, msg); err != nil {
-		conn.Close()
-		if ctxErr := ctxCause(ctx, err); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, asConnError(err)
-	}
-	reply, err := wire.Read(conn)
-	if err != nil {
-		conn.Close()
-		if ctxErr := ctxCause(ctx, err); ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, asConnError(fmt.Errorf("client: read reply: %w", err))
-	}
-	if c.link != nil {
-		if size, err := wire.FrameSize(reply); err == nil {
-			c.link.Transfer(size)
-		}
-	}
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		// Cancelled while the reply was in flight; the AfterFunc is
-		// closing the connection, so don't pool it.
-		conn.Close()
-		return nil, ctxErr
-	}
-	conn.SetDeadline(time.Time{})
-	c.putConn(conn)
-	if rerr := replyError(reply); rerr != nil {
-		return nil, rerr
-	}
-	return reply, nil
 }
 
 // replyError converts a server error frame into a RemoteError; non-error
@@ -539,8 +461,8 @@ func (c *Client) Invoke(kernel string, params kernels.Params, data []byte) (*Res
 // InvokeContext calls a kernel, honoring the context's deadline and
 // cancellation: an expired context returns before any network traffic,
 // the deadline rides the wire header so the server rejects stale work,
-// and cancelling mid-flight closes the connection, which the server
-// observes and cancels the kernel's context.
+// and cancelling mid-flight sends a CANCEL frame for this call's stream,
+// on which the server cancels the kernel's context.
 func (c *Client) InvokeContext(ctx context.Context, kernel string, params kernels.Params, data []byte) (*Result, error) {
 	return c.InvokeTenantContext(ctx, c.tenant, kernel, params, data)
 }

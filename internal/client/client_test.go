@@ -48,76 +48,65 @@ func startServer(t *testing.T, tweak ...func(*core.Config)) (*core.TCPServer, *s
 
 // TestRegisterInvokeEndToEnd walks one kernel through every start
 // temperature — cold, warm, and cached-cold after the reaper scales it
-// to zero — over both client transports: whatever the server reports
-// must reach Result the same way on each.
+// to zero: whatever the server reports must reach Result.
 func TestRegisterInvokeEndToEnd(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"pooled", nil},
-		{"mux", []Option{WithMux(1)}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tcp, _, _ := startServer(t, func(cfg *core.Config) {
-				cfg.Artifacts = artifact.NewCache(64 << 20)
-				// 0.3 s of wall time at the test clock: far longer than the
-				// gap between the first two invocations below.
-				cfg.KeepAlive = core.KeepAlive{Idle: 300 * time.Second}
-			})
-			c := Dial(tcp.Addr(), tc.opts...)
-			defer c.Close()
+	tcp, _, _ := startServer(t, func(cfg *core.Config) {
+		cfg.Artifacts = artifact.NewCache(64 << 20)
+		// 0.3 s of wall time at the test clock: far longer than the
+		// gap between the first two invocations below.
+		cfg.KeepAlive = core.KeepAlive{Idle: 300 * time.Second}
+	})
+	c := Dial(tcp.Addr())
+	defer c.Close()
 
-			if err := c.Register("matmul"); err != nil {
-				t.Fatalf("Register: %v", err)
-			}
-			// Re-registering is idempotent at the protocol level.
-			if err := c.Register("matmul"); err != nil {
-				t.Fatalf("re-Register: %v", err)
-			}
+	if err := c.Register("matmul"); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	// Re-registering is idempotent at the protocol level.
+	if err := c.Register("matmul"); err != nil {
+		t.Fatalf("re-Register: %v", err)
+	}
 
-			res, err := c.Invoke("matmul", kernels.Params{"n": 64, "seed": 2}, nil)
-			if err != nil {
-				t.Fatalf("Invoke: %v", err)
-			}
-			if !res.Cold || res.CachedCold {
-				t.Errorf("first invocation: Cold=%v CachedCold=%v, want cold and uncached", res.Cold, res.CachedCold)
-			}
-			if res.Values["checksum"] <= 0 {
-				t.Errorf("checksum = %v", res.Values["checksum"])
-			}
-			if res.ServerTime <= 0 {
-				t.Error("missing server time")
-			}
+	res, err := c.Invoke("matmul", kernels.Params{"n": 64, "seed": 2}, nil)
+	if err != nil {
+		t.Fatalf("Invoke: %v", err)
+	}
+	if !res.Cold || res.CachedCold {
+		t.Errorf("first invocation: Cold=%v CachedCold=%v, want cold and uncached", res.Cold, res.CachedCold)
+	}
+	if res.Values["checksum"] <= 0 {
+		t.Errorf("checksum = %v", res.Values["checksum"])
+	}
+	if res.ServerTime <= 0 {
+		t.Error("missing server time")
+	}
 
-			res2, err := c.Invoke("matmul", kernels.Params{"n": 64, "seed": 2}, nil)
-			if err != nil {
-				t.Fatalf("warm Invoke: %v", err)
-			}
-			if res2.Cold {
-				t.Error("second invocation cold")
-			}
-			if res2.ServerTime >= res.ServerTime {
-				t.Errorf("warm (%v) not faster than cold (%v)", res2.ServerTime, res.ServerTime)
-			}
-			if res2.Values["checksum"] != res.Values["checksum"] {
-				t.Error("same seed produced different results across invocations")
-			}
+	res2, err := c.Invoke("matmul", kernels.Params{"n": 64, "seed": 2}, nil)
+	if err != nil {
+		t.Fatalf("warm Invoke: %v", err)
+	}
+	if res2.Cold {
+		t.Error("second invocation cold")
+	}
+	if res2.ServerTime >= res.ServerTime {
+		t.Errorf("warm (%v) not faster than cold (%v)", res2.ServerTime, res.ServerTime)
+	}
+	if res2.Values["checksum"] != res.Values["checksum"] {
+		t.Error("same seed produced different results across invocations")
+	}
 
-			// Once the reaper has scaled the kernel to zero the next boot
-			// finds its compiled artifact cached.
-			waitUntil(t, 5*time.Second, func() bool {
-				var st core.Stats
-				return c.Stats(&st) == nil && st.Runners == 0
-			}, "runner reap")
-			res3, err := c.Invoke("matmul", kernels.Params{"n": 64, "seed": 2}, nil)
-			if err != nil {
-				t.Fatalf("cached-cold Invoke: %v", err)
-			}
-			if !res3.Cold || !res3.CachedCold {
-				t.Errorf("invocation after scale-to-zero: Cold=%v CachedCold=%v, want cached-cold", res3.Cold, res3.CachedCold)
-			}
-		})
+	// Once the reaper has scaled the kernel to zero the next boot
+	// finds its compiled artifact cached.
+	waitUntil(t, 5*time.Second, func() bool {
+		var st core.Stats
+		return c.Stats(&st) == nil && st.Runners == 0
+	}, "runner reap")
+	res3, err := c.Invoke("matmul", kernels.Params{"n": 64, "seed": 2}, nil)
+	if err != nil {
+		t.Fatalf("cached-cold Invoke: %v", err)
+	}
+	if !res3.Cold || !res3.CachedCold {
+		t.Errorf("invocation after scale-to-zero: Cold=%v CachedCold=%v, want cached-cold", res3.Cold, res3.CachedCold)
 	}
 }
 

@@ -126,6 +126,20 @@ func (p *leasePool) releaseAll() {
 	}
 }
 
+// send routes one request over the connection, taking the zero-copy
+// leased path when the out-of-band arena is configured and the request
+// carries an in-band payload. Anything the lease path cannot serve — no
+// arena on the server, budget full, lease revoked mid-flight — falls back
+// to the plain in-band round trip transparently.
+func (m *muxConn) send(ctx context.Context, msg *wire.Message) (*wire.Message, error) {
+	if m.c.arena != nil && msg.Type == wire.MsgInvoke && len(msg.Body) > 0 && msg.Header.ShmKey == "" {
+		if reply, used, err := m.invokeLeased(ctx, msg); used {
+			return reply, err
+		}
+	}
+	return m.roundTrip(ctx, msg)
+}
+
 // invokeLeased attempts the zero-copy out-of-band path for one invoke:
 // check out (or negotiate) a lease, copy the payload into the shared
 // window, and send only the handle. used=false means the caller should

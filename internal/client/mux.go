@@ -14,24 +14,21 @@ import (
 	"kaas/internal/wire"
 )
 
-// errMuxUnsupported is an internal sentinel: the server only speaks the
-// legacy protocol, so the client must fall back to one request per
-// connection. Never returned to callers.
-var errMuxUnsupported = errors.New("client: server does not support multiplexing")
-
 // maxCoalescedWrite caps how many request bytes the mux writer batches
 // into one socket write before flushing.
 const maxCoalescedWrite = 64 << 10
 
-// muxPool is the multiplexed transport: a small fixed set of shared
-// connections over which all in-flight requests are interleaved, each
-// tagged with a StreamID and demultiplexed back to its caller. Requests
-// spread across the connections round-robin; a dead connection is
-// redialed on next use.
-type muxPool struct {
-	c     *Client
-	slots []muxSlot
-	next  atomic.Uint64
+// VersionError reports a server that did not accept the multiplexed
+// protocol: it acked an older version or rejected the hello outright.
+// The client speaks nothing older, so the call fails without a retry.
+type VersionError struct {
+	// Negotiated is the highest protocol version the server offered.
+	Negotiated uint8
+}
+
+// Error implements error.
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("client: server negotiated protocol version %d, need %d", e.Negotiated, wire.VersionMux)
 }
 
 // muxSlot holds one shared connection; the mutex serializes (re)dialing.
@@ -40,77 +37,18 @@ type muxSlot struct {
 	conn *muxConn
 }
 
-// newMuxPool creates the transport with n shared connections, opened
-// lazily.
-func newMuxPool(c *Client, n int) *muxPool {
-	if n < 1 {
-		n = 1
-	}
-	return &muxPool{c: c, slots: make([]muxSlot, n)}
-}
-
-// attempt performs one round trip over the multiplexed transport.
-// handled=false means the server negotiated down to the legacy protocol
-// and the caller should use the pooled path instead. Like the pooled
-// path, a cached connection found dead mid-call is replaced
-// transparently exactly once.
-func (p *muxPool) attempt(ctx context.Context, msg *wire.Message) (reply *wire.Message, handled bool, err error) {
-	mc, fresh, err := p.get(ctx)
-	if errors.Is(err, errMuxUnsupported) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, true, err
-	}
-	p.c.metrics.attempts.Add(1)
-	reply, err = p.oobRoundTrip(ctx, mc, msg)
-	if err != nil && !fresh && isConnError(err) && ctx.Err() == nil {
-		p.c.metrics.staleConns.Add(1)
-		mc2, _, derr := p.get(ctx)
-		if errors.Is(derr, errMuxUnsupported) {
-			return nil, false, nil
-		}
-		if derr != nil {
-			return nil, true, derr
-		}
-		p.c.metrics.attempts.Add(1)
-		reply, err = p.oobRoundTrip(ctx, mc2, msg)
-	}
-	if err != nil {
-		return nil, true, err
-	}
-	if rerr := replyError(reply); rerr != nil {
-		return nil, true, rerr
-	}
-	return reply, true, nil
-}
-
-// oobRoundTrip routes one request over mc, taking the zero-copy leased
-// path when the out-of-band arena is configured and the request carries
-// an in-band payload. Anything the lease path cannot serve — no arena on
-// the server, budget full, lease revoked mid-flight — falls back to the
-// plain in-band round trip transparently.
-func (p *muxPool) oobRoundTrip(ctx context.Context, mc *muxConn, msg *wire.Message) (*wire.Message, error) {
-	if p.c.arena != nil && msg.Type == wire.MsgInvoke && len(msg.Body) > 0 && msg.Header.ShmKey == "" {
-		if reply, used, err := mc.invokeLeased(ctx, msg); used {
-			return reply, err
-		}
-	}
-	return mc.roundTrip(ctx, msg)
-}
-
-// get returns a live shared connection, dialing and handshaking one if
+// conn returns a live shared connection, dialing and handshaking one if
 // the slot is empty or its connection died. fresh reports whether the
 // connection was just dialed (a fresh connection gets no transparent
 // replacement on failure).
-func (p *muxPool) get(ctx context.Context) (mc *muxConn, fresh bool, err error) {
-	slot := &p.slots[p.next.Add(1)%uint64(len(p.slots))]
+func (c *Client) conn(ctx context.Context) (mc *muxConn, fresh bool, err error) {
+	slot := &c.slots[c.next.Add(1)%uint64(len(c.slots))]
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
 	if slot.conn != nil && !slot.conn.isDead() {
 		return slot.conn, false, nil
 	}
-	mc, err = p.handshake(ctx)
+	mc, err = c.handshake(ctx)
 	if err != nil {
 		return nil, false, err
 	}
@@ -118,19 +56,17 @@ func (p *muxPool) get(ctx context.Context) (mc *muxConn, fresh bool, err error) 
 	return mc, true, nil
 }
 
-// handshake dials a fresh connection and offers the protocol upgrade.
-// A MsgHelloAck at VersionMux creates a mux connection; a legacy server
-// (which answers MsgError for the unknown hello) flips the client into
-// permanent fallback and donates the still-healthy connection to the
-// legacy pool.
-func (p *muxPool) handshake(ctx context.Context) (*muxConn, error) {
-	c := p.c
+// handshake dials a fresh connection and offers protocol version 2. Any
+// answer but a MsgHelloAck at VersionMux closes the connection: a server
+// that acks an older version or answers the hello with MsgError yields a
+// VersionError.
+func (c *Client) handshake(ctx context.Context) (*muxConn, error) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
 		return nil, ErrClosed
 	}
-	c.mu.Unlock()
 
 	conn, err := c.dial(ctx)
 	if err != nil {
@@ -157,35 +93,19 @@ func (p *muxPool) handshake(ctx context.Context) (*muxConn, error) {
 	}
 	conn.SetDeadline(time.Time{})
 
-	switch {
-	case reply.Type == wire.MsgHelloAck && reply.Header.MuxVersion >= wire.VersionMux:
-		mc := newMuxConn(c, conn)
-		return mc, nil
-	case reply.Type == wire.MsgHelloAck || reply.Type == wire.MsgError:
-		// The server is older than the multiplexed protocol (it either
-		// acked version 1 or rejected the hello outright). Fall back for
-		// the lifetime of this client; the connection itself is healthy,
-		// so the legacy pool gets it.
-		c.muxFallback.Store(true)
-		c.putConn(conn)
-		return nil, errMuxUnsupported
-	default:
-		conn.Close()
-		return nil, asConnError(fmt.Errorf("client: unexpected hello reply %s", reply.Type))
+	if reply.Type == wire.MsgHelloAck && reply.Header.MuxVersion >= wire.VersionMux {
+		return newMuxConn(c, conn), nil
 	}
-}
-
-// close tears down every shared connection.
-func (p *muxPool) close() {
-	for i := range p.slots {
-		slot := &p.slots[i]
-		slot.mu.Lock()
-		if slot.conn != nil {
-			slot.conn.fail(ErrClosed)
-			slot.conn = nil
-		}
-		slot.mu.Unlock()
+	conn.Close()
+	switch reply.Type {
+	case wire.MsgHelloAck:
+		return nil, &VersionError{Negotiated: reply.Header.MuxVersion}
+	case wire.MsgError:
+		// A server older than the hello itself rejects it as an unknown
+		// frame: it speaks version 1 only.
+		return nil, &VersionError{Negotiated: wire.Version}
 	}
+	return nil, asConnError(fmt.Errorf("client: unexpected hello reply %s", reply.Type))
 }
 
 // muxConn is one shared multiplexed connection: a writer goroutine

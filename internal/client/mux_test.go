@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,12 +17,11 @@ import (
 )
 
 // TestMuxConcurrentInvocations drives many concurrent invocations
-// through a two-connection mux pool: every call must succeed, the
-// client must stay on the multiplexed protocol, and the server must see
-// only the shared connections (not one per request).
+// through a default client: every call must succeed and the server must
+// see only the shared connections (not one per request).
 func TestMuxConcurrentInvocations(t *testing.T) {
 	_, ln := startFaultyServer(t, nil)
-	c := Dial(ln.Addr().String(), WithMux(2))
+	c := Dial(ln.Addr().String())
 	defer c.Close()
 
 	if err := c.Register("matmul"); err != nil {
@@ -50,11 +51,8 @@ func TestMuxConcurrentInvocations(t *testing.T) {
 		t.Errorf("concurrent invoke: %v", err)
 	}
 
-	if c.muxFallback.Load() {
-		t.Error("client fell back to the legacy protocol against a mux-capable server")
-	}
-	if n := ln.Accepted(); n > 2 {
-		t.Errorf("server accepted %d connections, want at most the 2 shared ones", n)
+	if n := ln.Accepted(); n > defaultMuxConns {
+		t.Errorf("server accepted %d connections, want at most the %d shared ones", n, defaultMuxConns)
 	}
 }
 
@@ -192,70 +190,81 @@ func TestMuxOutOfOrderReplies(t *testing.T) {
 	}
 }
 
-// TestMuxFallbackToLegacyServer points a mux-enabled client at a server
-// that predates multiplexing (it rejects the hello with an error): the
-// client must fall back to the one-request-per-connection protocol and
-// still complete calls.
-func TestMuxFallbackToLegacyServer(t *testing.T) {
-	raw, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer raw.Close()
-
-	// A minimal legacy server: hellos are unknown frames, invokes echo.
-	go func() {
-		for {
-			conn, err := raw.Accept()
+// TestLegacyPeerIsOneTypedError points a retrying client at servers that
+// predate multiplexing — one rejects the hello as an unknown frame, one
+// acks it at version 1: the call fails with a VersionError naming the
+// version the server speaks, the connection is closed, and the retry
+// policy never fires.
+func TestLegacyPeerIsOneTypedError(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reply *wire.Message
+	}{
+		{"hello-rejected", &wire.Message{Type: wire.MsgError, Header: wire.Header{Error: "unexpected message type hello"}}},
+		{"acked-v1", &wire.Message{Type: wire.MsgHelloAck, Header: wire.Header{MuxVersion: wire.Version}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				return
+				t.Fatalf("listen: %v", err)
 			}
-			go func(conn net.Conn) {
-				defer conn.Close()
+			defer raw.Close()
+
+			// A stub legacy server: answers the first frame of every
+			// connection, then reports whether the client hung up.
+			var accepted atomic.Int32
+			hungUp := make(chan error, 8)
+			go func() {
 				for {
-					msg, err := wire.Read(conn)
+					conn, err := raw.Accept()
 					if err != nil {
 						return
 					}
-					var reply *wire.Message
-					switch msg.Type {
-					case wire.MsgHello:
-						reply = &wire.Message{Type: wire.MsgError, Header: wire.Header{
-							Error: "unexpected message type hello",
-						}}
-					case wire.MsgInvoke:
-						reply = &wire.Message{Type: wire.MsgResult, Header: wire.Header{
-							Kernel: msg.Header.Kernel,
-							Values: map[string]float64{"x": msg.Header.Params["x"]},
-						}}
-					default:
-						reply = &wire.Message{Type: wire.MsgError, Header: wire.Header{Error: "unsupported"}}
-					}
-					if err := wire.Write(conn, reply); err != nil {
-						return
-					}
+					accepted.Add(1)
+					go func() {
+						defer conn.Close()
+						if _, err := wire.Read(conn); err != nil {
+							hungUp <- err
+							return
+						}
+						if err := wire.Write(conn, tc.reply); err != nil {
+							hungUp <- err
+							return
+						}
+						_, err := wire.Read(conn)
+						hungUp <- err
+					}()
 				}
-			}(conn)
-		}
-	}()
+			}()
 
-	c := Dial(raw.Addr().String(), WithMux(2))
-	defer c.Close()
-
-	res, err := c.Invoke("echo", kernels.Params{"x": 7}, nil)
-	if err != nil {
-		t.Fatalf("Invoke via fallback: %v", err)
-	}
-	if res.Values["x"] != 7 {
-		t.Errorf("x = %v, want 7", res.Values["x"])
-	}
-	if !c.muxFallback.Load() {
-		t.Error("client did not record the legacy fallback")
-	}
-
-	// Subsequent calls skip the handshake entirely and keep working.
-	if _, err := c.Invoke("echo", kernels.Params{"x": 8}, nil); err != nil {
-		t.Fatalf("second Invoke via fallback: %v", err)
+			c := Dial(raw.Addr().String(), WithRetryPolicy(RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond}))
+			defer c.Close()
+			_, err = c.Invoke("echo", kernels.Params{"x": 7}, nil)
+			var ve *VersionError
+			if !errors.As(err, &ve) {
+				t.Fatalf("Invoke against a legacy server: err = %v, want *VersionError", err)
+			}
+			if ve.Negotiated != wire.Version {
+				t.Errorf("Negotiated = %d, want %d", ve.Negotiated, wire.Version)
+			}
+			if IsConnFailure(err) {
+				t.Error("a version mismatch is classified as a connection failure")
+			}
+			select {
+			case err := <-hungUp:
+				if !errors.Is(err, io.EOF) {
+					t.Errorf("server side of the refused connection: %v, want EOF", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Error("client left the refused connection open")
+			}
+			if n := accepted.Load(); n != 1 {
+				t.Errorf("server accepted %d connections, want exactly 1", n)
+			}
+			if m := c.Metrics(); m.Retries != 0 || m.Attempts != 0 {
+				t.Errorf("Retries = %d, Attempts = %d, want 0 and 0 (no request was ever sent)", m.Retries, m.Attempts)
+			}
+		})
 	}
 }
 

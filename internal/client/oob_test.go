@@ -159,22 +159,17 @@ func TestOOBClientAgainstPlainServer(t *testing.T) {
 	}
 }
 
-// TestInBandClientAgainstOOBServer is the legacy-interop direction: a
-// client without an arena (and one without mux at all) works unchanged
-// against a lease-enabled server.
+// TestInBandClientAgainstOOBServer is the interop direction: a client
+// without an arena works unchanged against a lease-enabled server.
 func TestInBandClientAgainstOOBServer(t *testing.T) {
 	srv, tcp, _ := startOOBServer(t)
 
-	muxed := Dial(tcp.Addr(), WithMux(1))
-	defer muxed.Close()
-	if err := muxed.Register("bitmap"); err != nil {
+	c := Dial(tcp.Addr())
+	defer c.Close()
+	if err := c.Register("bitmap"); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	invokeBitmap(t, muxed)
-
-	legacy := Dial(tcp.Addr())
-	defer legacy.Close()
-	invokeBitmap(t, legacy)
+	invokeBitmap(t, c)
 
 	dp := srv.Stats().DataPlane
 	if dp.OOBInvocations != 0 {

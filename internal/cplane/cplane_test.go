@@ -52,16 +52,21 @@ func (f *fakePeer) serve() {
 				if err != nil {
 					return
 				}
-				if msg.Type != wire.MsgControl || f.muted.Load() {
-					wire.Write(conn, &wire.Message{Type: wire.MsgError, Header: wire.Header{
-						Error: "muted", Code: wire.CodeInternal,
-					}})
-					continue
+				reply := &wire.Message{Type: wire.MsgError, Header: wire.Header{
+					Error: "muted", Code: wire.CodeInternal,
+				}}
+				switch {
+				case msg.Type == wire.MsgHello:
+					reply = &wire.Message{Type: wire.MsgHelloAck, Header: wire.Header{MuxVersion: wire.VersionMux}}
+				case msg.Type == wire.MsgControl && !f.muted.Load():
+					body, _ := json.Marshal(&cplane.Gossip{
+						Node: f.name, Addr: f.addr(), Seq: f.seq.Add(1),
+					})
+					reply = &wire.Message{Type: wire.MsgControlAck, Body: body}
 				}
-				body, _ := json.Marshal(&cplane.Gossip{
-					Node: f.name, Addr: f.addr(), Seq: f.seq.Add(1),
-				})
-				wire.Write(conn, &wire.Message{Type: wire.MsgControlAck, Body: body})
+				reply.Version = msg.Version
+				reply.Header.StreamID = msg.Header.StreamID
+				wire.Write(conn, reply)
 			}
 		}()
 	}

@@ -32,12 +32,12 @@ const (
 	// TransportInProcess invokes core.Server directly — the control
 	// plane without a wire in front of it.
 	TransportInProcess Transport = "inproc"
-	// TransportTCP goes through the full wire protocol over one-shot
-	// pooled connections.
+	// TransportTCP goes through the full wire protocol with the client's
+	// default connection count.
 	TransportTCP Transport = "tcp"
-	// TransportMux goes over the multiplexed wire transport.
+	// TransportMux is TransportTCP over MuxConns shared connections.
 	TransportMux Transport = "mux"
-	// TransportShaped goes over TCP with a modeled network link in
+	// TransportShaped is TransportTCP with a modeled network link in
 	// front, so link chaos has something to degrade.
 	TransportShaped Transport = "shaped"
 	// TransportCluster invokes through a federated multi-host Cluster.
@@ -99,8 +99,8 @@ type Spec struct {
 	// cache with this byte budget when positive, so repeat cold starts
 	// skip the modeled JIT compile (cached-cold).
 	ArtifactCacheBytes int64
-	// OOB enables the zero-copy out-of-band data plane (mux transport
-	// only): the server fronts a pooled tensor arena, the client
+	// OOB enables the zero-copy out-of-band data plane (tcp, mux and
+	// shaped transports): the server fronts a pooled tensor arena, the client
 	// negotiates per-stream leases, and breaker-open/drain revoke them
 	// mid-load. ArenaBytes is the arena budget (0 = 256 MiB).
 	OOB        bool
@@ -113,7 +113,7 @@ type Spec struct {
 	// 256-token bucket refilled at half a token per success — wide enough
 	// that legitimate failover is never clipped, finite so a storm is).
 	RetryBudgetCapacity, RetryBudgetRatio float64
-	// MuxConns is the mux pool size (mux transport, default 4).
+	// MuxConns is the shared connection count (mux transport, default 4).
 	MuxConns int
 	// BaseLink is the healthy link profile (shaped transport).
 	BaseLink netshape.Profile
@@ -499,12 +499,6 @@ func buildServer(spec Spec, names []string, clock vclock.Clock, seed int64) (*ha
 		arena   *shm.ArenaPool
 	)
 	if spec.OOB {
-		// Leases ride the v2 mux; a one-shot connection has no stream to
-		// pin one to.
-		if spec.Transport != TransportMux {
-			h.close()
-			return nil, errSpec("OOB needs the mux transport, got %q", spec.Transport)
-		}
 		if ok, reason := shm.Supported(); !ok {
 			h.close()
 			return nil, errSpec("OOB data plane unavailable: %s", reason)
@@ -532,12 +526,12 @@ func buildServer(spec Spec, names []string, clock vclock.Clock, seed int64) (*ha
 		p.Seed = seed ^ 0x7265747279 // sub-seed: "retry"
 		opts = append(opts, client.WithRetryPolicy(p))
 	}
+	if arena != nil {
+		opts = append(opts, client.WithArena(arena))
+	}
 	switch spec.Transport {
 	case TransportMux:
 		opts = append(opts, client.WithMux(spec.MuxConns))
-		if arena != nil {
-			opts = append(opts, client.WithArena(arena))
-		}
 	case TransportShaped:
 		if err := spec.BaseLink.Validate(); err != nil {
 			h.close()

@@ -28,7 +28,13 @@ func TestScenarioMatrix(t *testing.T) {
 	for _, name := range List() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			t.Parallel()
+			// noisy-neighbor paces an open-loop trace in wall time (~200 µs
+			// between arrivals): it runs alone, before the parallel group
+			// starts, because thirteen scenarios beside it starve its timers
+			// into the flood its spec warns about.
+			if name != "noisy-neighbor" {
+				t.Parallel()
+			}
 			spec, err := Lookup(name)
 			if err != nil {
 				t.Fatalf("Lookup: %v", err)

@@ -27,7 +27,7 @@
 // requests by stream, and MsgCancel aborts one stream without tearing
 // down the shared socket. A connection speaks version 2 only after a
 // MsgHello/MsgHelloAck negotiation (sent as version-1 frames, so a
-// legacy peer answers with a plain error and the client falls back).
+// legacy peer answers with a plain error the client can read and report).
 //
 // Read never trusts a length prefix for allocation. A section's buffer is
 // sized by what has arrived: at most allocChunk before the first byte,
@@ -103,8 +103,8 @@ const (
 	MsgStatsResult
 	// MsgHello offers a protocol upgrade: Header.MuxVersion is the
 	// highest version the client speaks. Sent as a version-1 frame so a
-	// legacy server answers MsgError ("unexpected message type") and the
-	// client falls back to the one-request-per-connection protocol.
+	// legacy server answers MsgError ("unexpected message type"), which
+	// the client reports as a version mismatch.
 	MsgHello
 	// MsgHelloAck accepts a protocol upgrade: Header.MuxVersion is the
 	// negotiated version and Header.MaxStreams the per-connection

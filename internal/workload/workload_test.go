@@ -95,7 +95,9 @@ func TestRampValidation(t *testing.T) {
 }
 
 func TestRampGrowsPopulation(t *testing.T) {
-	clock := vclock.Scaled(1000)
+	// 12 modeled seconds are 120 ms of wall time at this scale: room for
+	// every 2-second ramp step to land on a loaded 2-vCPU box.
+	clock := vclock.Scaled(100)
 	cfg := RampConfig{
 		Clock:      clock,
 		Interval:   2 * time.Second,

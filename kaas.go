@@ -323,12 +323,10 @@ func WithRetryPolicy(p RetryPolicy) Option {
 	return func(c *config) { c.retryPolicy = &p }
 }
 
-// WithClientMux makes clients created by this platform multiplex all
-// their in-flight calls over conns shared connections (protocol
-// version 2: per-stream framing, out-of-order replies, CANCEL frames
-// for per-call cancellation). Against a server that predates
-// multiplexing, clients negotiate down to the one-request-per-connection
-// protocol automatically.
+// WithClientMux sets how many shared connections clients created by
+// this platform multiplex their in-flight calls over (default 2;
+// protocol version 2: per-stream framing, out-of-order replies, CANCEL
+// frames for per-call cancellation).
 func WithClientMux(conns int) Option {
 	return func(c *config) { c.clientMux = conns }
 }
@@ -404,8 +402,8 @@ func WithoutFairQueueing() Option {
 // tensor arena of arenaBytes total budget is shared with same-host
 // clients, which negotiate leased windows into it and pass payloads by
 // handle instead of copying them through the wire. Zero bytes keeps a
-// 256 MiB default budget. Requires a TCP endpoint; clients created via
-// NewClient use the arena automatically.
+// 256 MiB default budget. Requires a TCP endpoint; every client created
+// via NewClient leases from the arena, with no other option set.
 func WithOutOfBand(arenaBytes int64) Option {
 	return func(c *config) {
 		if arenaBytes <= 0 {

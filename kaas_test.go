@@ -84,6 +84,31 @@ func TestPlatformTCPEndToEnd(t *testing.T) {
 	}
 }
 
+// TestOutOfBandDefaultClientLeases builds a platform with WithOutOfBand
+// and nothing else: a default NewClient must move its payload through an
+// arena lease, not silently in-band.
+func TestOutOfBandDefaultClientLeases(t *testing.T) {
+	p, err := New(WithListenAddr("127.0.0.1:0"), WithOutOfBand(0))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer p.Close()
+	c, err := p.NewClient()
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	defer c.Close()
+	if err := c.Register("mci"); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	if _, err := c.Invoke("mci", Params{"n": 1000}, make([]byte, 64<<10)); err != nil {
+		t.Fatalf("Invoke: %v", err)
+	}
+	if dp := p.Stats().DataPlane; dp.OOBInvocations == 0 || dp.LeaseGrants == 0 {
+		t.Errorf("OOBInvocations = %d, LeaseGrants = %d, want both > 0", dp.OOBInvocations, dp.LeaseGrants)
+	}
+}
+
 func TestPlatformShapedClient(t *testing.T) {
 	p, err := New(WithListenAddr("127.0.0.1:0"))
 	if err != nil {
