@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race flake fuzz faultcheck lint vuln bench-smoke bench bench-json bench-coldstart bench-failover bench-fairness bench-dataplane scenario-ci scenario-json ci clean
+.PHONY: all build vet test race flake fuzz faultcheck lint vuln bench-smoke bench bench-json bench-coldstart bench-failover bench-dataplane scenario-ci scenario-json ci clean
 
 all: build
 
@@ -71,14 +71,18 @@ bench-json:
 
 # Scenario gate: run the replay/chaos matrix tests, then replay the full
 # matrix twice with the same seed and require byte-identical deterministic
-# output — every invariant must pass and the harness must be reproducible.
+# output — every invariant must pass and the harness must be reproducible
+# — and, for a seed with committed verdicts (seed 1), identical to those:
+# a change that moves a verdict line has to move the committed file too.
 SCENARIO_SEED ?= 1
+SCENARIO_GOLDEN = internal/scenario/testdata/verdicts_seed$(SCENARIO_SEED).txt
 scenario-ci:
 	$(GO) test -run 'TestScenario|TestInvariants|TestClassify|TestSynthesize|TestParseCSV|TestChaosTransitions' \
 		-count=1 ./internal/scenario ./cmd/kaasbench
 	$(GO) run ./cmd/kaasbench -scenario all -seed $(SCENARIO_SEED) > scenario_run1.txt
 	$(GO) run ./cmd/kaasbench -scenario all -seed $(SCENARIO_SEED) > scenario_run2.txt
 	diff scenario_run1.txt scenario_run2.txt
+	@if [ -f $(SCENARIO_GOLDEN) ]; then diff $(SCENARIO_GOLDEN) scenario_run1.txt; fi
 	@echo "scenario matrix passed and reproduced byte-for-byte (seed $(SCENARIO_SEED))"
 
 # Regenerate the committed scenario result baseline.
@@ -96,13 +100,6 @@ bench-coldstart:
 # plane, plus the retry-budget storm-suppression comparison.
 bench-failover:
 	$(GO) run ./cmd/kaasbench -failover 300 -failover-out BENCH_PR8.json
-
-# Regenerate the committed fairness report: the same noisy-neighbor
-# trace replayed through the flat FCFS gate and through weighted fair
-# queueing, comparing victim p99, shed charging, and warm-hit rate.
-# The run fails unless WFQ materially improves the victims' tail.
-bench-fairness:
-	$(GO) run ./cmd/kaasbench -fairness 650 -fairness-out BENCH_PR9.json
 
 # Regenerate the committed data-plane report: the zero-copy out-of-band
 # sweep (alloc/op per payload size must stay under a flat budget) and

@@ -12,7 +12,6 @@
 //	kaasbench -loadgen 100 -server 127.0.0.1:7070    # against a running kaasd
 //	kaasbench -overload 400 -overload-conc 64        # admission + breaker report
 //	kaasbench -failover 300 -failover-out BENCH_PR8.json   # cluster failover ladder
-//	kaasbench -fairness 650 -fairness-out BENCH_PR9.json   # FCFS vs WFQ noisy neighbor
 //	kaasbench -oob -oob-out BENCH_PR10.json          # zero-copy data plane + micro-batch sweep
 //	kaasbench -scenario list                         # named replay/chaos scenarios
 //	kaasbench -scenario all -seed 1                  # full matrix against its invariants
@@ -82,8 +81,6 @@ func run(args []string) error {
 	failover := fs.Int("failover", 0, "run the cross-host failover ladder (steady / node-kill / post-recovery) with this many invocations per phase, plus the retry-budget storm comparison (0 = off)")
 	failoverConc := fs.Int("failover-conc", 16, "concurrent clients for -failover")
 	failoverOut := fs.String("failover-out", "", "write the -failover report as JSON to this file")
-	fairness := fs.Int("fairness", 0, "replay a noisy-neighbor trace with this many events through FCFS and WFQ arms and compare victim p99, shed charging, and warm-hit rate (0 = off)")
-	fairnessOut := fs.String("fairness-out", "", "write the -fairness report as JSON to this file")
 	scenarioName := fs.String("scenario", "", "run a named replay/chaos scenario against its invariants (a name, all, or list)")
 	seed := fs.Int64("seed", 1, "scenario seed: same seed, same trace, same chaos, same verdict lines")
 	scenarioOut := fs.String("scenario-out", "", "write the -scenario results (with diagnostics) as JSON to this file")
@@ -116,14 +113,6 @@ func run(args []string) error {
 			Conc:        *failoverConc,
 			Scale:       *scale,
 			Out:         *failoverOut,
-		})
-	}
-
-	if *fairness > 0 {
-		return runFairness(os.Stdout, fairnessConfig{
-			Events: *fairness,
-			Scale:  *scale,
-			Out:    *fairnessOut,
 		})
 	}
 

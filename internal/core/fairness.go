@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -22,8 +23,8 @@ func NormalizeTenant(t string) string {
 	return t
 }
 
-// defaultStickinessBound is the consecutive-bypass budget used when fair
-// queueing is enabled without an explicit StickinessBound.
+// defaultStickinessBound is the consecutive-bypass budget used when a
+// tenant knob is set without an explicit StickinessBound.
 const defaultStickinessBound = 4
 
 // tenantState is the per-tenant slice of server state (guarded by
@@ -32,7 +33,9 @@ type tenantState struct {
 	name   string
 	weight float64
 	// inFlight counts admitted invocations of this tenant; queued counts
-	// invocations waiting in the tenant's fair-queue flows.
+	// invocations waiting in the tenant's flows. Both are written only by
+	// the fairQueue (addInFlightLocked, addQueuedLocked), which sets the
+	// exported gauges from them at the same site.
 	inFlight int
 	queued   int
 	// met is created lazily on first use, for the same reason as
@@ -71,15 +74,6 @@ func (s *Server) shedObserved(e *entry, t *tenantState, reason string) {
 		"kernel", e.name, "tenant", t.name, "reason", reason)
 }
 
-// admitOneLocked commits one admitted invocation to the in-flight
-// accounting shared by the flat and fair admission paths.
-func (s *Server) admitOneLocked(e *entry, t *tenantState) {
-	s.inFlight++
-	e.inFlight++
-	t.inFlight++
-	s.observeArrivalLocked(e)
-}
-
 // fairWaiter is one invocation queued in a flow, waiting for the
 // dispatcher to grant it an in-flight slot.
 type fairWaiter struct {
@@ -98,11 +92,17 @@ type fairWaiter struct {
 type flow struct {
 	tenant *tenantState
 	entry  *entry
-	// lastFinish is the finish tag of the flow's most recently enqueued
-	// request; the next request starts no earlier (per-flow FIFO in
-	// virtual time).
+	// lastFinish is the finish tag of the flow's most recent request; the
+	// next request starts no earlier (per-flow FIFO in virtual time).
 	lastFinish float64
 	queue      []*fairWaiter
+}
+
+// flowKey identifies a flow by its two owners; both live as long as the
+// server, so the pointers are stable keys.
+type flowKey struct {
+	tenant *tenantState
+	entry  *entry
 }
 
 // removeLocked withdraws a still-queued waiter, reporting whether it was
@@ -117,9 +117,11 @@ func (fl *flow) removeLocked(w *fairWaiter) bool {
 	return false
 }
 
-// fairQueue is the tenant-aware dispatch layer: per-(tenant, kernel)
-// flows drained by weighted fair queueing in virtual time, with bounded
-// warm-runner stickiness. All state is guarded by Server.mu.
+// fairQueue is the admission stage: every invocation passes admitLocked,
+// which sheds it, grants it an in-flight slot at once, or parks it in its
+// (tenant, kernel) flow for the dispatcher. It is also the one writer of
+// the in-flight and queued books (server, kernel and tenant level). All
+// state is guarded by Server.mu.
 //
 // Virtual time: each request is tagged start = max(V, flow.lastFinish)
 // and finish = start + cost/weight, where V is the system virtual time,
@@ -128,7 +130,8 @@ func (fl *flow) removeLocked(w *fairWaiter) bool {
 // queued head with the smallest finish tag whenever an in-flight slot
 // frees, advancing V to the granted request's start tag — so a tenant's
 // long-run throughput share converges to weight/Σweights of the
-// contended capacity, and an idle tenant accumulates no credit.
+// contended capacity, and an idle tenant accumulates no credit. With one
+// flow and nothing queued this is FCFS.
 //
 // Stickiness: a flow whose kernel already holds a warm runner with free
 // capacity may be granted ahead of the strict minimum-finish flow —
@@ -138,20 +141,25 @@ func (fl *flow) removeLocked(w *fairWaiter) bool {
 // grant is forced to follow strict virtual-finish order, so fairness
 // debt eventually overrides locality.
 type fairQueue struct {
+	// waits records that a tenant knob is configured: only then does a
+	// request that finds the server-wide cap full have a flow worth
+	// waiting in; otherwise it is shed.
+	waits        bool
 	vtime        float64
-	flows        map[string]*flow
+	flows        map[flowKey]*flow
 	order        []*flow // deterministic scan order (creation order)
+	queued       int     // waiters across all flows
 	stickyStreak int
 }
 
-func newFairQueue() *fairQueue {
-	return &fairQueue{flows: make(map[string]*flow)}
+func newFairQueue(waits bool) *fairQueue {
+	return &fairQueue{waits: waits, flows: make(map[flowKey]*flow)}
 }
 
 // flowLocked returns (creating on first use) the flow for a tenant and
 // kernel.
 func (f *fairQueue) flowLocked(t *tenantState, e *entry) *flow {
-	key := t.name + "\x00" + e.name
+	key := flowKey{t, e}
 	fl, ok := f.flows[key]
 	if !ok {
 		fl = &flow{tenant: t, entry: e}
@@ -171,36 +179,50 @@ func costLocked(e *entry) float64 {
 	return 1.0
 }
 
-// enqueueLocked admits one invocation into its (tenant, kernel) flow and
-// runs the dispatcher, so a request that is dispatchable right now comes
-// back already granted. It returns a shed reason plus a typed error when
-// admission bounds reject the request instead.
-func (f *fairQueue) enqueueLocked(s *Server, ctx context.Context, e *entry, t *tenantState) (*fairWaiter, string, error) {
+// admitLocked is the one admission decision. It returns a shed-reason
+// label plus the typed rejection, or (nil, "", nil) when the invocation
+// was granted its in-flight slot on arrival, or the waiter it must await
+// when it was parked in its flow.
+func (f *fairQueue) admitLocked(s *Server, ctx context.Context, e *entry, t *tenantState) (*fairWaiter, string, error) {
 	if s.draining {
 		return nil, "draining", ErrDraining
 	}
-	// The kernel-level queue bound applies unchanged: fair queueing
-	// shares capacity between tenants, it does not grow the backlog one
+	cfg := &s.cfg
+	full := cfg.MaxInFlightTotal > 0 && s.inFlight >= cfg.MaxInFlightTotal
+	if full && !f.waits {
+		return nil, "in_flight_cap", fmt.Errorf("%w: %d invocations in flight (cap %d)",
+			ErrOverloaded, s.inFlight, cfg.MaxInFlightTotal)
+	}
+	// The kernel-level bound holds whoever the tenants are: fair queueing
+	// shares capacity between them, it does not grow the backlog one
 	// kernel may accumulate.
-	if s.cfg.MaxQueuePerKernel > 0 {
+	if cfg.MaxQueuePerKernel > 0 {
 		healthy := s.healthyCapacityLocked(e)
-		if e.inFlight >= healthy+s.cfg.MaxQueuePerKernel {
+		if e.inFlight >= healthy+cfg.MaxQueuePerKernel {
 			return nil, "queue_full", fmt.Errorf("%w: kernel %q has %d in flight (capacity %d + queue bound %d)",
-				ErrOverloaded, e.name, e.inFlight, healthy, s.cfg.MaxQueuePerKernel)
+				ErrOverloaded, e.name, e.inFlight, healthy, cfg.MaxQueuePerKernel)
 		}
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		if est := s.estimateWaitLocked(e); est > 0 && time.Until(dl) < est {
-			return nil, "deadline", fmt.Errorf("%w: expected wait %v exceeds remaining deadline %v",
-				ErrOverloaded, est.Round(time.Millisecond),
-				time.Until(dl).Round(time.Millisecond))
+	// Deadline-aware shedding: if the caller cannot possibly get an
+	// answer within its deadline, reject now instead of burning capacity
+	// on work whose result nobody will read. Only applies when some
+	// admission knob is set — the estimate is heuristic and must not
+	// affect servers running with unbounded admission.
+	if f.waits || cfg.MaxInFlightTotal > 0 || cfg.MaxQueuePerKernel > 0 {
+		if dl, ok := ctx.Deadline(); ok {
+			if est := s.estimateWaitLocked(e); est > 0 && time.Until(dl) < est {
+				return nil, "deadline", fmt.Errorf("%w: expected wait %v exceeds remaining deadline %v",
+					ErrOverloaded, est.Round(time.Millisecond),
+					time.Until(dl).Round(time.Millisecond))
+			}
 		}
 	}
 	// Per-tenant bounds: with a queue bound, overflow beyond it sheds;
 	// without one, the in-flight cap itself sheds (nothing would bound
 	// the backlog otherwise). Both are charged to the offending tenant.
-	capT, bound := s.cfg.MaxInFlightPerTenant, s.cfg.MaxQueuePerTenant
-	if capT > 0 && bound == 0 && t.inFlight >= capT {
+	capT, bound := cfg.MaxInFlightPerTenant, cfg.MaxQueuePerTenant
+	capped := capT > 0 && t.inFlight >= capT
+	if capped && bound == 0 {
 		return nil, "tenant_in_flight_cap", fmt.Errorf("%w: tenant %q has %d invocations in flight (cap %d)",
 			ErrOverloaded, t.name, t.inFlight, capT)
 	}
@@ -210,24 +232,67 @@ func (f *fairQueue) enqueueLocked(s *Server, ctx context.Context, e *entry, t *t
 	}
 
 	fl := f.flowLocked(t, e)
-	w := &fairWaiter{fl: fl, enqueuedAt: s.clock.Now(), grant: make(chan struct{})}
-	w.start = f.vtime
-	if fl.lastFinish > w.start {
-		w.start = fl.lastFinish
+	start := f.vtime
+	if fl.lastFinish > start {
+		start = fl.lastFinish
 	}
-	w.finish = w.start + costLocked(e)/t.weight
-	fl.lastFinish = w.finish
+	finish := start + costLocked(e)/t.weight
+	fl.lastFinish = finish
+	if !full && !capped && f.queued == 0 {
+		// Nothing is queued and both caps have room, so the dispatcher
+		// would pick this request next: grant it here, exactly as
+		// dispatchLocked would, without building a waiter for it.
+		f.vtime = start
+		f.stickyStreak = 0
+		f.grantLocked(s, fl)
+		return nil, "", nil
+	}
+	w := &fairWaiter{fl: fl, start: start, finish: finish,
+		enqueuedAt: s.clock.Now(), grant: make(chan struct{})}
 	fl.queue = append(fl.queue, w)
-	t.queued++
-	s.tenantMet(t).queued.Inc()
+	f.addQueuedLocked(s, t, 1)
 	f.dispatchLocked(s)
 	return w, "", nil
+}
+
+// addInFlightLocked is the one writer of the three in-flight counts; it
+// sets the exported gauges from them on the spot.
+func (f *fairQueue) addInFlightLocked(s *Server, e *entry, t *tenantState, delta int) {
+	s.inFlight += delta
+	e.inFlight += delta
+	t.inFlight += delta
+	s.kernelMet(e).inFlight.Set(int64(e.inFlight))
+	s.tenantMet(t).inFlight.Set(int64(t.inFlight))
+}
+
+// grantLocked takes one in-flight slot for an invocation of fl, which is
+// also the arrival the pre-warm estimator learns from.
+func (f *fairQueue) grantLocked(s *Server, fl *flow) {
+	f.addInFlightLocked(s, fl.entry, fl.tenant, 1)
+	s.observeArrivalLocked(fl.entry)
+}
+
+// releaseLocked returns a finished invocation's in-flight slot and hands
+// it to the dispatcher.
+func (f *fairQueue) releaseLocked(s *Server, e *entry, t *tenantState) {
+	f.addInFlightLocked(s, e, t, -1)
+	f.dispatchLocked(s)
+	if s.inFlight == 0 {
+		s.cond.Broadcast() // wake Drain waiters
+	}
+}
+
+// addQueuedLocked is the one writer of the queued counts.
+func (f *fairQueue) addQueuedLocked(s *Server, t *tenantState, delta int) {
+	f.queued += delta
+	t.queued += delta
+	s.tenantMet(t).queued.Set(int64(t.queued))
 }
 
 // dispatchLocked grants queued requests while in-flight capacity is
 // free, choosing flows by (sticky-bounded) virtual finish order.
 func (f *fairQueue) dispatchLocked(s *Server) {
-	for {
+	for f.queued > 0 {
 		if s.closed || s.draining {
 			return
 		}
@@ -240,14 +305,13 @@ func (f *fairQueue) dispatchLocked(s *Server) {
 		}
 		w := fl.queue[0]
 		fl.queue = fl.queue[1:]
-		fl.tenant.queued--
-		s.tenantMet(fl.tenant).queued.Dec()
+		f.addQueuedLocked(s, fl.tenant, -1)
 		if w.start > f.vtime {
 			f.vtime = w.start
 		}
 		w.granted = true
 		w.waited = s.clock.Now().Sub(w.enqueuedAt)
-		s.admitOneLocked(fl.entry, fl.tenant)
+		f.grantLocked(s, fl)
 		close(w.grant)
 	}
 }
@@ -308,17 +372,20 @@ func (s *Server) warmFreeRunnerLocked(e *entry) bool {
 	return false
 }
 
-// flushLocked rejects every queued waiter with err, charging the shed to
-// its tenant. Drain and Close call it so waiters — which are not yet
-// in-flight and would otherwise never be granted — unblock promptly.
-func (f *fairQueue) flushLocked(s *Server, err error) {
+// flushLocked rejects every queued waiter with err. Drain and Close call
+// it so waiters — which are not yet in flight and would otherwise never
+// be granted — unblock promptly. A non-empty reason charges each flush
+// as a shed, matching what a fresh arrival gets for the same error:
+// "draining" for ErrDraining, nothing for ErrServerClosed.
+func (f *fairQueue) flushLocked(s *Server, reason string, err error) {
 	for _, fl := range f.order {
 		for _, w := range fl.queue {
-			fl.tenant.queued--
-			s.tenantMet(fl.tenant).queued.Dec()
+			f.addQueuedLocked(s, fl.tenant, -1)
 			w.err = err
-			s.kernelMet(fl.entry).shed("draining")
-			s.tenantMet(fl.tenant).shed("draining")
+			if reason != "" {
+				s.kernelMet(fl.entry).shed(reason)
+				s.tenantMet(fl.tenant).shed(reason)
+			}
 			close(w.grant)
 		}
 		fl.queue = nil
@@ -326,11 +393,11 @@ func (f *fairQueue) flushLocked(s *Server, err error) {
 }
 
 // await blocks until the waiter is granted, flushed, or its context
-// expires. A nil return means the invocation was admitted and its
-// in-flight accounting is live; any error means it was not (the
-// expiry-while-queued case is shed as "deadline", charged to the
-// tenant).
-func (w *fairWaiter) await(ctx context.Context, s *Server, e *entry, t *tenantState) error {
+// ends. A nil return means the invocation was admitted and its in-flight
+// accounting is live; any error means it was not. A deadline that
+// expires while queued is shed as "deadline", charged to the tenant; a
+// cancelled caller (e.g. a dropped connection) is only withdrawn.
+func (w *fairWaiter) await(ctx context.Context, s *Server) error {
 	select {
 	case <-w.grant:
 		return w.err
@@ -348,9 +415,10 @@ func (w *fairWaiter) await(ctx context.Context, s *Server, e *entry, t *tenantSt
 		s.mu.Unlock()
 		return w.err
 	}
-	t.queued--
-	s.tenantMet(t).queued.Dec()
+	s.fair.addQueuedLocked(s, w.fl.tenant, -1)
 	s.mu.Unlock()
-	s.shedObserved(e, t, "deadline")
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		s.shedObserved(w.fl.entry, w.fl.tenant, "deadline")
+	}
 	return ctx.Err()
 }

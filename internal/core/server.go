@@ -156,8 +156,8 @@ type Config struct {
 	// TenantWeights assigns relative fair-share weights to tenants for
 	// weighted fair dispatch; tenants not listed (and the "default"
 	// tenant legacy peers map to) get weight 1. Setting any tenant knob
-	// replaces the flat FCFS admission gate with per-tenant/per-kernel
-	// flow queues (see fairness.go).
+	// lets a request that finds MaxInFlightTotal full wait in its
+	// (tenant, kernel) flow instead of being shed (see fairness.go).
 	TenantWeights map[string]float64
 	// MaxInFlightPerTenant caps invocations one tenant may have admitted
 	// concurrently; excess requests queue in the tenant's flows (or shed
@@ -169,13 +169,9 @@ type Config struct {
 	MaxQueuePerTenant int
 	// StickinessBound caps how many consecutive dispatches may bypass
 	// strict virtual-finish order in favor of a flow with warm runners.
-	// 0 means the default (4) when fair queueing is enabled; negative
+	// 0 means the default (4) when a tenant knob is set; negative
 	// disables stickiness.
 	StickinessBound int
-	// DisableFairQueueing forces the flat FCFS admission gate even when
-	// tenant knobs are set — the baseline arm of the fairness benchmark
-	// and the anti-neutering scenario check.
-	DisableFairQueueing bool
 	// BatchWindow enables server-side micro-batching: invocations of the
 	// same kernel targeting the same device that arrive within this
 	// modeled-time window are coalesced into one device dispatch, paying
@@ -187,13 +183,10 @@ type Config struct {
 	BatchMax int
 }
 
-// fairQueueingEnabled reports whether the tenant-aware dispatch layer
-// should engage: any tenant knob is set and the explicit FCFS override
-// is not.
-func (c Config) fairQueueingEnabled() bool {
-	if c.DisableFairQueueing {
-		return false
-	}
+// tenantKnobSet reports whether any tenant knob is configured, which is
+// what gives a request somewhere to wait when the server-wide cap is full
+// (Stats.FairQueueing).
+func (c Config) tenantKnobSet() bool {
 	return len(c.TenantWeights) > 0 || c.MaxInFlightPerTenant > 0 ||
 		c.MaxQueuePerTenant > 0 || c.StickinessBound > 0
 }
@@ -208,6 +201,9 @@ type Server struct {
 	breakers *breaker.Set // nil when breakers are disabled
 	batcher  *batcher     // nil when micro-batching is disabled
 	dpMet    *dataPlaneMetrics
+	// computeOff mirrors Config.DisableCompute so SetComputeResults can
+	// flip it while invocations read it without the lock.
+	computeOff atomic.Bool
 
 	// arena is the tensor arena pool published by the TCP layer (via
 	// WithArenaPool) so Stats and WriteMetrics can report lease
@@ -225,20 +221,18 @@ type Server struct {
 	cancel    context.CancelFunc
 	prewarmWG sync.WaitGroup
 
-	mu         sync.Mutex
-	cond       *sync.Cond // broadcast when inFlight reaches 0 (and on Close)
-	entries    map[string]*entry
-	tenants    map[string]*tenantState
-	fair       *fairQueue // nil when fair queueing is not enabled
-	libInit    map[accel.Kind]bool
-	runnersOn  map[string]int // device ID -> runner count
-	runnerSeq  int
-	coldStarts int
-	preWarms   int
-	inFlight   int
-	draining   bool
-	closed     bool
-	reapTimer  vclock.Timer
+	mu        sync.Mutex
+	cond      *sync.Cond // broadcast when inFlight reaches 0 (and on Close)
+	entries   map[string]*entry
+	tenants   map[string]*tenantState
+	fair      *fairQueue // the admission stage; sole writer of the in-flight books
+	libInit   map[accel.Kind]bool
+	runnersOn map[string]int // device ID -> runner count
+	runnerSeq int
+	inFlight  int // admitted invocations server-wide (written by fair)
+	draining  bool
+	closed    bool
+	reapTimer vclock.Timer
 }
 
 // entry is the per-kernel state.
@@ -259,7 +253,7 @@ type entry struct {
 	// slots still bound total contexts).
 	runnersOn map[string]int
 	// inFlight counts admitted invocations of this kernel (guarded by
-	// Server.mu); admission control bounds it.
+	// Server.mu, written by the fairQueue); admission control bounds it.
 	inFlight int
 	// ewmaWall and ewmaColdWall track exponentially weighted moving
 	// averages of wall-clock invocation time (warm path and cold path,
@@ -338,7 +332,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.KeepAlive.SweepEvery <= 0 {
 		cfg.KeepAlive.SweepEvery = cfg.KeepAlive.Idle
 	}
-	if cfg.fairQueueingEnabled() && cfg.StickinessBound == 0 {
+	if cfg.tenantKnobSet() && cfg.StickinessBound == 0 {
 		cfg.StickinessBound = defaultStickinessBound
 	}
 	registerHelp(cfg.Metrics)
@@ -349,12 +343,11 @@ func New(cfg Config) (*Server, error) {
 		devMet:    make(map[string]*deviceMetrics),
 		entries:   make(map[string]*entry),
 		tenants:   make(map[string]*tenantState),
+		fair:      newFairQueue(cfg.tenantKnobSet()),
 		libInit:   make(map[accel.Kind]bool),
 		runnersOn: make(map[string]int),
 	}
-	if cfg.fairQueueingEnabled() {
-		s.fair = newFairQueue()
-	}
+	s.computeOff.Store(cfg.DisableCompute)
 	s.cond = sync.NewCond(&s.mu)
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.dpMet = newDataPlaneMetrics(s.reg)
@@ -460,11 +453,7 @@ func (s *Server) Logger() *slog.Logger { return s.cfg.Logger }
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // SetComputeResults toggles real host computation of kernel results.
-func (s *Server) SetComputeResults(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cfg.DisableCompute = !on
-}
+func (s *Server) SetComputeResults(on bool) { s.computeOff.Store(!on) }
 
 // Register deploys a kernel on the server. Registration initializes the
 // kernel's host framework (numba, TensorFlow, ...) once per device kind —
@@ -540,6 +529,9 @@ func (s *Server) Kernels() []string {
 // kernel's kind; when every retry budget is spent the invocation fails
 // with an error wrapping accel.ErrDeviceFailed. The retries' modeled time
 // accumulates into the returned report.
+//
+// A warm invocation takes Server.mu three times: admit, place (the
+// runner selection in invokeOnce) and complete.
 func (s *Server) Invoke(ctx context.Context, name string, req *kernels.Request) (*kernels.Response, *Report, error) {
 	wallStart := time.Now()
 	tenant := DefaultTenant
@@ -558,70 +550,45 @@ func (s *Server) Invoke(ctx context.Context, name string, req *kernels.Request) 
 	}
 	t := s.tenantLocked(tenant)
 	kind := e.kernel.Kind()
-
+	w, reason, err := s.fair.admitLocked(s, ctx, e, t)
+	s.mu.Unlock()
+	if err != nil {
+		s.shedObserved(e, t, reason)
+		return nil, nil, err
+	}
 	var queued time.Duration
-	if s.fair != nil {
-		w, reason, err := s.fair.enqueueLocked(s, ctx, e, t)
-		s.mu.Unlock()
-		if err != nil {
-			if reason != "" {
-				s.shedObserved(e, t, reason)
-			}
-			return nil, nil, err
-		}
-		if err := w.await(ctx, s, e, t); err != nil {
+	if w != nil {
+		// Not dispatchable on arrival: wait in the flow for a grant.
+		if err := w.await(ctx, s); err != nil {
 			return nil, nil, err
 		}
 		queued = w.waited
-	} else {
-		if reason, err := s.admitLocked(ctx, e); err != nil {
-			s.mu.Unlock()
-			if reason != "" {
-				s.shedObserved(e, t, reason)
-			}
-			return nil, nil, err
-		}
-		s.admitOneLocked(e, t)
-		s.mu.Unlock()
 	}
 
 	met := s.kernelMet(e)
 	tm := s.tenantMet(t)
 	met.invocations.Inc()
 	tm.admitted.Inc()
-	met.inFlight.Inc()
-	tm.inFlight.Inc()
-	defer func() {
-		met.inFlight.Dec()
-		tm.inFlight.Dec()
-		s.mu.Lock()
-		s.inFlight--
-		e.inFlight--
-		t.inFlight--
-		if s.fair != nil {
-			// A slot freed: hand it to the fair dispatcher.
-			s.fair.dispatchLocked(s)
-		}
-		if s.inFlight == 0 {
-			s.cond.Broadcast() // wake Drain waiters
-		}
-		s.mu.Unlock()
-	}()
 
 	report := &Report{
 		InvocationID: fmt.Sprintf("inv-%d", s.invSeq.Add(1)),
 		Kernel:       name,
 	}
 	report.Breakdown.Queue += queued
+	// held is the runner claim a successful attempt hands back; wall is
+	// the completed invocation's wall time (0 on failure: no history).
+	var held *runner
+	var wall time.Duration
+	defer func() { s.complete(e, t, held, report.Cold, wall) }()
+
 	// One attempt per device of the kind on top of the first, so a
 	// flapping device cannot keep an invocation bouncing forever.
 	maxAttempts := 1 + len(s.cfg.Host.DevicesByKind(kind))
 
 	var resp *kernels.Response
-	var err error
 	for attempt := 1; ; attempt++ {
 		report.Attempts = attempt
-		resp, err = s.invokeOnce(ctx, e, t, req, report)
+		resp, held, err = s.invokeOnce(ctx, e, t, req, report)
 		if err == nil || ctx.Err() != nil {
 			break
 		}
@@ -654,19 +621,33 @@ func (s *Server) Invoke(ctx context.Context, name string, req *kernels.Request) 
 	}
 	met.observe(report.Cold, report.CachedCold, report.Breakdown)
 	tm.latency.Observe(report.Breakdown.Total())
-	s.observeWallTime(e, report.Cold, time.Since(wallStart))
+	wall = time.Since(wallStart)
 	return resp, report, nil
+}
+
+// complete is the last stage of an admitted invocation, one lock section:
+// it releases the runner claim a successful attempt still holds, folds the
+// wall time into the kernel's moving averages, and returns the in-flight
+// slot, which runs the dispatcher.
+func (s *Server) complete(e *entry, t *tenantState, r *runner, cold bool, wall time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r != nil {
+		s.releaseRunnerLocked(e, r)
+	}
+	if wall > 0 {
+		observeWallTimeLocked(e, cold, wall)
+	}
+	s.fair.releaseLocked(s, e, t)
 }
 
 // ewmaAlpha weights the most recent observation in the wall-time moving
 // averages behind deadline-aware admission.
 const ewmaAlpha = 0.5
 
-// observeWallTime folds one completed invocation's wall-clock duration
-// into the kernel's moving averages.
-func (s *Server) observeWallTime(e *entry, cold bool, d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// observeWallTimeLocked folds one completed invocation's wall-clock
+// duration into the kernel's moving averages.
+func observeWallTimeLocked(e *entry, cold bool, d time.Duration) {
 	v := float64(d)
 	if e.ewmaWall == 0 {
 		e.ewmaWall = v
@@ -773,7 +754,6 @@ func (s *Server) preWarm(e *entry) {
 	}
 	r := s.newRunnerLocked(e, dev)
 	e.prewarmedAt = s.clock.Now()
-	s.preWarms++
 	s.mu.Unlock()
 
 	met := s.kernelMet(e)
@@ -788,42 +768,6 @@ func (s *Server) preWarm(e *entry) {
 		return
 	}
 	s.releaseRunner(e, r)
-}
-
-// admitLocked applies admission control to one invocation before any
-// capacity is consumed. It returns a nil error to admit, or the typed
-// rejection plus a shed-reason label for metrics ("" when the rejection
-// is not a shed, e.g. draining).
-func (s *Server) admitLocked(ctx context.Context, e *entry) (string, error) {
-	if s.draining {
-		return "draining", ErrDraining
-	}
-	if s.cfg.MaxInFlightTotal > 0 && s.inFlight >= s.cfg.MaxInFlightTotal {
-		return "in_flight_cap", fmt.Errorf("%w: %d invocations in flight (cap %d)",
-			ErrOverloaded, s.inFlight, s.cfg.MaxInFlightTotal)
-	}
-	if s.cfg.MaxQueuePerKernel > 0 {
-		healthy := s.healthyCapacityLocked(e)
-		if e.inFlight >= healthy+s.cfg.MaxQueuePerKernel {
-			return "queue_full", fmt.Errorf("%w: kernel %q has %d in flight (capacity %d + queue bound %d)",
-				ErrOverloaded, e.name, e.inFlight, healthy, s.cfg.MaxQueuePerKernel)
-		}
-	}
-	// Deadline-aware shedding: if the caller cannot possibly get an
-	// answer within its deadline, reject now instead of burning capacity
-	// on work whose result nobody will read. Only applies when admission
-	// control is configured — the estimate is heuristic and must not
-	// affect servers running with unbounded admission.
-	if s.cfg.MaxInFlightTotal > 0 || s.cfg.MaxQueuePerKernel > 0 {
-		if dl, ok := ctx.Deadline(); ok {
-			if est := s.estimateWaitLocked(e); est > 0 && time.Until(dl) < est {
-				return "deadline", fmt.Errorf("%w: expected wait %v exceeds remaining deadline %v",
-					ErrOverloaded, est.Round(time.Millisecond),
-					time.Until(dl).Round(time.Millisecond))
-			}
-		}
-	}
-	return "", nil
 }
 
 // healthyCapacityLocked estimates how many invocations of e the placement
@@ -863,12 +807,15 @@ func (s *Server) estimateWaitLocked(e *entry) time.Duration {
 }
 
 // invokeOnce performs one placement attempt of an invocation,
-// accumulating modeled time into the report.
-func (s *Server) invokeOnce(ctx context.Context, e *entry, t *tenantState, req *kernels.Request, report *Report) (*kernels.Response, error) {
+// accumulating modeled time into the report. On success the claim on the
+// serving runner is still held and returned, for Server.complete to
+// release in the same lock section that returns the in-flight slot; every
+// failure path has already released (or consumed) it.
+func (s *Server) invokeOnce(ctx context.Context, e *entry, t *tenantState, req *kernels.Request, report *Report) (*kernels.Response, *runner, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, ErrServerClosed
+		return nil, nil, ErrServerClosed
 	}
 	// Dispatch-time capacity recheck: admission compared the kernel's
 	// backlog against healthy capacity when the invocation arrived, but a
@@ -879,7 +826,7 @@ func (s *Server) invokeOnce(ctx context.Context, e *entry, t *tenantState, req *
 	if s.cfg.MaxQueuePerKernel > 0 && s.healthyCapacityLocked(e) == 0 {
 		s.mu.Unlock()
 		s.shedObserved(e, t, "capacity_lost")
-		return nil, fmt.Errorf("%w: kernel %q lost every eligible %s device after admission",
+		return nil, nil, fmt.Errorf("%w: kernel %q lost every eligible %s device after admission",
 			ErrOverloaded, e.name, e.kernel.Kind())
 	}
 	// Snapshot the implementation: ReplaceKernel may swap e.kernel while
@@ -890,7 +837,7 @@ func (s *Server) invokeOnce(ctx context.Context, e *entry, t *tenantState, req *
 	if r == nil {
 		// Every device of the kind is excluded by an open breaker; there
 		// is nowhere to even queue this invocation.
-		return nil, fmt.Errorf("%w: every %s device's breaker is open for %q",
+		return nil, nil, fmt.Errorf("%w: every %s device's breaker is open for %q",
 			ErrUnavailable, k.Kind(), e.name)
 	}
 
@@ -914,7 +861,7 @@ func (s *Server) invokeOnce(ctx context.Context, e *entry, t *tenantState, req *
 		case <-ctx.Done():
 			s.kernelMet(e).queueDepth.Dec()
 			s.releaseRunner(e, r)
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
 		report.Breakdown.Queue += s.clock.Now().Sub(waitStart)
 	}
@@ -931,27 +878,29 @@ func (s *Server) invokeOnce(ctx context.Context, e *entry, t *tenantState, req *
 			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			// The spawner's context expired and took the cold start with
 			// it; this waiter is still live and deserves a fresh runner.
-			return nil, errColdStartAborted
+			return nil, nil, errColdStartAborted
 		}
-		return nil, fmt.Errorf("core: runner start: %w", err)
+		return nil, nil, fmt.Errorf("core: runner start: %w", err)
 	}
 
 	resp, err := s.serve(ctx, k, r, req, report)
-	s.releaseRunner(e, r)
 	s.recordDeviceOutcome(r.device.ID(), err)
 	if err != nil {
 		if errors.Is(err, accel.ErrDeviceFailed) {
-			// The runner's device failed: retire the runner; the Invoke
-			// loop retries on whatever healthy capacity remains.
+			// The runner's device failed: retire the runner (consuming
+			// this attempt's claim, never a sibling's); the Invoke loop
+			// retries on whatever healthy capacity remains.
 			s.cfg.Logger.Warn("device failure, failing over",
 				"inv", report.InvocationID, "kernel", report.Kernel,
 				"runner", r.id, "device", r.device.ID())
-			s.retireRunner(e, r)
+			s.removeRunner(e, r)
+		} else {
+			s.releaseRunner(e, r)
 		}
-		return nil, err
+		return nil, nil, err
 	}
 	report.Device = r.device.ID()
-	return resp, nil
+	return resp, r, nil
 }
 
 // selectRunnerLocked picks a runner for a new invocation, creating one if
@@ -1184,9 +1133,6 @@ func (s *Server) coldStart(ctx context.Context, inv string, e *entry, k kernels.
 	// The runner is up: this — not runner creation — is when a cold
 	// start is charged, so an aborted boot whose waiter respawned is one
 	// cold start, not two.
-	s.mu.Lock()
-	s.coldStarts++
-	s.mu.Unlock()
 	s.kernelMet(e).coldStarts.Inc()
 }
 
@@ -1294,10 +1240,7 @@ func (s *Server) serve(ctx context.Context, k kernels.Kernel, r *runner, req *ke
 	report.Breakdown.Exec += execTime
 
 	var resp *kernels.Response
-	s.mu.Lock()
-	compute := !s.cfg.DisableCompute
-	s.mu.Unlock()
-	if compute {
+	if !s.computeOff.Load() {
 		resp, err = k.Execute(req)
 		if err != nil {
 			return nil, fmt.Errorf("core: execute: %w", err)
@@ -1314,11 +1257,17 @@ func (s *Server) serve(ctx context.Context, k kernels.Kernel, r *runner, req *ke
 	return resp, nil
 }
 
-// releaseRunner decrements a runner's in-flight count, finishing a drain
-// when the runner was replaced mid-flight.
+// releaseRunner gives up one claim on a runner outside the completion
+// section (failed attempts, pre-warm boots).
 func (s *Server) releaseRunner(e *entry, r *runner) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.releaseRunnerLocked(e, r)
+}
+
+// releaseRunnerLocked decrements a runner's in-flight count, finishing a
+// drain when the runner was replaced mid-flight.
+func (s *Server) releaseRunnerLocked(e *entry, r *runner) {
 	r.inflight--
 	r.lastUsed = s.clock.Now()
 	if r.draining && r.inflight == 0 && !r.removed && runnerStarted(r) {
@@ -1365,22 +1314,6 @@ func (s *Server) removeRunner(e *entry, r *runner) {
 		r.inflight--
 		return
 	}
-	s.removeRunnerLocked(e, r)
-}
-
-// retireRunner deletes a runner on behalf of a caller that has already
-// released its claim (the failover path: releaseRunner runs before the
-// error is inspected). Without the balancing increment the removal
-// stole a surviving sibling's claim, driving the runner's in-flight
-// count negative — the accounting drift that lets an idle-runner sweep
-// mistake a claimed runner for reapable.
-func (s *Server) retireRunner(e *entry, r *runner) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r.removed {
-		return
-	}
-	r.inflight++ // balance the decrement in removeRunnerLocked
 	s.removeRunnerLocked(e, r)
 }
 
@@ -1475,11 +1408,9 @@ func (s *Server) Drain(ctx context.Context) error {
 		return nil
 	}
 	s.draining = true
-	if s.fair != nil {
-		// Queued waiters are not in flight and would never be granted
-		// once draining; reject them now so Drain cannot hang on them.
-		s.fair.flushLocked(s, ErrDraining)
-	}
+	// Queued waiters are not in flight and would never be granted once
+	// draining; reject them now so Drain cannot hang on them.
+	s.fair.flushLocked(s, "draining", ErrDraining)
 	s.cfg.Logger.Info("server draining", "in_flight", s.inFlight)
 	s.mu.Unlock()
 
@@ -1517,9 +1448,7 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	if s.fair != nil {
-		s.fair.flushLocked(s, ErrServerClosed)
-	}
+	s.fair.flushLocked(s, "", ErrServerClosed)
 	if s.cancel != nil {
 		s.cancel() // abort in-flight pre-warm boots
 	}

@@ -206,14 +206,12 @@ func (s *Server) Stats() Stats {
 	st := Stats{
 		Kernels:          len(s.entries),
 		InFlight:         s.inFlight,
-		ColdStarts:       s.coldStarts,
-		PreWarms:         s.preWarms,
 		Draining:         s.draining,
 		RunnersPerDevice: make(map[string]int, len(s.runnersOn)),
 		PerKernel:        make(map[string]KernelStats, len(s.entries)),
 		PerDevice:        make(map[string]DeviceStats),
 		PerTenant:        make(map[string]TenantStats, len(s.tenants)),
-		FairQueueing:     s.fair != nil,
+		FairQueueing:     s.fair.waits,
 		Batching:         s.batcher != nil,
 	}
 	st.DataPlane = DataPlaneStats{
@@ -257,7 +255,7 @@ func (s *Server) Stats() Stats {
 			Failovers:        met.failovers.Value(),
 			Errors:           met.errors.Value(),
 			Shed:             met.shedTotal(),
-			InFlight:         met.inFlight.Value(),
+			InFlight:         int64(e.inFlight),
 			QueueDepth:       met.queueDepth.Value(),
 			Runners:          len(e.runners),
 			Warm:             summarize(met.latWarm),
@@ -267,6 +265,8 @@ func (s *Server) Stats() Stats {
 			PhasesCold:       phaseTotals(met.phaseCold),
 			PhasesCachedCold: phaseTotals(met.phaseCachedCold),
 		}
+		st.ColdStarts += int(ks.ColdStarts)
+		st.PreWarms += int(ks.PreWarms)
 		st.Failovers += ks.Failovers
 		st.Shed += ks.Shed
 		st.PerKernel[name] = ks

@@ -178,84 +178,6 @@ func TestBreakerOpensOnFlappingDeviceAndRecovers(t *testing.T) {
 	}
 }
 
-// TestAdmissionShedsExcessLoad: with a server-wide in-flight cap, excess
-// invocations must be rejected promptly with ErrOverloaded — shed, not
-// queued behind work that may never finish — and counted in stats.
-func TestAdmissionShedsExcessLoad(t *testing.T) {
-	s, _, _ := newTestServer(t, 1, func(c *Config) {
-		c.MaxInFlightTotal = 2
-	})
-	gate := make(chan struct{})
-	started := make(chan struct{}, 2)
-	k := &execHookKernel{
-		fakeKernel: &fakeKernel{name: "k", kind: accel.GPU, cost: stdCost()},
-		onExecute: func() {
-			started <- struct{}{}
-			<-gate
-		},
-	}
-	if err := s.Register(k); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-
-	// Fill the cap with two invocations parked inside the kernel.
-	admitted := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			_, _, err := s.Invoke(context.Background(), "k", nil)
-			admitted <- err
-		}()
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case <-started:
-		case <-time.After(10 * time.Second):
-			t.Fatal("admitted invocations never reached the kernel")
-		}
-	}
-
-	// Everything beyond the cap is shed immediately.
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		_, _, err := s.Invoke(context.Background(), "k", nil)
-		if !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("overload invoke %d err = %v, want ErrOverloaded", i, err)
-		}
-		if elapsed := time.Since(start); elapsed > time.Second {
-			t.Errorf("overload rejection %d took %v, want immediate", i, elapsed)
-		}
-	}
-	st := s.Stats()
-	if st.Shed != 3 {
-		t.Errorf("Stats.Shed = %d, want 3", st.Shed)
-	}
-	if ks := st.PerKernel["k"]; ks.Shed != 3 {
-		t.Errorf("kernel Shed = %d, want 3", ks.Shed)
-	}
-
-	// Hold the admitted pair a while longer so the kernel's observed
-	// wall time is far above the hopeless deadline probed below.
-	time.Sleep(100 * time.Millisecond)
-	close(gate)
-	for i := 0; i < 2; i++ {
-		if err := <-admitted; err != nil {
-			t.Errorf("admitted invocation failed: %v", err)
-		}
-	}
-
-	// Deadline-aware shedding: with wall-time history on the books (the
-	// two slow invocations above), a deadline far shorter than the
-	// expected service time is rejected before burning any capacity.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	if _, _, err := s.Invoke(ctx, "k", nil); !errors.Is(err, ErrOverloaded) {
-		t.Errorf("hopeless-deadline invoke err = %v, want ErrOverloaded", err)
-	}
-	if st := s.Stats(); st.Shed != 4 {
-		t.Errorf("Stats.Shed after deadline rejection = %d, want 4", st.Shed)
-	}
-}
-
 // TestOverloadedCodeOverTCP: admission rejections must reach the wire as
 // structured OVERLOADED errors marked retryable, while unknown kernels
 // get a non-retryable UNKNOWN_KERNEL.
@@ -607,39 +529,5 @@ func TestUnavailableWhenEveryBreakerOpen(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("ErrUnavailable took %v, want immediate", elapsed)
-	}
-}
-
-// TestCapacityLostAfterAdmission: the queue-bound admission formula
-// (inFlight >= healthy + bound) happily admits work when healthy
-// capacity is zero — a backlog of zero always sits under the bound — so
-// capacity that vanished before (or while) an invocation queued used to
-// slip through admission with nowhere to run. The dispatch-time
-// capacity recheck must shed such invocations with the typed overload
-// error, counted like any other admission rejection. Regression test
-// for the capacity-snapshot bug.
-func TestCapacityLostAfterAdmission(t *testing.T) {
-	s, host, _ := newTestServer(t, 1, func(c *Config) {
-		c.BreakerThreshold = 1
-		c.BreakerOpenTimeout = time.Hour // modeled: never recovers in-test
-		c.MaxQueuePerKernel = 4
-	})
-	k := &fakeKernel{name: "k", kind: accel.GPU, cost: stdCost()}
-	if err := s.Register(k); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	// The only GPU dies: healthy capacity is 0, yet the queue-bound
-	// formula still admits (0 in flight < 0 capacity + 4 bound).
-	host.Devices()[0].Fail()
-	_, _, err := s.Invoke(context.Background(), "k", nil)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("invoke after capacity loss err = %v, want ErrOverloaded", err)
-	}
-	st := s.Stats()
-	if st.PerKernel["k"].Shed == 0 {
-		t.Error("capacity-lost rejection was not counted as a shed")
-	}
-	if st.InFlight != 0 {
-		t.Errorf("in-flight accounting leaked: %d after shed", st.InFlight)
 	}
 }

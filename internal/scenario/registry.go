@@ -407,9 +407,10 @@ var registry = map[string]Spec{
 		// sheds, while the victims' thin streams fit inside their caps.
 		// Weights are equal — the point is per-tenant flow queues, not a
 		// privileged victim. The anti-neutering test runs this same spec
-		// with DisableFairQueueing: the flat gate sheds whoever arrives at
-		// a full server, so the victim floors and the aggressor's shed
-		// share must fail there.
+		// with the four tenant fields cleared: a request that finds the
+		// server full then has no flow to wait in and is shed whoever sent
+		// it, so the victim floors and the aggressor's shed share must
+		// fail there.
 		TenantWeights:        map[string]float64{"aggressor": 1, "victim-a": 1, "victim-b": 1},
 		MaxInFlightPerTenant: 4,
 		MaxQueuePerTenant:    8,

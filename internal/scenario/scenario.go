@@ -79,10 +79,6 @@ type Spec struct {
 	// StickinessBound caps consecutive warm-runner fairness bypasses
 	// (0 = core default, negative disables stickiness).
 	StickinessBound int
-	// DisableFairQueueing forces the flat FCFS admission path even with
-	// tenant knobs set — the anti-neutering check runs the noisy-neighbor
-	// scenario with this on and expects its invariants to fail.
-	DisableFairQueueing bool
 	// BreakerThreshold and BreakerOpenTimeout configure the device
 	// circuit breakers (0 = core defaults).
 	BreakerThreshold   int
@@ -442,7 +438,6 @@ func buildServer(spec Spec, names []string, clock vclock.Clock, seed int64) (*ha
 		MaxInFlightPerTenant: spec.MaxInFlightPerTenant,
 		MaxQueuePerTenant:    spec.MaxQueuePerTenant,
 		StickinessBound:      spec.StickinessBound,
-		DisableFairQueueing:  spec.DisableFairQueueing,
 		BreakerThreshold:     spec.BreakerThreshold,
 		BreakerOpenTimeout:   spec.BreakerOpenTimeout,
 		KeepAlive: core.KeepAlive{
@@ -566,9 +561,6 @@ func tenantOptions(spec Spec) []kaas.Option {
 	}
 	if spec.StickinessBound != 0 {
 		opts = append(opts, kaas.WithStickinessBound(spec.StickinessBound))
-	}
-	if spec.DisableFairQueueing {
-		opts = append(opts, kaas.WithoutFairQueueing())
 	}
 	return opts
 }

@@ -126,11 +126,11 @@ func TestScenarioFailingInvariantFailsRun(t *testing.T) {
 }
 
 // TestScenarioNoisyNeighborAntiNeutering reruns the noisy-neighbor spec
-// with fair queueing disabled and requires the per-tenant invariants to
-// FAIL: the flat admission gate sheds whoever arrives at a full server,
-// so the victims lose their success floors and the aggressor no longer
-// absorbs ~all of the sheds. If this run passes, the scenario has been
-// neutered — it no longer proves that WFQ is doing the isolating.
+// with its tenant knobs cleared and requires the per-tenant invariants to
+// FAIL: with no flow to wait in, whoever arrives at a full server is
+// shed, so the victims lose their success floors and the aggressor no
+// longer absorbs ~all of the sheds. If this run passes, the scenario has
+// been neutered — it no longer proves that WFQ is doing the isolating.
 func TestScenarioNoisyNeighborAntiNeutering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("anti-neutering run skipped in short mode")
@@ -139,13 +139,14 @@ func TestScenarioNoisyNeighborAntiNeutering(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lookup: %v", err)
 	}
-	spec.DisableFairQueueing = true
+	spec.TenantWeights = nil
+	spec.MaxInFlightPerTenant, spec.MaxQueuePerTenant, spec.StickinessBound = 0, 0, 0
 	res, err := Run(context.Background(), spec, 1, testScale)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if res.Passed {
-		t.Fatalf("noisy-neighbor passed with fair queueing disabled (counts: %v) — the scenario no longer proves isolation", res.Counts)
+		t.Fatalf("noisy-neighbor passed with the tenant knobs cleared (counts: %v) — the scenario no longer proves isolation", res.Counts)
 	}
 	var tenantFailure bool
 	for _, v := range res.Verdicts {
@@ -154,7 +155,7 @@ func TestScenarioNoisyNeighborAntiNeutering(t *testing.T) {
 		}
 	}
 	if !tenantFailure {
-		t.Error("no per-tenant invariant failed under FCFS — the floors are too loose to detect the regression")
+		t.Error("no per-tenant invariant failed with the tenant knobs cleared — the floors are too loose to detect the regression")
 	}
 }
 

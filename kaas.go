@@ -187,7 +187,6 @@ type config struct {
 	maxInFlightPerTenant int
 	maxQueuePerTenant    int
 	stickinessBound      int
-	disableFairQueueing  bool
 
 	artifactCacheBytes int64
 	keepAlive          core.KeepAlive
@@ -391,13 +390,6 @@ func WithStickinessBound(bound int) Option {
 	return func(c *config) { c.stickinessBound = bound }
 }
 
-// WithoutFairQueueing forces the flat FCFS admission path even when
-// tenant weights or limits are configured. Benchmark harnesses use it
-// as the comparison baseline; production configurations should not.
-func WithoutFairQueueing() Option {
-	return func(c *config) { c.disableFairQueueing = true }
-}
-
 // WithOutOfBand enables the zero-copy out-of-band data plane: a pooled
 // tensor arena of arenaBytes total budget is shared with same-host
 // clients, which negotiate leased windows into it and pass payloads by
@@ -526,7 +518,6 @@ func New(opts ...Option) (*Platform, error) {
 		MaxInFlightPerTenant: cfg.maxInFlightPerTenant,
 		MaxQueuePerTenant:    cfg.maxQueuePerTenant,
 		StickinessBound:      cfg.stickinessBound,
-		DisableFairQueueing:  cfg.disableFairQueueing,
 		BreakerThreshold:     cfg.breakerThreshold,
 		BreakerOpenTimeout:   cfg.breakerOpenTimeout,
 		BatchWindow:          cfg.batchWindow,
