@@ -422,3 +422,39 @@ func (w *fairWaiter) await(ctx context.Context, s *Server) error {
 	}
 	return ctx.Err()
 }
+
+// healthyCapacityLocked estimates how many invocations of e the placement
+// layer can serve concurrently: eligible devices of the kind times the
+// per-device runner cap times the per-runner in-flight threshold.
+func (s *Server) healthyCapacityLocked(e *entry) int {
+	eligible := 0
+	for _, d := range s.cfg.Host.DevicesByKind(e.kernel.Kind()) {
+		if s.deviceEligibleLocked(d) {
+			eligible++
+		}
+	}
+	return eligible * s.cfg.MaxRunnersPerDevice * s.cfg.MaxInFlightPerRunner
+}
+
+// estimateWaitLocked predicts (in wall time) how long a new invocation of
+// e will take to complete, from the kernel's observed moving averages: a
+// cold start when no runner exists yet, plus queueing behind the
+// invocations already in flight. Returns 0 when there is no history to
+// estimate from (admission then defers to the queue bounds alone).
+func (s *Server) estimateWaitLocked(e *entry) time.Duration {
+	capacity := s.healthyCapacityLocked(e)
+	if capacity <= 0 {
+		return 0
+	}
+	var est float64
+	if len(e.runners) == 0 {
+		est += e.ewmaColdWall
+	}
+	if e.ewmaWall > 0 {
+		// Number of completion "waves" ahead of this request, including
+		// its own service time.
+		waves := float64(e.inFlight)/float64(capacity) + 1
+		est += waves * e.ewmaWall
+	}
+	return time.Duration(est)
+}

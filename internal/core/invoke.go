@@ -1,0 +1,343 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"time"
+
+	"kaas/internal/accel"
+	"kaas/internal/kernels"
+)
+
+// recordDeviceOutcome feeds an invocation's result on a device into its
+// breaker: device-failure-class errors count toward opening it, success
+// closes it. Other errors (context cancellation, kernel bugs) say nothing
+// about device health and are ignored.
+func (s *Server) recordDeviceOutcome(dev string, err error) {
+	if s.breakers == nil {
+		return
+	}
+	switch {
+	case err == nil:
+		s.breakers.RecordSuccess(dev)
+	case errors.Is(err, accel.ErrDeviceFailed):
+		s.breakers.RecordFailure(dev)
+	}
+}
+
+// Invoke routes one invocation to a warm or new runner and returns the
+// kernel response plus a report of how it was served.
+//
+// A device failure mid-invocation retires the failed runner and retries
+// on whatever healthy capacity remains, at most once per device of the
+// kernel's kind; when every retry budget is spent the invocation fails
+// with an error wrapping accel.ErrDeviceFailed. The retries' modeled time
+// accumulates into the returned report.
+//
+// A warm invocation takes Server.mu three times: admit, place (the
+// runner selection in invokeOnce) and complete.
+func (s *Server) Invoke(ctx context.Context, name string, req *kernels.Request) (*kernels.Response, *Report, error) {
+	wallStart := time.Now()
+	tenant := DefaultTenant
+	if req != nil {
+		tenant = NormalizeTenant(req.Tenant)
+	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, nil, ErrServerClosed
+	}
+	e, ok := s.entries[name]
+	if !ok {
+		s.mu.Unlock()
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownKernel, name)
+	}
+	t := s.tenantLocked(tenant)
+	kind := e.kernel.Kind()
+	w, reason, err := s.fair.admitLocked(s, ctx, e, t)
+	s.mu.Unlock()
+	if err != nil {
+		s.shedObserved(e, t, reason)
+		return nil, nil, err
+	}
+	var queued time.Duration
+	if w != nil {
+		// Not dispatchable on arrival: wait in the flow for a grant.
+		if err := w.await(ctx, s); err != nil {
+			return nil, nil, err
+		}
+		queued = w.waited
+	}
+
+	met := s.kernelMet(e)
+	tm := s.tenantMet(t)
+	met.invocations.Inc()
+	tm.admitted.Inc()
+
+	report := &Report{
+		InvocationID: fmt.Sprintf("inv-%d", s.invSeq.Add(1)),
+		Kernel:       name,
+	}
+	report.Breakdown.Queue += queued
+	// held is the runner claim a successful attempt hands back; wall is
+	// the completed invocation's wall time (0 on failure: no history).
+	var held *runner
+	var wall time.Duration
+	defer func() { s.complete(e, t, held, report.Cold, wall) }()
+
+	// One attempt per device of the kind on top of the first, so a
+	// flapping device cannot keep an invocation bouncing forever.
+	maxAttempts := 1 + len(s.cfg.Host.DevicesByKind(kind))
+
+	var resp *kernels.Response
+	for attempt := 1; ; attempt++ {
+		report.Attempts = attempt
+		resp, held, err = s.invokeOnce(ctx, e, t, req, report)
+		if err == nil || ctx.Err() != nil {
+			break
+		}
+		// ErrContextReleased is the same failure seen by a sibling: when a
+		// device dies with several invocations in flight on one runner, the
+		// first to observe ErrDeviceFailed removes the runner and releases
+		// its device context, and the others' in-flight ops then fail with
+		// the released-context error. Both retry on remaining capacity; only
+		// ErrDeviceFailed is breaker evidence (recordDeviceOutcome).
+		failover := errors.Is(err, accel.ErrDeviceFailed) ||
+			errors.Is(err, accel.ErrContextReleased)
+		if !failover && !errors.Is(err, errColdStartAborted) {
+			break
+		}
+		if attempt >= maxAttempts {
+			err = fmt.Errorf("core: failover exhausted after %d attempts for %q: %w",
+				attempt, name, err)
+			break
+		}
+		if failover {
+			met.failovers.Inc()
+			// A failed-over invocation pays (at least part of) a cold
+			// start, matching how the evaluation classifies it.
+			report.Cold = true
+		}
+	}
+	if err != nil {
+		met.errors.Inc()
+		return nil, nil, err
+	}
+	met.observe(report.Cold, report.CachedCold, report.Breakdown)
+	tm.latency.Observe(report.Breakdown.Total())
+	wall = time.Since(wallStart)
+	return resp, report, nil
+}
+
+// complete is the last stage of an admitted invocation, one lock section:
+// it releases the runner claim a successful attempt still holds, folds the
+// wall time into the kernel's moving averages, and returns the in-flight
+// slot, which runs the dispatcher.
+func (s *Server) complete(e *entry, t *tenantState, r *runner, cold bool, wall time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r != nil {
+		s.releaseRunnerLocked(e, r)
+	}
+	if wall > 0 {
+		observeWallTimeLocked(e, cold, wall)
+	}
+	s.fair.releaseLocked(s, e, t)
+}
+
+// ewmaAlpha weights the most recent observation in the wall-time moving
+// averages behind deadline-aware admission.
+const ewmaAlpha = 0.5
+
+// observeWallTimeLocked folds one completed invocation's wall-clock
+// duration into the kernel's moving averages.
+func observeWallTimeLocked(e *entry, cold bool, d time.Duration) {
+	v := float64(d)
+	if e.ewmaWall == 0 {
+		e.ewmaWall = v
+	} else {
+		e.ewmaWall = ewmaAlpha*v + (1-ewmaAlpha)*e.ewmaWall
+	}
+	if cold {
+		if e.ewmaColdWall == 0 {
+			e.ewmaColdWall = v
+		} else {
+			e.ewmaColdWall = ewmaAlpha*v + (1-ewmaAlpha)*e.ewmaColdWall
+		}
+	}
+}
+
+// invokeOnce performs one placement attempt of an invocation,
+// accumulating modeled time into the report. On success the claim on the
+// serving runner is still held and returned, for Server.complete to
+// release in the same lock section that returns the in-flight slot; every
+// failure path has already released (or consumed) it.
+func (s *Server) invokeOnce(ctx context.Context, e *entry, t *tenantState, req *kernels.Request, report *Report) (*kernels.Response, *runner, error) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, nil, ErrServerClosed
+	}
+	// Dispatch-time capacity recheck: admission compared the kernel's
+	// backlog against healthy capacity when the invocation arrived, but a
+	// breaker can open (or every device of the kind fail) while it sat
+	// queued. Re-reading the capacity here keeps a mid-queue breaker open
+	// from piling admitted work onto a kernel with zero eligible devices;
+	// the shed is typed and charged like any other admission rejection.
+	if s.cfg.MaxQueuePerKernel > 0 && s.healthyCapacityLocked(e) == 0 {
+		s.mu.Unlock()
+		s.shedObserved(e, t, "capacity_lost")
+		return nil, nil, fmt.Errorf("%w: kernel %q lost every eligible %s device after admission",
+			ErrOverloaded, e.name, e.kernel.Kind())
+	}
+	// Snapshot the implementation: ReplaceKernel may swap e.kernel while
+	// this invocation is in flight.
+	k := e.kernel
+	r, spawner := s.selectRunnerLocked(e)
+	s.mu.Unlock()
+	if r == nil {
+		// Every device of the kind is excluded by an open breaker; there
+		// is nowhere to even queue this invocation.
+		return nil, nil, fmt.Errorf("%w: every %s device's breaker is open for %q",
+			ErrUnavailable, k.Kind(), e.name)
+	}
+
+	report.Runner = r.id
+
+	// Modeled request routing cost.
+	s.clock.Sleep(s.cfg.RoutingOverhead)
+	report.Breakdown.Other += s.cfg.RoutingOverhead
+
+	if spawner {
+		report.Cold = true
+		s.coldStart(ctx, report.InvocationID, e, k, r, &report.Breakdown)
+		report.CachedCold = r.cached
+	} else {
+		// Wait for the runner to finish starting if necessary.
+		waitStart := s.clock.Now()
+		s.kernelMet(e).queueDepth.Inc()
+		select {
+		case <-r.ready:
+			s.kernelMet(e).queueDepth.Dec()
+		case <-ctx.Done():
+			s.kernelMet(e).queueDepth.Dec()
+			s.releaseRunner(e, r)
+			return nil, nil, ctx.Err()
+		}
+		report.Breakdown.Queue += s.clock.Now().Sub(waitStart)
+	}
+	if r.startErr != nil {
+		err := r.startErr
+		s.removeRunner(e, r)
+		if spawner {
+			// Only the spawner reports the cold-start outcome to the
+			// breaker: one failed start is one piece of evidence, no
+			// matter how many invocations were queued on the runner.
+			s.recordDeviceOutcome(r.device.ID(), err)
+		}
+		if !spawner && ctx.Err() == nil &&
+			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			// The spawner's context expired and took the cold start with
+			// it; this waiter is still live and deserves a fresh runner.
+			return nil, nil, errColdStartAborted
+		}
+		return nil, nil, fmt.Errorf("core: runner start: %w", err)
+	}
+
+	resp, err := s.serve(ctx, k, r, req, report)
+	s.recordDeviceOutcome(r.device.ID(), err)
+	if err != nil {
+		if errors.Is(err, accel.ErrDeviceFailed) {
+			// The runner's device failed: retire the runner (consuming
+			// this attempt's claim, never a sibling's); the Invoke loop
+			// retries on whatever healthy capacity remains.
+			s.cfg.Logger.Warn("device failure, failing over",
+				"inv", report.InvocationID, "kernel", report.Kernel,
+				"runner", r.id, "device", r.device.ID())
+			s.removeRunner(e, r)
+		} else {
+			s.releaseRunner(e, r)
+		}
+		return nil, nil, err
+	}
+	report.Device = r.device.ID()
+	return resp, r, nil
+}
+
+// serve executes one invocation on a started runner.
+func (s *Server) serve(ctx context.Context, k kernels.Kernel, r *runner, req *kernels.Request, report *Report) (*kernels.Response, error) {
+	if req == nil {
+		req = &kernels.Request{}
+	}
+	if req.Params == nil {
+		req.Params = kernels.Params{}
+	}
+	cost, err := k.Cost(req)
+	if err != nil {
+		return nil, fmt.Errorf("core: cost model: %w", err)
+	}
+
+	if cost.DeviceMemory > 0 {
+		if err := r.dctx.Alloc(cost.DeviceMemory); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		defer r.dctx.Free(cost.DeviceMemory)
+	}
+
+	copyIn, err := r.dctx.Copy(ctx, cost.BytesIn)
+	if err != nil {
+		return nil, err
+	}
+	report.Breakdown.CopyIn += copyIn
+
+	var execTime time.Duration
+	if s.batcher != nil {
+		// Micro-batching: join the forming batch for this (device, kernel)
+		// bucket and share one coalesced launch with whoever else arrives
+		// inside the window.
+		execTime, err = s.batcher.exec(ctx, batchKey{device: r.device.ID(), kernel: k.Name()}, r.dctx, cost.Work)
+	} else {
+		execTime, err = r.dctx.Exec(ctx, cost.Work)
+	}
+	if err != nil {
+		return nil, err
+	}
+	report.Breakdown.Exec += execTime
+
+	var resp *kernels.Response
+	if !s.computeOff.Load() {
+		resp, err = k.Execute(req)
+		if err != nil {
+			return nil, fmt.Errorf("core: execute: %w", err)
+		}
+	} else {
+		resp = &kernels.Response{Values: map[string]float64{"computed": 0}}
+	}
+
+	copyOut, err := r.dctx.Copy(ctx, cost.BytesOut)
+	if err != nil {
+		return nil, err
+	}
+	report.Breakdown.CopyOut += copyOut
+	return resp, nil
+}
+
+// releaseRunner gives up one claim on a runner outside the completion
+// section (failed attempts, pre-warm boots).
+func (s *Server) releaseRunner(e *entry, r *runner) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.releaseRunnerLocked(e, r)
+}
+
+// releaseRunnerLocked decrements a runner's in-flight count, finishing a
+// drain when the runner was replaced mid-flight.
+func (s *Server) releaseRunnerLocked(e *entry, r *runner) {
+	r.inflight--
+	r.lastUsed = s.clock.Now()
+	if r.draining && r.inflight == 0 && !r.removed && runnerStarted(r) {
+		r.inflight++ // balance the decrement in removeRunnerLocked
+		s.removeRunnerLocked(e, r)
+	}
+}
