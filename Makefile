@@ -23,10 +23,13 @@ race:
 flake:
 	$(GO) test -count=20 -race ./internal/core ./internal/client ./internal/cplane ./internal/shm ./internal/scenario
 
-# Short fuzzing smoke run over the wire-protocol decoder.
+# Short fuzzing smoke run over the wire-protocol decoder and over the
+# hand-written header codec, which is held to encoding/json's output.
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/wire
+	$(GO) test -fuzz=FuzzHeaderEncode -fuzztime=10s ./internal/wire
+	$(GO) test -fuzz=FuzzHeaderDecode -fuzztime=10s ./internal/wire
 
 # End-to-end invocation-path robustness check through a fault-injecting
 # listener (see internal/faults).

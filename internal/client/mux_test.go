@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -100,6 +102,89 @@ func TestMuxCancelLeavesSiblingStreams(t *testing.T) {
 	}
 	if n := ln.Accepted(); n != 1 {
 		t.Errorf("server accepted %d connections, want exactly the 1 shared one", n)
+	}
+}
+
+// nanKernel answers with a scalar the JSON header cannot carry.
+type nanKernel struct{}
+
+func (nanKernel) Name() string     { return "nan" }
+func (nanKernel) Kind() accel.Kind { return accel.GPU }
+func (nanKernel) Cost(*kernels.Request) (kernels.Cost, error) {
+	return kernels.Cost{Work: 1}, nil
+}
+func (nanKernel) Execute(*kernels.Request) (*kernels.Response, error) {
+	return &kernels.Response{Values: map[string]float64{"bad": math.NaN()}}, nil
+}
+
+// TestUnencodableReplyFailsItsOwnStream: a kernel result the header
+// cannot encode is that caller's typed, non-retryable error, whether its
+// reply would have been written inline (the connection's only stream) or
+// by the coalescing writer (a sibling in flight). It must neither close
+// the shared connection under the sibling nor leave the caller waiting.
+func TestUnencodableReplyFailsItsOwnStream(t *testing.T) {
+	for _, tt := range []struct {
+		name            string
+		siblingInFlight bool
+	}{{"inline", false}, {"writer queue", true}} {
+		t.Run(tt.name, func(t *testing.T) {
+			srv, ln := startFaultyServer(t, nil)
+			sib := gateKernel{started: make(chan struct{}, 2), gate: make(chan struct{})}
+			for _, k := range []kernels.Kernel{nanKernel{}, sib} {
+				if err := srv.Register(k); err != nil {
+					t.Fatalf("Register: %v", err)
+				}
+			}
+			// A failed run must still let the parked kernel go, or the
+			// server's Close waits on it forever.
+			release := sync.OnceFunc(func() { close(sib.gate) })
+			t.Cleanup(release)
+			c := Dial(ln.Addr().String(), WithMux(1), WithRetries(3))
+			defer c.Close()
+
+			sibling := make(chan error, 1)
+			go func() {
+				_, err := c.Invoke("gate", nil, nil)
+				sibling <- err
+			}()
+			if tt.siblingInFlight {
+				<-sib.started
+			} else {
+				release()
+				if err := <-sibling; err != nil {
+					t.Fatalf("sibling Invoke: %v", err)
+				}
+			}
+
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			_, err := c.InvokeContext(ctx, "nan", nil, nil)
+			var re *RemoteError
+			if !errors.As(err, &re) || re.Code != wire.CodeInternal || re.Retryable {
+				t.Fatalf("Invoke of a NaN result: err = %v, want a non-retryable %s RemoteError", err, wire.CodeInternal)
+			}
+			for _, want := range []string{`"nan"`, `"bad"`} {
+				if !strings.Contains(re.Message, want) {
+					t.Errorf("error %q does not name %s", re.Message, want)
+				}
+			}
+
+			if tt.siblingInFlight {
+				release()
+				if err := <-sibling; err != nil {
+					t.Errorf("sibling Invoke on the same connection: %v", err)
+				}
+			}
+			if _, err := c.Invoke("gate", nil, nil); err != nil {
+				t.Errorf("Invoke after the failed stream: %v", err)
+			}
+			if n := ln.Accepted(); n != 1 {
+				t.Errorf("server accepted %d connections, want exactly the 1 shared one", n)
+			}
+			if m := c.Metrics(); m.Retries != 0 {
+				t.Errorf("Retries = %d, want 0", m.Retries)
+			}
+		})
 	}
 }
 

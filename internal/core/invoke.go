@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"kaas/internal/accel"
@@ -76,7 +77,7 @@ func (s *Server) Invoke(ctx context.Context, name string, req *kernels.Request) 
 	tm.admitted.Inc()
 
 	report := &Report{
-		InvocationID: fmt.Sprintf("inv-%d", s.invSeq.Add(1)),
+		InvocationID: "inv-" + strconv.FormatUint(s.invSeq.Add(1), 10),
 		Kernel:       name,
 	}
 	report.Breakdown.Queue += queued

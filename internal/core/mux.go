@@ -521,6 +521,13 @@ func (s *muxSession) serveInvoke(msg *wire.Message) {
 		InvocationID:    report.InvocationID,
 		DurationNanos:   int64(report.Total()),
 	}
+	// A scalar the header cannot carry (NaN, an infinity) must fail this
+	// stream here: past this point an encode error belongs to the shared
+	// connection's writer, which can only drop the frame or the socket.
+	if err := wire.CheckEncodable(&wire.Message{Header: out}); err != nil {
+		s.sendErr(msg, fmt.Errorf("kernel %q returned a result that cannot be sent: %w", msg.Header.Kernel, err))
+		return
+	}
 	body := resp.Data
 	switch {
 	case lease != nil && len(resp.Data) > 0 && int64(len(resp.Data)) <= lease.Cap():

@@ -157,12 +157,6 @@ func (e *Engine) Run(ctx context.Context, work float64) (time.Duration, error) {
 	if work < 0 {
 		return 0, fmt.Errorf("psched: negative work %v", work)
 	}
-	j := &job{
-		work:      work,
-		remaining: work,
-		done:      make(chan struct{}),
-	}
-
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -170,11 +164,17 @@ func (e *Engine) Run(ctx context.Context, work float64) (time.Duration, error) {
 	}
 	now := e.clock.Now()
 	e.advanceLocked(now)
-	j.enqueued = now
 	if work <= workEpsilon {
-		// Zero-cost job: complete immediately without perturbing state.
+		// Zero-cost job: complete immediately without perturbing state,
+		// and before a job is built for it.
 		e.mu.Unlock()
 		return 0, nil
+	}
+	j := &job{
+		work:      work,
+		remaining: work,
+		enqueued:  now,
+		done:      make(chan struct{}),
 	}
 	e.queue = append(e.queue, j)
 	e.admitLocked(now)

@@ -65,6 +65,11 @@ func TestZeroWorkCompletesImmediately(t *testing.T) {
 	if elapsed != 0 {
 		t.Errorf("elapsed = %v, want 0", elapsed)
 	}
+	// Every header-only invocation runs a zero-byte copy and a zero-cost
+	// exec through here: no job, no channel.
+	if allocs := testing.AllocsPerRun(100, func() { e.Run(context.Background(), 0) }); allocs != 0 {
+		t.Errorf("Run with no work: %v allocs, want 0", allocs)
+	}
 }
 
 func TestNegativeWorkRejected(t *testing.T) {

@@ -13,6 +13,9 @@
 //	body    []byte   raw payload (in-band data)
 //
 // The JSON header carries the control fields of the message (see Header).
+// The frame path encodes and decodes it with the hand-written codec in
+// header.go, which emits the bytes encoding/json would and falls back to
+// encoding/json for whatever it does not recognize.
 // Invocation requests may set Header.DeadlineNanos — an absolute wall-clock
 // deadline in Unix nanoseconds — so a server can reject work that is
 // already expired when it arrives and cancel in-flight kernels whose
@@ -52,7 +55,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -222,88 +224,6 @@ var (
 	ErrTooLarge = errors.New("wire: frame too large")
 )
 
-// Header carries the JSON-encoded control fields of a message.
-type Header struct {
-	// Kernel is the kernel name for register/invoke.
-	Kernel string `json:"kernel,omitempty"`
-	// Tenant identifies the invoking tenant for fair queueing on
-	// MsgInvoke. Legacy (pre-tenant) peers omit it; servers map the empty
-	// string to the deterministic "default" tenant so mixed-version
-	// clusters do not split accounting between "" and "default".
-	Tenant string `json:"tenant,omitempty"`
-	// Kind is the device kind name for register.
-	Kind string `json:"kind,omitempty"`
-	// Params are the invocation parameters.
-	Params map[string]float64 `json:"params,omitempty"`
-	// Values are the scalar results of an invocation.
-	Values map[string]float64 `json:"values,omitempty"`
-	// Error is the failure description on MsgError.
-	Error string `json:"error,omitempty"`
-	// Code is the machine-readable classification of the failure on
-	// MsgError (one of the Code* constants). Empty on frames from servers
-	// predating structured errors; clients treat that as CodeInternal.
-	Code string `json:"code,omitempty"`
-	// Retryable reports whether the server considers the failure
-	// transient, i.e. the same request may succeed if retried after
-	// backoff.
-	Retryable bool `json:"retryable,omitempty"`
-	// ShmKey names a shared-memory region holding the input payload
-	// (out-of-band transfer). Empty means the payload is in the body.
-	ShmKey string `json:"shmKey,omitempty"`
-	// ResultShmKey names the region where the server stored the output
-	// payload when the client requested out-of-band results.
-	ResultShmKey string `json:"resultShmKey,omitempty"`
-	// WantShmResult asks the server to return payloads out-of-band.
-	WantShmResult bool `json:"wantShmResult,omitempty"`
-	// Names lists kernel names in MsgListResult.
-	Names []string `json:"names,omitempty"`
-	// Stats is an opaque JSON stats document in MsgStatsResult.
-	Stats json.RawMessage `json:"stats,omitempty"`
-	// ColdStart reports whether the invocation started a new runner.
-	ColdStart bool `json:"coldStart,omitempty"`
-	// CachedColdStart reports whether a cold start skipped JIT
-	// compilation because the compiled artifact was already cached.
-	// Only meaningful when ColdStart is true.
-	CachedColdStart bool `json:"cachedColdStart,omitempty"`
-	// InvocationID is the server-assigned invocation identifier returned
-	// on MsgResult. It joins the client-observed result with the server's
-	// structured log lines and metrics for that invocation.
-	InvocationID string `json:"invocationID,omitempty"`
-	// DurationNanos is the server-side modeled invocation time.
-	DurationNanos int64 `json:"durationNanos,omitempty"`
-	// DeadlineNanos is the absolute wall-clock deadline of the request in
-	// Unix nanoseconds. Servers reject frames whose deadline has already
-	// passed and cancel the invocation when it expires mid-flight. Zero
-	// means no deadline.
-	DeadlineNanos int64 `json:"deadlineNanos,omitempty"`
-	// StreamID identifies the request/reply stream on a multiplexed
-	// (version 2) connection. The client assigns it on requests; the
-	// server echoes it on the matching reply and on MsgCancel it names
-	// the stream to abort. Zero on version-1 connections.
-	StreamID uint64 `json:"streamID,omitempty"`
-	// MuxVersion carries the offered (MsgHello) or negotiated
-	// (MsgHelloAck) protocol version during the upgrade handshake.
-	MuxVersion uint8 `json:"muxVersion,omitempty"`
-	// MaxStreams advertises, on MsgHelloAck, how many concurrent streams
-	// the server will serve per connection before applying backpressure.
-	MaxStreams int `json:"maxStreams,omitempty"`
-	// LeaseID names an arena lease: the granted window on MsgLeaseAck,
-	// the revoked window on MsgLeaseRevoke, and — on MsgInvoke — the
-	// window holding the input payload (out-of-band transfer over the
-	// mux; zero means the payload is in the body or named by ShmKey).
-	LeaseID uint64 `json:"leaseID,omitempty"`
-	// LeaseBytes is the requested (MsgLease) or granted (MsgLeaseAck)
-	// capacity of an arena lease in bytes.
-	LeaseBytes int64 `json:"leaseBytes,omitempty"`
-	// LeaseLen is the length of the input payload within the leased
-	// window on a MsgInvoke that carries LeaseID.
-	LeaseLen int64 `json:"leaseLen,omitempty"`
-	// LeaseResultLen, on MsgResult, is the length of the output payload
-	// the server wrote back into the invocation's leased window. Zero
-	// means the result (if any) is in the frame body.
-	LeaseResultLen int64 `json:"leaseResultLen,omitempty"`
-}
-
 // Message is one protocol frame.
 type Message struct {
 	Type   MsgType
@@ -336,8 +256,8 @@ var bufPool = sync.Pool{
 	},
 }
 
-// hdrPool recycles header-decoding buffers across Read calls. The JSON
-// decoder copies everything it keeps, so the buffer never escapes.
+// hdrPool recycles header-decoding buffers across Read calls. decodeHeader
+// copies everything it keeps, so the buffer never escapes.
 var hdrPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -358,28 +278,29 @@ func frameVersion(msg *Message) (uint8, error) {
 }
 
 // appendHead encodes everything of msg's frame that precedes the body:
-// preamble, header and body length.
+// preamble, header and body length. The header is encoded in place, after
+// a hole for its length that is filled in once it is known.
 func appendHead(buf []byte, msg *Message) ([]byte, error) {
 	v, err := frameVersion(msg)
 	if err != nil {
 		return buf, err
 	}
-	hdr, err := json.Marshal(&msg.Header)
+	out := append(buf, magic[:]...)
+	out = append(out, v, byte(msg.Type), 0, 0, 0, 0)
+	hdrAt := len(out)
+	out, err = appendHeader(out, &msg.Header)
 	if err != nil {
 		return buf, fmt.Errorf("wire: encode header: %w", err)
 	}
-	if len(hdr) > MaxHeaderLen {
-		return buf, fmt.Errorf("%w: header %d bytes", ErrTooLarge, len(hdr))
+	hdrLen := len(out) - hdrAt
+	if hdrLen > MaxHeaderLen {
+		return buf, fmt.Errorf("%w: header %d bytes", ErrTooLarge, hdrLen)
 	}
 	if len(msg.Body) > MaxBodyLen {
 		return buf, fmt.Errorf("%w: body %d bytes", ErrTooLarge, len(msg.Body))
 	}
-	buf = append(buf, magic[:]...)
-	buf = append(buf, v, byte(msg.Type))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(hdr)))
-	buf = append(buf, hdr...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(msg.Body)))
-	return buf, nil
+	binary.BigEndian.PutUint32(out[hdrAt-4:], uint32(hdrLen))
+	return binary.BigEndian.AppendUint32(out, uint32(len(msg.Body))), nil
 }
 
 // Append encodes msg onto buf and returns the extended slice: the whole
@@ -423,8 +344,8 @@ func WriteSplit(w io.Writer, head, body []byte) error {
 }
 
 // Write encodes and writes a message to w. The encoding buffer is pooled,
-// so steady-state Writes do not allocate beyond the JSON header encoding,
-// and a body above inlineBodyMax is written from msg.Body without a copy.
+// so steady-state Writes do not allocate, and a body above inlineBodyMax
+// is written from msg.Body without a copy.
 func Write(w io.Writer, msg *Message) error {
 	bp := bufPool.Get().(*[]byte)
 	head, body, err := AppendSplit((*bp)[:0], msg)
@@ -485,16 +406,17 @@ func Read(r io.Reader) (*Message, error) {
 	return msg, nil
 }
 
-// readHeader reads and decodes the n-byte JSON header into out. Small
-// headers pass through a pooled buffer (the decoder copies what it
-// keeps); oversized ones fall back to the incremental section reader.
+// readHeader reads and decodes the n-byte JSON header into out, which must
+// be zero. Small headers pass through a pooled buffer (decodeHeader copies
+// what it keeps); oversized ones fall back to the incremental section
+// reader.
 func readHeader(r io.Reader, n int, out *Header) error {
 	if n > maxPooledBuf {
 		hdr, err := readSection(r, n)
 		if err != nil {
 			return fmt.Errorf("wire: read header: %w", err)
 		}
-		if err := json.Unmarshal(hdr, out); err != nil {
+		if err := decodeHeader(hdr, out); err != nil {
 			return fmt.Errorf("wire: decode header: %w", err)
 		}
 		return nil
@@ -513,7 +435,7 @@ func readHeader(r io.Reader, n int, out *Header) error {
 		}
 		return fmt.Errorf("wire: read header: %w", err)
 	}
-	if err := json.Unmarshal(buf, out); err != nil {
+	if err := decodeHeader(buf, out); err != nil {
 		return fmt.Errorf("wire: decode header: %w", err)
 	}
 	return nil
@@ -557,7 +479,12 @@ func readSection(r io.Reader, n int) ([]byte, error) {
 // FrameSize returns the on-wire size of a message without writing it, used
 // by the network shaper to model transfer time.
 func FrameSize(msg *Message) (int64, error) {
-	hdr, err := json.Marshal(&msg.Header)
+	bp := bufPool.Get().(*[]byte)
+	hdr, err := appendHeader((*bp)[:0], &msg.Header)
+	if cap(hdr) <= maxPooledBuf {
+		*bp = hdr[:0]
+		bufPool.Put(bp)
+	}
 	if err != nil {
 		return 0, fmt.Errorf("wire: encode header: %w", err)
 	}
