@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race flake fuzz faultcheck lint vuln bench-smoke bench bench-json bench-coldstart bench-failover bench-dataplane scenario-ci scenario-json ci clean
+.PHONY: all build vet test race flake fuzz faultcheck lint vuln bench-smoke bench bench-json bench-coldstart bench-failover scenario-ci scenario-json ci clean
 
 all: build
 
@@ -103,15 +103,6 @@ bench-coldstart:
 # plane, plus the retry-budget storm-suppression comparison.
 bench-failover:
 	$(GO) run ./cmd/kaasbench -failover 300 -failover-out BENCH_PR8.json
-
-# Regenerate the committed data-plane report: the zero-copy out-of-band
-# sweep (alloc/op per payload size must stay under a flat budget) and
-# the micro-batch window matrix (batched dispatches must coalesce and
-# device utilization must not drop below the unbatched arm). On hosts
-# without shared-memory support the sweep reports the reason and exits
-# cleanly — clients there fall back to in-band transfer transparently.
-bench-dataplane:
-	$(GO) run ./cmd/kaasbench -oob -seed 1 -oob-out BENCH_PR10.json
 
 ci: vet build test race fuzz scenario-ci
 

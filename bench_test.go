@@ -216,47 +216,56 @@ func BenchmarkAblationWarmReuse(b *testing.B) {
 }
 
 // BenchmarkAblationTransfer compares in-band and out-of-band payload
-// transfer through the TCP endpoint across payload sizes.
+// transfer through the TCP endpoint across payload sizes: the same Invoke
+// against a platform without a tensor arena and against one whose
+// clients lease windows of it.
 func BenchmarkAblationTransfer(b *testing.B) {
-	p, err := New(
-		WithAccelerators(TeslaP100),
-		WithListenAddr("127.0.0.1:0"),
-		WithoutResultComputation(),
-	)
-	if err != nil {
-		b.Fatal(err)
+	serve := func(opts ...Option) (*Platform, *Client) {
+		p, err := New(append(opts,
+			WithAccelerators(TeslaP100),
+			WithListenAddr("127.0.0.1:0"),
+			WithoutResultComputation(),
+		)...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(p.Close)
+		if err := p.RegisterByName("ga"); err != nil {
+			b.Fatal(err)
+		}
+		c, err := p.NewClient()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { c.Close() })
+		return p, c
 	}
-	defer p.Close()
-	if err := p.RegisterByName("ga"); err != nil {
-		b.Fatal(err)
-	}
-	c, err := p.NewClient()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
+	_, inband := serve()
+	shared, oob := serve(WithOutOfBand(64 << 20))
 
 	for _, n := range []int{64, 1024, 4096} {
 		payload := EncodeFloat64s(make([]float64, n*100))
 		params := Params{"n": float64(n), "generations": 1}
-		// Warm the runner.
-		if _, err := c.Invoke("ga", params, payload); err != nil {
-			b.Fatal(err)
+		for _, arm := range []struct {
+			name string
+			c    *Client
+		}{{"inband", inband}, {"oob", oob}} {
+			// Warm the runner.
+			if _, err := arm.c.Invoke("ga", params, payload); err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s-n%d", arm.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := arm.c.Invoke("ga", params, payload); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
-		b.Run(fmt.Sprintf("inband-n%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Invoke("ga", params, payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("oob-n%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := c.InvokeOutOfBand("ga", params, payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	}
+	// The lease path falls back in-band silently.
+	if shared.Stats().DataPlane.OOBInvocations == 0 {
+		b.Error("the oob arm never moved a payload by lease")
 	}
 }
 

@@ -12,7 +12,6 @@
 //	kaasbench -loadgen 100 -server 127.0.0.1:7070    # against a running kaasd
 //	kaasbench -overload 400 -overload-conc 64        # admission + breaker report
 //	kaasbench -failover 300 -failover-out BENCH_PR8.json   # cluster failover ladder
-//	kaasbench -oob -oob-out BENCH_PR10.json          # zero-copy data plane + micro-batch sweep
 //	kaasbench -scenario list                         # named replay/chaos scenarios
 //	kaasbench -scenario all -seed 1                  # full matrix against its invariants
 //	kaasbench -scenario chaos-flap -scenario-out out.json
@@ -85,22 +84,8 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "scenario seed: same seed, same trace, same chaos, same verdict lines")
 	scenarioOut := fs.String("scenario-out", "", "write the -scenario results (with diagnostics) as JSON to this file")
 	scenarioTrace := fs.String("scenario-trace", "", "replay this recorded CSV trace (offset_ms,kernel,n,payload) through the named scenario instead of its synthetic trace")
-	oob := fs.Bool("oob", false, "sweep the zero-copy out-of-band data plane (alloc/op per payload size) and the micro-batcher (dispatches per batch window), gated on flat budgets")
-	oobN := fs.Int("oob-invocations", 384, "invocations per -oob cell")
-	oobConc := fs.Int("oob-conc", 64, "concurrent clients for -oob")
-	oobOut := fs.String("oob-out", "", "write the -oob report as JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *oob {
-		return runOOB(os.Stdout, oobConfig{
-			Invocations: *oobN,
-			Conc:        *oobConc,
-			Scale:       *scale,
-			Seed:        *seed,
-			Out:         *oobOut,
-		})
 	}
 
 	if *scenarioName != "" {

@@ -14,7 +14,6 @@ import (
 	"kaas/internal/faults"
 	"kaas/internal/kernels"
 	"kaas/internal/metrics"
-	"kaas/internal/shm"
 	"kaas/internal/vclock"
 	"kaas/internal/wire"
 )
@@ -48,7 +47,7 @@ func runOverload(w io.Writer, invocations, conc int, scale float64) error {
 	if err := srv.Register(kernels.NewMonteCarlo()); err != nil {
 		return err
 	}
-	tcp, err := core.ServeTCP(srv, "127.0.0.1:0", shm.NewRegistry(1<<30))
+	tcp, err := core.ServeTCP(srv, "127.0.0.1:0")
 	if err != nil {
 		return err
 	}

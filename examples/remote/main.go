@@ -1,7 +1,8 @@
 // Remote demonstrates transparent remote invocation (§5.3): a client
 // calls the genetic-algorithm kernel on a KaaS server over TCP, comparing
-// in-band (serialized) and out-of-band (shared-memory) data transfer and
-// a network-shaped "remote" path modeling the paper's 1 Gbps testbed.
+// in-band (serialized) and out-of-band (shared-memory arena lease) data
+// transfer and a network-shaped "remote" path modeling the paper's 1 Gbps
+// testbed.
 //
 //	go run ./examples/remote
 package main
@@ -21,26 +22,49 @@ func main() {
 	}
 }
 
-func run() error {
-	platform, err := kaas.New(
+// serve starts a one-GPU KaaS server with the GA kernel registered.
+func serve(opts ...kaas.Option) (*kaas.Platform, error) {
+	platform, err := kaas.New(append([]kaas.Option{
 		kaas.WithAccelerators(kaas.TeslaP100),
 		kaas.WithListenAddr("127.0.0.1:0"),
-	)
+	}, opts...)...)
+	if err != nil {
+		return nil, err
+	}
+	if err := platform.RegisterByName("ga"); err != nil {
+		platform.Close()
+		return nil, err
+	}
+	return platform, nil
+}
+
+func run() error {
+	// Two servers on the same modeled host: one takes payloads in-band
+	// only; the other also shares a tensor arena with its local clients,
+	// whose payloads then move by lease handle.
+	plain, err := serve()
 	if err != nil {
 		return err
 	}
-	defer platform.Close()
-	if err := platform.RegisterByName("ga"); err != nil {
+	defer plain.Close()
+	shared, err := serve(kaas.WithOutOfBand(64 << 20))
+	if err != nil {
 		return err
 	}
-	fmt.Printf("KaaS server on %s\n\n", platform.Addr())
+	defer shared.Close()
+	fmt.Printf("KaaS servers on %s (in-band) and %s (out-of-band)\n\n", plain.Addr(), shared.Addr())
 
-	local, err := platform.NewClient()
+	local, err := plain.NewClient()
 	if err != nil {
 		return err
 	}
 	defer local.Close()
-	remote, err := platform.NewShapedClient()
+	localOOB, err := shared.NewClient()
+	if err != nil {
+		return err
+	}
+	defer localOOB.Close()
+	remote, err := plain.NewShapedClient()
 	if err != nil {
 		return err
 	}
@@ -55,25 +79,35 @@ func run() error {
 	payload := kaas.Params{"n": 512, "generations": 10}
 	data := kaas.EncodeFloat64s(population)
 
-	// Warm the runner, then compare the three paths.
-	if _, err := local.Invoke("ga", payload, data); err != nil {
-		return err
+	// Warm both runners, then compare the three paths.
+	for _, c := range []*kaas.Client{local, localOOB} {
+		if _, err := c.Invoke("ga", payload, data); err != nil {
+			return err
+		}
 	}
 
 	for _, path := range []struct {
 		name   string
-		invoke func() (*kaas.ClientResult, error)
+		client *kaas.Client
 	}{
-		{"local in-band ", func() (*kaas.ClientResult, error) { return local.Invoke("ga", payload, data) }},
-		{"local oob     ", func() (*kaas.ClientResult, error) { return local.InvokeOutOfBand("ga", payload, data) }},
-		{"remote (1Gbps)", func() (*kaas.ClientResult, error) { return remote.Invoke("ga", payload, data) }},
+		{"local in-band ", local},
+		{"local oob     ", localOOB},
+		{"remote (1Gbps)", remote},
 	} {
-		res, err := path.invoke()
+		res, err := path.client.Invoke("ga", payload, data)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path.name, err)
 		}
 		fmt.Printf("%s  server-time=%8.3fs  best-fitness=%.2f\n",
 			path.name, res.ServerTime.Seconds(), res.Values["best_fitness"])
+	}
+
+	// The lease path falls back in-band silently; the server's count says
+	// whether the out-of-band line above was one.
+	served := shared.Stats().DataPlane.OOBInvocations
+	fmt.Printf("\nout-of-band invocations served by arena lease: %d\n", served)
+	if served == 0 {
+		return fmt.Errorf("the out-of-band client never moved a payload by lease")
 	}
 	return nil
 }

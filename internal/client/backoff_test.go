@@ -10,7 +10,6 @@ import (
 	"kaas/internal/accel"
 	"kaas/internal/core"
 	"kaas/internal/kernels"
-	"kaas/internal/shm"
 	"kaas/internal/vclock"
 	"kaas/internal/wire"
 )
@@ -97,7 +96,7 @@ func TestOverloadedRetriedUntilAdmitted(t *testing.T) {
 	if err := srv.Register(kernels.NewMonteCarlo()); err != nil {
 		t.Fatalf("Register mci: %v", err)
 	}
-	tcp, err := core.ServeTCP(srv, "127.0.0.1:0", shm.NewRegistry(1<<30))
+	tcp, err := core.ServeTCP(srv, "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ServeTCP: %v", err)
 	}

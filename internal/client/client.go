@@ -65,12 +65,6 @@ func WithLink(l *netshape.Link) Option {
 	return func(c *Client) { c.link = l }
 }
 
-// WithShm enables out-of-band transfer through a shared-memory registry.
-// The registry must be the same instance the server uses (same host).
-func WithShm(r *shm.Registry) Option {
-	return func(c *Client) { c.regions = r }
-}
-
 // WithArena enables the zero-copy out-of-band data plane: the client
 // negotiates leases over windows of the server's pooled tensor arena and
 // moves invocation payloads by handle — the bytes never ride the wire and
@@ -166,7 +160,6 @@ type clientMetrics struct {
 type Client struct {
 	addr    string
 	link    *netshape.Link
-	regions *shm.Registry
 	arena   *shm.ArenaPool
 	timeout time.Duration
 	retry   RetryPolicy
@@ -471,68 +464,25 @@ func (c *Client) InvokeContext(ctx context.Context, kernel string, params kernel
 // identity, overriding any WithTenant default. Cluster routers use it to
 // share one client per server address across many tenants.
 func (c *Client) InvokeTenantContext(ctx context.Context, tenant, kernel string, params kernels.Params, data []byte) (*Result, error) {
-	return c.invoke(ctx, &wire.Message{
+	reply, err := c.roundTrip(ctx, &wire.Message{
 		Type:   wire.MsgInvoke,
 		Header: wire.Header{Kernel: kernel, Params: params, Tenant: tenant},
 		Body:   data,
 	})
-}
-
-// InvokeOutOfBand calls a kernel passing the payload through shared
-// memory: only the region key crosses the wire. Requires WithShm and a
-// same-host server. Results are also returned out-of-band when possible.
-func (c *Client) InvokeOutOfBand(kernel string, params kernels.Params, data []byte) (*Result, error) {
-	return c.InvokeOutOfBandContext(context.Background(), kernel, params, data)
-}
-
-// InvokeOutOfBandContext is InvokeOutOfBand with deadline and
-// cancellation propagation.
-func (c *Client) InvokeOutOfBandContext(ctx context.Context, kernel string, params kernels.Params, data []byte) (*Result, error) {
-	if c.regions == nil {
-		return nil, errors.New("client: out-of-band transfer needs WithShm")
-	}
-	key, err := c.regions.Create(data)
-	if err != nil {
-		return nil, err
-	}
-	defer c.regions.Delete(key)
-	return c.invoke(ctx, &wire.Message{
-		Type: wire.MsgInvoke,
-		Header: wire.Header{
-			Kernel:        kernel,
-			Params:        params,
-			Tenant:        c.tenant,
-			ShmKey:        key,
-			WantShmResult: true,
-		},
-	})
-}
-
-func (c *Client) invoke(ctx context.Context, msg *wire.Message) (*Result, error) {
-	reply, err := c.roundTrip(ctx, msg)
 	if err != nil {
 		return nil, err
 	}
 	if reply.Type != wire.MsgResult {
 		return nil, fmt.Errorf("client: unexpected reply %s", reply.Type)
 	}
-	res := &Result{
+	return &Result{
 		Values:       reply.Header.Values,
 		Data:         reply.Body,
 		Cold:         reply.Header.ColdStart,
 		CachedCold:   reply.Header.CachedColdStart,
 		InvocationID: reply.Header.InvocationID,
 		ServerTime:   time.Duration(reply.Header.DurationNanos),
-	}
-	if key := reply.Header.ResultShmKey; key != "" && c.regions != nil {
-		data, err := c.regions.Get(key)
-		if err != nil {
-			return nil, err
-		}
-		c.regions.Delete(key)
-		res.Data = data
-	}
-	return res, nil
+	}, nil
 }
 
 // ControlContext performs one cluster control-plane round trip: payload

@@ -13,13 +13,12 @@ import (
 	"kaas/internal/core"
 	"kaas/internal/kernels"
 	"kaas/internal/netshape"
-	"kaas/internal/shm"
 	"kaas/internal/vclock"
 	"kaas/internal/wire"
 )
 
 // startServer brings up a full KaaS TCP server on loopback.
-func startServer(t *testing.T, tweak ...func(*core.Config)) (*core.TCPServer, *shm.Registry, vclock.Clock) {
+func startServer(t *testing.T, tweak ...func(*core.Config)) (*core.TCPServer, vclock.Clock) {
 	t.Helper()
 	clock := vclock.Scaled(1000)
 	host, err := accel.NewHost(clock, "node", accel.XeonE52698,
@@ -37,20 +36,19 @@ func startServer(t *testing.T, tweak ...func(*core.Config)) (*core.TCPServer, *s
 		t.Fatalf("core.New: %v", err)
 	}
 	t.Cleanup(srv.Close)
-	regions := shm.NewRegistry(1 << 30)
-	tcp, err := core.ServeTCP(srv, "127.0.0.1:0", regions)
+	tcp, err := core.ServeTCP(srv, "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ServeTCP: %v", err)
 	}
 	t.Cleanup(func() { tcp.Close() })
-	return tcp, regions, clock
+	return tcp, clock
 }
 
 // TestRegisterInvokeEndToEnd walks one kernel through every start
 // temperature — cold, warm, and cached-cold after the reaper scales it
 // to zero: whatever the server reports must reach Result.
 func TestRegisterInvokeEndToEnd(t *testing.T) {
-	tcp, _, _ := startServer(t, func(cfg *core.Config) {
+	tcp, _ := startServer(t, func(cfg *core.Config) {
 		cfg.Artifacts = artifact.NewCache(64 << 20)
 		// 0.3 s of wall time at the test clock: far longer than the
 		// gap between the first two invocations below.
@@ -111,7 +109,7 @@ func TestRegisterInvokeEndToEnd(t *testing.T) {
 }
 
 func TestInvokeUnknownKernelReturnsRemoteError(t *testing.T) {
-	tcp, _, _ := startServer(t)
+	tcp, _ := startServer(t)
 	c := Dial(tcp.Addr())
 	defer c.Close()
 	_, err := c.Invoke("missing", nil, nil)
@@ -125,7 +123,7 @@ func TestInvokeUnknownKernelReturnsRemoteError(t *testing.T) {
 }
 
 func TestRegisterUnknownKernel(t *testing.T) {
-	tcp, _, _ := startServer(t)
+	tcp, _ := startServer(t)
 	c := Dial(tcp.Addr())
 	defer c.Close()
 	var re *RemoteError
@@ -135,7 +133,7 @@ func TestRegisterUnknownKernel(t *testing.T) {
 }
 
 func TestListKernels(t *testing.T) {
-	tcp, _, _ := startServer(t)
+	tcp, _ := startServer(t)
 	c := Dial(tcp.Addr())
 	defer c.Close()
 	if err := c.Register("matmul"); err != nil {
@@ -158,7 +156,7 @@ func TestListKernels(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	tcp, _, _ := startServer(t)
+	tcp, _ := startServer(t)
 	c := Dial(tcp.Addr())
 	defer c.Close()
 	if err := c.Register("matmul"); err != nil {
@@ -177,7 +175,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestInBandPayloadRoundTrip(t *testing.T) {
-	tcp, _, _ := startServer(t)
+	tcp, _ := startServer(t)
 	c := Dial(tcp.Addr())
 	defer c.Close()
 	if err := c.Register("bitmap"); err != nil {
@@ -205,46 +203,8 @@ func TestInBandPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOutOfBandInvocation(t *testing.T) {
-	tcp, regions, _ := startServer(t)
-	c := Dial(tcp.Addr(), WithShm(regions))
-	defer c.Close()
-	if err := c.Register("bitmap"); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	white := make([]float64, 32*32*3)
-	for i := range white {
-		white[i] = 1
-	}
-	res, err := c.InvokeOutOfBand("bitmap",
-		kernels.Params{"height": 32, "width": 32, "factor": 2},
-		kernels.Float64sToBytes(white))
-	if err != nil {
-		t.Fatalf("InvokeOutOfBand: %v", err)
-	}
-	if math.Abs(res.Values["mean_luma"]-1) > 1e-9 {
-		t.Errorf("mean_luma = %v, want 1", res.Values["mean_luma"])
-	}
-	if len(res.Data) == 0 {
-		t.Error("no out-of-band result payload")
-	}
-	// All temporary regions cleaned up.
-	if n := regions.Len(); n != 0 {
-		t.Errorf("leaked %d shm regions", n)
-	}
-}
-
-func TestOutOfBandWithoutShmFails(t *testing.T) {
-	tcp, _, _ := startServer(t)
-	c := Dial(tcp.Addr())
-	defer c.Close()
-	if _, err := c.InvokeOutOfBand("bitmap", nil, []byte{1}); err == nil {
-		t.Error("InvokeOutOfBand without WithShm succeeded")
-	}
-}
-
 func TestConcurrentInvocations(t *testing.T) {
-	tcp, _, _ := startServer(t)
+	tcp, _ := startServer(t)
 	c := Dial(tcp.Addr())
 	defer c.Close()
 	if err := c.Register("mci"); err != nil {
@@ -269,7 +229,7 @@ func TestConcurrentInvocations(t *testing.T) {
 }
 
 func TestShapedLinkAddsModeledDelay(t *testing.T) {
-	tcp, _, clock := startServer(t)
+	tcp, clock := startServer(t)
 	link := netshape.GigabitEthernet(clock)
 	c := Dial(tcp.Addr(), WithLink(link))
 	defer c.Close()
@@ -290,7 +250,7 @@ func TestShapedLinkAddsModeledDelay(t *testing.T) {
 }
 
 func TestClientClose(t *testing.T) {
-	tcp, _, _ := startServer(t)
+	tcp, _ := startServer(t)
 	c := Dial(tcp.Addr())
 	c.Close()
 	if _, err := c.Invoke("matmul", nil, nil); !errors.Is(err, ErrClosed) {
@@ -299,7 +259,7 @@ func TestClientClose(t *testing.T) {
 }
 
 func TestServerRejectsGarbageProtocol(t *testing.T) {
-	tcp, _, _ := startServer(t)
+	tcp, _ := startServer(t)
 	conn, err := net.Dial("tcp", tcp.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -318,7 +278,7 @@ func TestServerRejectsGarbageProtocol(t *testing.T) {
 }
 
 func TestServerCloseTerminatesConnections(t *testing.T) {
-	tcp, _, _ := startServer(t)
+	tcp, _ := startServer(t)
 	c := Dial(tcp.Addr())
 	defer c.Close()
 	if err := c.Register("matmul"); err != nil {

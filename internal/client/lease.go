@@ -70,7 +70,8 @@ func (p *leasePool) checkin(cl *clientLease) {
 	p.mu.Unlock()
 }
 
-// discard drops a lease for good (stale-lease error from the server).
+// discard drops a lease for good: the server reported it stale, or the
+// call that held it was abandoned.
 func (p *leasePool) discard(cl *clientLease) {
 	p.mu.Lock()
 	delete(p.inuse, cl.l.ID())
@@ -132,7 +133,7 @@ func (p *leasePool) releaseAll() {
 // arena on the server, budget full, lease revoked mid-flight — falls back
 // to the plain in-band round trip transparently.
 func (m *muxConn) send(ctx context.Context, msg *wire.Message) (*wire.Message, error) {
-	if m.c.arena != nil && msg.Type == wire.MsgInvoke && len(msg.Body) > 0 && msg.Header.ShmKey == "" {
+	if m.c.arena != nil && msg.Type == wire.MsgInvoke && len(msg.Body) > 0 {
 		if reply, used, err := m.invokeLeased(ctx, msg); used {
 			return reply, err
 		}
@@ -164,7 +165,17 @@ func (m *muxConn) invokeLeased(ctx context.Context, msg *wire.Message) (reply *w
 
 	reply, err = m.roundTrip(ctx, &lm)
 	if err != nil {
-		m.leases.checkin(cl)
+		if ctx.Err() != nil {
+			// The call was abandoned, and its frame may have reached the
+			// server: a kernel may be reading the window now, or writing
+			// its result there later. The window is never reused; its
+			// budget returns when the connection closes.
+			m.leases.discard(cl)
+		} else {
+			// Not sent (unencodable), or the connection died and doomed
+			// the lease.
+			m.leases.checkin(cl)
+		}
 		return nil, true, err
 	}
 	if reply.Type == wire.MsgError && reply.Header.Code == wire.CodeLeaseRevoked {

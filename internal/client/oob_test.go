@@ -1,6 +1,9 @@
 package client
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -30,7 +33,7 @@ func startOOBServer(t *testing.T) (*core.Server, *core.TCPServer, *shm.ArenaPool
 	}
 	t.Cleanup(srv.Close)
 	arena := shm.NewArenaPool(4 << 20)
-	tcp, err := core.ServeTCP(srv, "127.0.0.1:0", shm.NewRegistry(1<<30), core.WithArenaPool(arena))
+	tcp, err := core.ServeTCP(srv, "127.0.0.1:0", core.WithArenaPool(arena))
 	if err != nil {
 		t.Fatalf("ServeTCP: %v", err)
 	}
@@ -144,7 +147,7 @@ func TestOOBStaleLeaseFallsBackInBand(t *testing.T) {
 // server without one: negotiation is denied once, every invoke runs
 // in-band, and the caller never notices.
 func TestOOBClientAgainstPlainServer(t *testing.T) {
-	tcp, _, _ := startServer(t)
+	tcp, _ := startServer(t)
 	arena := shm.NewArenaPool(1 << 20)
 	c := Dial(tcp.Addr(), WithMux(1), WithArena(arena))
 	defer c.Close()
@@ -207,5 +210,105 @@ func TestClientCloseReleasesLeases(t *testing.T) {
 			t.Fatalf("arena stats = %+v after client close, want all leases released", st)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// gatedSum sums its payload bytes. A request with params["hold"] == 1
+// first announces itself on entered and waits for release, modeling a
+// kernel still running after its caller has gone; what it then summed
+// goes to held.
+type gatedSum struct {
+	entered, release chan struct{}
+	held             chan float64
+}
+
+func (gatedSum) Name() string     { return "gatedsum" }
+func (gatedSum) Kind() accel.Kind { return accel.GPU }
+func (gatedSum) Cost(*kernels.Request) (kernels.Cost, error) {
+	return kernels.Cost{Work: 1e6, BytesIn: 1 << 10, BytesOut: 1 << 10, DeviceMemory: 1 << 16}, nil
+}
+func (k gatedSum) Execute(req *kernels.Request) (*kernels.Response, error) {
+	hold := req.Params["hold"] == 1
+	if hold {
+		k.entered <- struct{}{}
+		<-k.release
+	}
+	var sum float64
+	for _, b := range req.Data {
+		sum += float64(b)
+	}
+	if hold {
+		k.held <- sum
+	}
+	return &kernels.Response{Values: map[string]float64{"sum": sum}}, nil
+}
+
+// TestCancelledLeasedCallDoesNotRecycleWindow: a leased call cancelled
+// while its kernel is inside Execute leaves the server reading the
+// window, so the client must not hand that window to its next call. The
+// second call may take a fresh lease or go in-band; the abandoned kernel
+// must still see the payload it was sent.
+func TestCancelledLeasedCallDoesNotRecycleWindow(t *testing.T) {
+	srv, tcp, arena := startOOBServer(t)
+	k := gatedSum{entered: make(chan struct{}), release: make(chan struct{}, 1), held: make(chan float64, 1)}
+	if err := srv.Register(k); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	defer func() { // unblock the kernel on a failed run too
+		select {
+		case k.release <- struct{}{}:
+		default:
+		}
+	}()
+	c := Dial(tcp.Addr(), WithMux(1), WithArena(arena))
+	defer c.Close()
+
+	const size = 64 << 10
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	first := make(chan error, 1)
+	go func() {
+		_, err := c.InvokeContext(ctx, "gatedsum", kernels.Params{"hold": 1}, bytes.Repeat([]byte{1}, size))
+		first <- err
+	}()
+	select {
+	case <-k.entered:
+	case err := <-first:
+		t.Fatalf("first call returned before its kernel ran: %v", err)
+	}
+	leases := c.slots[0].conn.leases
+	var abandoned uint64
+	leases.mu.Lock()
+	for id := range leases.inuse {
+		abandoned = id
+	}
+	leases.mu.Unlock()
+	if abandoned == 0 {
+		t.Fatal("first call did not take the lease path")
+	}
+	cancel()
+	if err := <-first; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled call returned %v, want context.Canceled", err)
+	}
+
+	// The abandoned kernel is still blocked inside the window.
+	res, err := c.Invoke("gatedsum", nil, bytes.Repeat([]byte{2}, size))
+	if err != nil {
+		t.Fatalf("second call: %v", err)
+	}
+	if got := res.Values["sum"]; got != 2*size {
+		t.Errorf("second call summed %v, want %v", got, 2*size)
+	}
+	leases.mu.Lock()
+	for _, cl := range leases.free {
+		if cl.l.ID() == abandoned {
+			t.Errorf("lease %d is back on the free list while the server is still inside it", abandoned)
+		}
+	}
+	leases.mu.Unlock()
+
+	k.release <- struct{}{}
+	if got := <-k.held; got != size {
+		t.Errorf("abandoned kernel summed %v over its window, want %v: the window was rewritten under it", got, size)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"kaas/internal/core"
 	"kaas/internal/faults"
 	"kaas/internal/kernels"
-	"kaas/internal/shm"
 	"kaas/internal/vclock"
 )
 
@@ -52,7 +51,7 @@ func startFaultyServer(t *testing.T, plans func(i int) faults.Plan) (*core.Serve
 		t.Fatalf("listen: %v", err)
 	}
 	ln := faults.Wrap(raw, plans)
-	tcp, err := core.ServeTCPListener(srv, ln, shm.NewRegistry(1<<30))
+	tcp, err := core.ServeTCPListener(srv, ln)
 	if err != nil {
 		t.Fatalf("ServeTCPListener: %v", err)
 	}

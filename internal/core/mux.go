@@ -473,17 +473,6 @@ func (s *muxSession) serveInvoke(msg *wire.Message) {
 		req.Data = l.Bytes()[:msg.Header.LeaseLen]
 		s.t.srv.dpMet.oobInvocations.Inc()
 		s.t.srv.dpMet.oobBytes.Add(uint64(msg.Header.LeaseLen))
-	case msg.Header.ShmKey != "":
-		if s.t.regions == nil {
-			s.sendErr(msg, errors.New("out-of-band transfer not configured"))
-			return
-		}
-		data, err := s.t.regions.Get(msg.Header.ShmKey)
-		if err != nil {
-			s.sendErr(msg, err)
-			return
-		}
-		req.Data = data
 	case len(msg.Body) > 0:
 		req.Data = msg.Body
 		s.t.srv.dpMet.inbandBytes.Add(uint64(len(msg.Body)))
@@ -529,8 +518,7 @@ func (s *muxSession) serveInvoke(msg *wire.Message) {
 		return
 	}
 	body := resp.Data
-	switch {
-	case lease != nil && len(resp.Data) > 0 && int64(len(resp.Data)) <= lease.Cap():
+	if lease != nil && len(resp.Data) > 0 && int64(len(resp.Data)) <= lease.Cap() {
 		// The result rides back through the same leased window the
 		// request arrived in: one copy into shared memory, no bytes on
 		// the wire. The lease is still pinned (released after send), so a
@@ -540,21 +528,6 @@ func (s *muxSession) serveInvoke(msg *wire.Message) {
 		out.LeaseID = msg.Header.LeaseID
 		out.LeaseResultLen = int64(len(resp.Data))
 		body = nil
-	case msg.Header.WantShmResult && s.t.regions != nil && len(resp.Data) > 0:
-		key, err := s.t.regions.Create(resp.Data)
-		if err != nil {
-			s.sendErr(msg, err)
-			return
-		}
-		out.ResultShmKey = key
-		s.reply(msg, wire.MsgResult, out, nil)
-		if s.failed.Load() {
-			// The session died before (or while) the reply was written:
-			// the client will never read and delete the result region, so
-			// its bytes are returned to the registry budget here.
-			s.t.regions.Delete(key)
-		}
-		return
 	}
 	s.reply(msg, wire.MsgResult, out, body)
 }

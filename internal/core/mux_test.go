@@ -9,7 +9,6 @@ import (
 
 	"kaas/internal/accel"
 	"kaas/internal/kernels"
-	"kaas/internal/shm"
 	"kaas/internal/vclock"
 	"kaas/internal/wire"
 )
@@ -215,7 +214,7 @@ func TestMuxDrainFinishesStreams(t *testing.T) {
 	if err := srv.Register(k); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	tcp, err := ServeTCP(srv, "127.0.0.1:0", shm.NewRegistry(1<<30))
+	tcp, err := ServeTCP(srv, "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ServeTCP: %v", err)
 	}

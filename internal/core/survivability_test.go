@@ -11,7 +11,6 @@ import (
 	"kaas/internal/accel"
 	"kaas/internal/breaker"
 	"kaas/internal/faults"
-	"kaas/internal/shm"
 	"kaas/internal/vclock"
 	"kaas/internal/wire"
 )
@@ -196,7 +195,7 @@ func TestOverloadedCodeOverTCP(t *testing.T) {
 	if err := srv.Register(slowKernel{}); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	tcp, err := ServeTCP(srv, "127.0.0.1:0", shm.NewRegistry(1<<30))
+	tcp, err := ServeTCP(srv, "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ServeTCP: %v", err)
 	}
@@ -448,7 +447,7 @@ func TestTCPDrainCompletesInFlight(t *testing.T) {
 	if err := srv.Register(k); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	tcp, err := ServeTCP(srv, "127.0.0.1:0", shm.NewRegistry(1<<30))
+	tcp, err := ServeTCP(srv, "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ServeTCP: %v", err)
 	}

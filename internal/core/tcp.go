@@ -50,8 +50,8 @@ var aLongTimeAgo = time.Unix(1, 0)
 // TCPServer exposes a Server over the KaaS wire protocol — the
 // request/response invocation endpoint of Fig. 5. Clients register
 // kernels from the built-in kernel library by name (standing in for code
-// upload) and invoke them with in-band payloads or out-of-band
-// shared-memory keys.
+// upload) and invoke them with in-band payloads or out-of-band arena
+// lease handles (WithArenaPool).
 //
 // The server is deadline-aware: invocations carrying an expired
 // wire.Header.DeadlineNanos are rejected before touching a runner, a
@@ -59,9 +59,8 @@ var aLongTimeAgo = time.Unix(1, 0)
 // disconnects mid-invocation cancels the kernel's context so the runner
 // stops burning device time for an answer nobody will read.
 type TCPServer struct {
-	srv     *Server
-	ln      net.Listener
-	regions *shm.Registry
+	srv *Server
+	ln  net.Listener
 	// arena backs the zero-copy out-of-band data plane (WithArenaPool) and
 	// is the only record of which connection owns which lease; nil when
 	// the data plane is off.
@@ -130,29 +129,27 @@ func WithArenaPool(p *shm.ArenaPool) TCPOption {
 }
 
 // ServeTCP starts accepting KaaS protocol connections on addr
-// (e.g. "127.0.0.1:0"). The optional regions registry enables out-of-band
-// payload transfer for same-host clients.
-func ServeTCP(s *Server, addr string, regions *shm.Registry, opts ...TCPOption) (*TCPServer, error) {
+// (e.g. "127.0.0.1:0").
+func ServeTCP(s *Server, addr string, opts ...TCPOption) (*TCPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("core: listen: %w", err)
 	}
-	return ServeTCPListener(s, ln, regions, opts...)
+	return ServeTCPListener(s, ln, opts...)
 }
 
 // ServeTCPListener serves the KaaS protocol on a caller-provided
 // listener. Test and benchmark harnesses use it to interpose
 // fault-injecting listeners (see internal/faults) between clients and
 // the server.
-func ServeTCPListener(s *Server, ln net.Listener, regions *shm.Registry, opts ...TCPOption) (*TCPServer, error) {
+func ServeTCPListener(s *Server, ln net.Listener, opts ...TCPOption) (*TCPServer, error) {
 	if ln == nil {
 		return nil, fmt.Errorf("core: nil listener")
 	}
 	t := &TCPServer{
-		srv:     s,
-		ln:      ln,
-		regions: regions,
-		conns:   make(map[net.Conn]struct{}),
+		srv:   s,
+		ln:    ln,
+		conns: make(map[net.Conn]struct{}),
 	}
 	for _, o := range opts {
 		o(t)

@@ -11,7 +11,6 @@ import (
 
 	"kaas/internal/accel"
 	"kaas/internal/kernels"
-	"kaas/internal/shm"
 	"kaas/internal/vclock"
 	"kaas/internal/wire"
 )
@@ -68,7 +67,7 @@ func startTCP(t *testing.T) (*Server, *TCPServer, *syncBuffer) {
 		t.Fatalf("New: %v", err)
 	}
 	t.Cleanup(srv.Close)
-	tcp, err := ServeTCP(srv, "127.0.0.1:0", shm.NewRegistry(1<<30))
+	tcp, err := ServeTCP(srv, "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ServeTCP: %v", err)
 	}

@@ -28,8 +28,11 @@ const remoteSessionOverhead = 400 * time.Millisecond
 // Fig11Remote reproduces Fig. 11: total completion time of the GA kernel
 // under (1) remote invocation over a shaped 1 Gbps link, (2) local
 // invocation with in-band serialized transfer, (3) local invocation with
-// out-of-band shared-memory transfer, and (4) local CPU execution on the
-// client host.
+// out-of-band shared-memory transfer (an arena lease), and (4) local CPU
+// execution on the client host. The lease path falls back in-band without
+// telling its caller, so the figure checks the server's own count of
+// lease-served invocations around every arm and fails rather than report
+// an in-band run under the out-of-band label.
 func Fig11Remote(o Options) (*Table, error) {
 	o = o.withDefaults()
 	// TCP wall latency leaks into the scaled timeline; keep the scale
@@ -57,8 +60,10 @@ func Fig11Remote(o Options) (*Table, error) {
 	if err := srv.Register(ga); err != nil {
 		return nil, err
 	}
-	regions := shm.NewRegistry(1 << 30)
-	tcp, err := core.ServeTCP(srv, "127.0.0.1:0", regions)
+	// Each connection holds one leased window per payload size it has
+	// sent; the largest is 3.2 MB.
+	arena := shm.NewArenaPool(64 << 20)
+	tcp, err := core.ServeTCP(srv, "127.0.0.1:0", core.WithArenaPool(arena))
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +73,7 @@ func Fig11Remote(o Options) (*Table, error) {
 	defer remote.Close()
 	localInBand := client.Dial(tcp.Addr())
 	defer localInBand.Close()
-	localOOB := client.Dial(tcp.Addr(), client.WithShm(regions))
+	localOOB := client.Dial(tcp.Addr(), client.WithArena(arena))
 	defer localOOB.Close()
 
 	// CPU execution runs on the client machine's EPYC CPUs.
@@ -98,7 +103,10 @@ func Fig11Remote(o Options) (*Table, error) {
 			return nil, fmt.Errorf("fig11 warmup n=%d: %w", n, err)
 		}
 
-		measure := func(scenario string, run func() error) error {
+		// byLease is how many of the scenario's samples the server must
+		// have served out of a leased window.
+		measure := func(scenario string, byLease int, run func() error) error {
+			oobBefore := srv.Stats().DataPlane.OOBInvocations
 			var total time.Duration
 			for s := 0; s < o.Samples; s++ {
 				start := clock.Now()
@@ -108,32 +116,36 @@ func Fig11Remote(o Options) (*Table, error) {
 				}
 				total += clock.Now().Sub(start)
 			}
+			if got := srv.Stats().DataPlane.OOBInvocations - oobBefore; got != uint64(byLease) {
+				return fmt.Errorf("fig11 %s n=%d: %d of %d invocations served by lease, want %d",
+					scenario, n, got, o.Samples, byLease)
+			}
 			meanTotal := total / time.Duration(o.Samples)
 			table.AddRow(fmt.Sprintf("%d", n), scenario, seconds(meanTotal))
 			table.Set(fmt.Sprintf("%s/%d/total", scenario, n), meanTotal.Seconds())
 			return nil
 		}
 
-		if err := measure("remote", func() error {
+		if err := measure("remote", 0, func() error {
 			clock.Sleep(remoteSessionOverhead)
 			_, err := remote.Invoke(ga.Name(), params, payload)
 			return err
 		}); err != nil {
 			return nil, err
 		}
-		if err := measure("local-inband", func() error {
+		if err := measure("local-inband", 0, func() error {
 			_, err := localInBand.Invoke(ga.Name(), params, payload)
 			return err
 		}); err != nil {
 			return nil, err
 		}
-		if err := measure("local-oob", func() error {
-			_, err := localOOB.InvokeOutOfBand(ga.Name(), params, payload)
+		if err := measure("local-oob", o.Samples, func() error {
+			_, err := localOOB.Invoke(ga.Name(), params, payload)
 			return err
 		}); err != nil {
 			return nil, err
 		}
-		if err := measure("cpu", func() error {
+		if err := measure("cpu", 0, func() error {
 			_, _, err := cpuExec.Run(context.Background(), gaCPU,
 				&kernels.Request{Params: params, Data: payload})
 			return err

@@ -506,7 +506,7 @@ func buildServer(spec Spec, names []string, clock vclock.Clock, seed int64) (*ha
 		tcpOpts = append(tcpOpts, core.WithArenaPool(arena))
 	}
 	fln := faults.Wrap(ln, faults.Script())
-	tcp, err := core.ServeTCPListener(srv, fln, shm.NewRegistry(1<<30), tcpOpts...)
+	tcp, err := core.ServeTCPListener(srv, fln, tcpOpts...)
 	if err != nil {
 		ln.Close()
 		h.close()

@@ -1,3 +1,6 @@
+// Out-of-band transfer is the ArenaPool in this file. No product code
+// uses Registry (shm.go); it is kept, comment and all, until the
+// benchmark drops its shm.registry_create_get_delete_ns rung.
 package shm
 
 import (
@@ -20,9 +23,9 @@ var ErrUnknownLease = errors.New("shm: unknown lease")
 
 // Supported reports whether this host can back tensor arenas, with a
 // human-readable detail. The simulated shared memory is in-process and
-// always available; the probe exists so callers (make bench-dataplane)
-// have a uniform "skip gracefully when the host lacks shm" seam that a
-// real mmap-backed implementation would fail on.
+// always available; the probe exists so callers (kaas.New) have a
+// uniform "fail cleanly when the host lacks shm" seam that a real
+// mmap-backed implementation would fail on.
 func Supported() (bool, string) {
 	return true, "in-process simulated shared memory"
 }

@@ -24,8 +24,6 @@ func seedFrames(t testing.TB) [][]byte {
 		{Type: MsgError, Header: Header{Error: "boom"}},
 		{Type: MsgInvoke, Header: Header{
 			Kernel:        "bitmap",
-			ShmKey:        "region-1",
-			WantShmResult: true,
 			DeadlineNanos: 1700000000000000000,
 		}},
 		{Type: MsgStatsResult, Header: Header{Stats: []byte(`{"Kernels":1}`)}},

@@ -33,14 +33,6 @@ type Header struct {
 	// transient, i.e. the same request may succeed if retried after
 	// backoff.
 	Retryable bool `json:"retryable,omitempty"`
-	// ShmKey names a shared-memory region holding the input payload
-	// (out-of-band transfer). Empty means the payload is in the body.
-	ShmKey string `json:"shmKey,omitempty"`
-	// ResultShmKey names the region where the server stored the output
-	// payload when the client requested out-of-band results.
-	ResultShmKey string `json:"resultShmKey,omitempty"`
-	// WantShmResult asks the server to return payloads out-of-band.
-	WantShmResult bool `json:"wantShmResult,omitempty"`
 	// Names lists kernel names in MsgListResult.
 	Names []string `json:"names,omitempty"`
 	// Stats is an opaque JSON stats document in MsgStatsResult.
@@ -76,7 +68,7 @@ type Header struct {
 	// LeaseID names an arena lease: the granted window on MsgLeaseAck,
 	// the revoked window on MsgLeaseRevoke, and — on MsgInvoke — the
 	// window holding the input payload (out-of-band transfer over the
-	// mux; zero means the payload is in the body or named by ShmKey).
+	// mux; zero means the payload is in the body).
 	LeaseID uint64 `json:"leaseID,omitempty"`
 	// LeaseBytes is the requested (MsgLease) or granted (MsgLeaseAck)
 	// capacity of an arena lease in bytes.
@@ -145,9 +137,6 @@ func appendHeaderFields(b []byte, h *Header) ([]byte, bool) {
 	b = appendStringField(b, `,"error":`, h.Error)
 	b = appendStringField(b, `,"code":`, h.Code)
 	b = appendBoolField(b, `,"retryable":`, h.Retryable)
-	b = appendStringField(b, `,"shmKey":`, h.ShmKey)
-	b = appendStringField(b, `,"resultShmKey":`, h.ResultShmKey)
-	b = appendBoolField(b, `,"wantShmResult":`, h.WantShmResult)
 	b = appendBoolField(b, `,"coldStart":`, h.ColdStart)
 	b = appendBoolField(b, `,"cachedColdStart":`, h.CachedColdStart)
 	b = appendStringField(b, `,"invocationID":`, h.InvocationID)
@@ -346,55 +335,46 @@ func scanHeader(hdr []byte, h *Header) bool {
 		case "retryable":
 			bit = 1 << 7
 			h.Retryable, i, ok = readBool(hdr, i)
-		case "shmKey":
-			bit = 1 << 8
-			h.ShmKey, i, ok = readString(hdr, i)
-		case "resultShmKey":
-			bit = 1 << 9
-			h.ResultShmKey, i, ok = readString(hdr, i)
-		case "wantShmResult":
-			bit = 1 << 10
-			h.WantShmResult, i, ok = readBool(hdr, i)
 		case "coldStart":
-			bit = 1 << 11
+			bit = 1 << 8
 			h.ColdStart, i, ok = readBool(hdr, i)
 		case "cachedColdStart":
-			bit = 1 << 12
+			bit = 1 << 9
 			h.CachedColdStart, i, ok = readBool(hdr, i)
 		case "invocationID":
-			bit = 1 << 13
+			bit = 1 << 10
 			h.InvocationID, i, ok = readString(hdr, i)
 		case "durationNanos":
-			bit = 1 << 14
+			bit = 1 << 11
 			h.DurationNanos, i, ok = readInt(hdr, i)
 		case "deadlineNanos":
-			bit = 1 << 15
+			bit = 1 << 12
 			h.DeadlineNanos, i, ok = readInt(hdr, i)
 		case "streamID":
-			bit = 1 << 16
+			bit = 1 << 13
 			h.StreamID, i, ok = readUint(hdr, i, math.MaxUint64)
 		case "muxVersion":
-			bit = 1 << 17
+			bit = 1 << 14
 			var v uint64
 			v, i, ok = readUint(hdr, i, math.MaxUint8)
 			h.MuxVersion = uint8(v)
 		case "maxStreams":
-			bit = 1 << 18
+			bit = 1 << 15
 			var v int64
 			v, i, ok = readInt(hdr, i)
 			h.MaxStreams = int(v)
 			ok = ok && int64(h.MaxStreams) == v
 		case "leaseID":
-			bit = 1 << 19
+			bit = 1 << 16
 			h.LeaseID, i, ok = readUint(hdr, i, math.MaxUint64)
 		case "leaseBytes":
-			bit = 1 << 20
+			bit = 1 << 17
 			h.LeaseBytes, i, ok = readInt(hdr, i)
 		case "leaseLen":
-			bit = 1 << 21
+			bit = 1 << 18
 			h.LeaseLen, i, ok = readInt(hdr, i)
 		case "leaseResultLen":
-			bit = 1 << 22
+			bit = 1 << 19
 			h.LeaseResultLen, i, ok = readInt(hdr, i)
 		default:
 			return false

@@ -140,6 +140,7 @@ func TestScanHeaderDeclines(t *testing.T) {
 		{`{"kernel":"a","kernel":"b"}`, false},
 		{`{"Kernel":"a"}`, false},
 		{`{"future":1}`, false},
+		{retiredKeyHeader, false},
 		{`{"kernel":null}`, false},
 		{`{"kernel":7}`, false},
 		{`{"kernel":"\` + `u0041"}`, false},
@@ -169,7 +170,17 @@ func TestScanHeaderDeclines(t *testing.T) {
 			t.Errorf("scanHeader(%s) accepted = %v, want %v", tt.hdr, got, tt.accept)
 		}
 	}
+	// A retired key is an unknown key: the scanner declines, and the
+	// encoding/json fallback skips it and keeps the rest.
+	var got Header
+	if err := decodeHeader([]byte(retiredKeyHeader), &got); err != nil || !headersEqual(&got, &Header{Kernel: "a", StreamID: 7}) {
+		t.Errorf("decodeHeader(%s) = %+v, %v", retiredKeyHeader, got, err)
+	}
 }
+
+// retiredKeyHeader names a key of the key-based out-of-band path this
+// protocol once carried.
+const retiredKeyHeader = `{"kernel":"a","wantShmResult":true,"streamID":7}`
 
 // FuzzHeaderEncode builds arbitrary headers and requires appendHeader to
 // agree with json.Marshal byte for byte, or to fail where it fails.
@@ -186,8 +197,8 @@ func FuzzHeaderEncode(f *testing.F) {
 		}
 		h := Header{
 			Kernel: kernel, Tenant: tenant, Kind: k1,
-			Error: errText, Code: k2, ShmKey: k3, ResultShmKey: errText, InvocationID: tenant,
-			Retryable: flags&1 != 0, WantShmResult: flags&2 != 0, ColdStart: flags&4 != 0, CachedColdStart: flags&8 != 0,
+			Error: errText, Code: k2, InvocationID: tenant,
+			Retryable: flags&1 != 0, ColdStart: flags&4 != 0, CachedColdStart: flags&8 != 0,
 			DurationNanos: n1, DeadlineNanos: n2, LeaseBytes: n2, LeaseLen: n1, LeaseResultLen: n1 ^ n2,
 			StreamID: u, LeaseID: u >> 1, MuxVersion: flags, MaxStreams: int(n1),
 		}
@@ -240,11 +251,10 @@ func parentFrameMessages() []*Message {
 		{Type: MsgRegistered, Header: Header{Kernel: "matmul"}},
 		{Version: VersionMux, Type: MsgInvoke, Header: Header{
 			Kernel: "probe", Tenant: "victim-a", Params: map[string]float64{"work": 0, "op": 12345, "eps": 1e-7},
-			ShmKey: "region-1", WantShmResult: true, DeadlineNanos: 1700000000000000000,
-			StreamID: 100001, LeaseID: 7, LeaseLen: 4096,
+			DeadlineNanos: 1700000000000000000, StreamID: 100001, LeaseID: 7, LeaseLen: 4096,
 		}, Body: []byte("in-band body")},
 		{Version: VersionMux, Type: MsgResult, Header: Header{
-			Values: map[string]float64{"sum": 123456789, "mean": -0.25, "big": 1e21}, ResultShmKey: "region-2",
+			Values:    map[string]float64{"sum": 123456789, "mean": -0.25, "big": 1e21},
 			ColdStart: true, CachedColdStart: true, InvocationID: "inv-100001", DurationNanos: 2000000,
 			StreamID: 100001, LeaseID: 7, LeaseResultLen: 128,
 		}, Body: []byte{0, 1, 2, 3}},

@@ -474,7 +474,6 @@ type Platform struct {
 	host       *accel.Host
 	server     *core.Server
 	tcp        *core.TCPServer
-	regions    *shm.Registry
 	arena      *shm.ArenaPool
 	artifacts  *artifact.Cache
 	node       *cplane.Node
@@ -533,7 +532,6 @@ func New(opts ...Option) (*Platform, error) {
 		clock:      clock,
 		host:       host,
 		server:     server,
-		regions:    shm.NewRegistry(4 << 30),
 		artifacts:  artifacts,
 		clientOpts: cfg.clientOptions(),
 	}
@@ -549,7 +547,7 @@ func New(opts ...Option) (*Platform, error) {
 	}
 	switch {
 	case cfg.listener != nil:
-		tcp, err := core.ServeTCPListener(server, cfg.listener, p.regions, tcpOpts...)
+		tcp, err := core.ServeTCPListener(server, cfg.listener, tcpOpts...)
 		if err != nil {
 			server.Close()
 			host.Close()
@@ -557,7 +555,7 @@ func New(opts ...Option) (*Platform, error) {
 		}
 		p.tcp = tcp
 	case cfg.listenAddr != "":
-		tcp, err := core.ServeTCP(server, cfg.listenAddr, p.regions, tcpOpts...)
+		tcp, err := core.ServeTCP(server, cfg.listenAddr, tcpOpts...)
 		if err != nil {
 			server.Close()
 			host.Close()
@@ -643,17 +641,16 @@ func (p *Platform) Addr() string {
 	return p.tcp.Addr()
 }
 
-// NewClient returns a TCP client for this platform's endpoint, sharing
-// its shared-memory registry so out-of-band transfer works. When the
-// platform runs with WithOutOfBand, the client also maps the tensor
-// arena and moves payloads by leased window automatically.
+// NewClient returns a TCP client for this platform's endpoint. When the
+// platform runs with WithOutOfBand, the client maps the tensor arena and
+// moves payloads by leased window automatically.
 func (p *Platform) NewClient() (*Client, error) {
 	if p.tcp == nil {
 		return nil, fmt.Errorf("kaas: platform has no TCP endpoint (use WithListenAddr)")
 	}
-	opts := append([]client.Option{client.WithShm(p.regions)}, p.clientOpts...)
+	opts := p.clientOpts
 	if p.arena != nil {
-		opts = append(opts, client.WithArena(p.arena))
+		opts = append([]client.Option{client.WithArena(p.arena)}, opts...)
 	}
 	return client.Dial(p.tcp.Addr(), opts...), nil
 }
