@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race flake fuzz faultcheck lint vuln bench-smoke bench bench-json bench-coldstart bench-failover scenario-ci scenario-json ci clean
+.PHONY: all build vet test race flake fuzz faultcheck lint vuln bench-smoke bench bench-json scenario-ci ci clean
 
 all: build
 
@@ -87,22 +87,6 @@ scenario-ci:
 	diff scenario_run1.txt scenario_run2.txt
 	@if [ -f $(SCENARIO_GOLDEN) ]; then diff $(SCENARIO_GOLDEN) scenario_run1.txt; fi
 	@echo "scenario matrix passed and reproduced byte-for-byte (seed $(SCENARIO_SEED))"
-
-# Regenerate the committed scenario result baseline.
-scenario-json:
-	$(GO) run ./cmd/kaasbench -scenario all -seed 1 -scenario-out BENCH_PR6.json
-
-# Regenerate the committed cold-start report: the cold / cached-cold /
-# warm temperature ladder plus the diurnal always-warm vs. scale-to-zero
-# vs. pre-warm device-seconds comparison.
-bench-coldstart:
-	$(GO) run ./cmd/kaasbench -coldstart -seed 1 -coldstart-out BENCH_PR7.json
-
-# Regenerate the committed cluster-failover report: the steady /
-# node-kill / post-recovery ladder through the wire-backed control
-# plane, plus the retry-budget storm-suppression comparison.
-bench-failover:
-	$(GO) run ./cmd/kaasbench -failover 300 -failover-out BENCH_PR8.json
 
 ci: vet build test race fuzz scenario-ci
 

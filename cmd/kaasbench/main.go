@@ -10,8 +10,6 @@
 //	kaasbench -faultcheck        # invocation-path robustness smoke run
 //	kaasbench -loadgen 200 -loadgen-conc 8 n=1000    # latency percentiles
 //	kaasbench -loadgen 100 -server 127.0.0.1:7070    # against a running kaasd
-//	kaasbench -overload 400 -overload-conc 64        # admission + breaker report
-//	kaasbench -failover 300 -failover-out BENCH_PR8.json   # cluster failover ladder
 //	kaasbench -scenario list                         # named replay/chaos scenarios
 //	kaasbench -scenario all -seed 1                  # full matrix against its invariants
 //	kaasbench -scenario chaos-flap -scenario-out out.json
@@ -27,10 +25,15 @@
 // — and prints client-observed p50/p95/p99 latency split by cold and
 // warm starts, the client-side view of the server's latency histograms.
 //
-// -overload drives an in-process platform configured with admission
-// limits well below the offered concurrency while one of its two GPUs
-// flaps, and reports the shed rate, the latency percentiles of the
-// admitted requests, and the circuit-breaker transition counts.
+// -scenario replays a named trace (load shape, chaos schedule, cluster
+// topology) against its invariants and prints PASS/FAIL verdict lines.
+// It is where overload, breaker recovery, scale-to-zero and cross-host
+// failover are checked end to end (replay-burst, chaos-flap,
+// diurnal-scale-to-zero, node-kill-midload, ...); wall-clock cost is
+// measured by the repository benchmark in bench/, not here.
+//
+// The modes are exclusive: naming two, or passing key=value arguments
+// to any mode but -loadgen, is an error.
 package main
 
 import (
@@ -72,14 +75,7 @@ func run(args []string) error {
 	server := fs.String("server", "", "kaasd address for -loadgen (empty = in-process platform)")
 	lgKernel := fs.String("loadgen-kernel", "mci", "kernel for -loadgen")
 	lgConc := fs.Int("loadgen-conc", 8, "concurrent clients for -loadgen")
-	overload := fs.Int("overload", 0, "drive this many invocations past the admission limits and report shed rate, admitted p99, and breaker transitions (0 = off)")
-	ovConc := fs.Int("overload-conc", 64, "concurrent clients for -overload")
 	conns := fs.Int("conns", 4, "shared connections for -loadgen")
-	coldstart := fs.Bool("coldstart", false, "measure the cold/cached-cold/warm temperature ladder and the diurnal scale-to-zero device-seconds tradeoff")
-	coldstartOut := fs.String("coldstart-out", "", "write the -coldstart report as JSON to this file")
-	failover := fs.Int("failover", 0, "run the cross-host failover ladder (steady / node-kill / post-recovery) with this many invocations per phase, plus the retry-budget storm comparison (0 = off)")
-	failoverConc := fs.Int("failover-conc", 16, "concurrent clients for -failover")
-	failoverOut := fs.String("failover-out", "", "write the -failover report as JSON to this file")
 	scenarioName := fs.String("scenario", "", "run a named replay/chaos scenario against its invariants (a name, all, or list)")
 	seed := fs.Int64("seed", 1, "scenario seed: same seed, same trace, same chaos, same verdict lines")
 	scenarioOut := fs.String("scenario-out", "", "write the -scenario results (with diagnostics) as JSON to this file")
@@ -88,34 +84,26 @@ func run(args []string) error {
 		return err
 	}
 
+	var modes []string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "fig", "list", "scenario", "loadgen", "faultcheck":
+			modes = append(modes, "-"+f.Name)
+		}
+	})
+	if len(modes) > 1 {
+		return fmt.Errorf("%s are separate modes, pick one", strings.Join(modes, " and "))
+	}
+	if fs.NArg() > 0 && *loadgen <= 0 {
+		return fmt.Errorf("unexpected arguments %q: only -loadgen takes key=value kernel parameters", fs.Args())
+	}
+
 	if *scenarioName != "" {
 		return runScenario(os.Stdout, *scenarioName, *seed, *scale, *scenarioTrace, *scenarioOut)
 	}
 
-	if *failover > 0 {
-		return runFailover(os.Stdout, failoverConfig{
-			Invocations: *failover,
-			Conc:        *failoverConc,
-			Scale:       *scale,
-			Out:         *failoverOut,
-		})
-	}
-
-	if *coldstart {
-		return runColdStart(os.Stdout, coldStartConfig{
-			Samples: *samples,
-			Seed:    *seed,
-			Scale:   *scale,
-			Out:     *coldstartOut,
-		})
-	}
-
 	if *faultcheck {
 		return runFaultCheck(os.Stdout, *faultN)
-	}
-
-	if *overload > 0 {
-		return runOverload(os.Stdout, *overload, *ovConc, *scale)
 	}
 
 	if *loadgen > 0 {
@@ -162,7 +150,7 @@ func run(args []string) error {
 // measures how a retrying client fares: every other connection gets one
 // of the fault modes, so roughly half of all fresh connections fail and
 // must be retried. It prints the completion count and retry cost.
-func runFaultCheck(w *os.File, invocations int) error {
+func runFaultCheck(w io.Writer, invocations int) error {
 	raw, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err

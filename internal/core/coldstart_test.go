@@ -35,7 +35,10 @@ func pollUntil(t *testing.T, wait time.Duration, what string, cond func() bool) 
 func TestArtifactCacheColdThenCachedCold(t *testing.T) {
 	cache := artifact.NewCache(64 << 20)
 	s, _, _ := newTestServer(t, 1, func(cfg *Config) {
-		cfg.KeepAlive = KeepAlive{Idle: 2 * time.Second}
+		// 30 s modeled is 6 ms of wall at this scale: cheap to wait out
+		// below, and wide enough that a stalled test goroutine does not
+		// let the reaper in between the cached-cold and the warm call.
+		cfg.KeepAlive = KeepAlive{Idle: 30 * time.Second}
 		cfg.Artifacts = cache
 	})
 	k := &fakeKernel{name: "k", kind: accel.GPU, cost: stdCost()}
@@ -73,6 +76,16 @@ func TestArtifactCacheColdThenCachedCold(t *testing.T) {
 	if gain := r1.Breakdown.Total() - r2.Breakdown.Total(); gain < 2*time.Second {
 		t.Errorf("cached-cold saved only %v over cold (cold %v, cached %v)",
 			gain, r1.Breakdown.Total(), r2.Breakdown.Total())
+	}
+
+	// Last rung of the ladder: the rebooted runner is kept, so the next
+	// call is warm — no boot, no compile, no third cold start below.
+	_, r3, err := s.Invoke(context.Background(), "k", nil)
+	if err != nil {
+		t.Fatalf("Invoke 3: %v", err)
+	}
+	if r3.Cold || r3.Breakdown.Compile != 0 {
+		t.Errorf("third invoke: Cold=%v Compile=%v, want warm with no compile", r3.Cold, r3.Breakdown.Compile)
 	}
 
 	st := s.Stats()
