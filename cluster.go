@@ -2,12 +2,12 @@ package kaas
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
 	"kaas/internal/artifact"
 	"kaas/internal/core"
+	"kaas/internal/wire"
 )
 
 // Cluster federates several platforms (hosts) behind one invocation API —
@@ -83,7 +83,7 @@ func (c *Cluster) RegisterByName(name string) error {
 // kernel and returns its result, the report, and the index of the host
 // that served it. When the picked host cannot take the work for a
 // transient routing reason — it is draining, shut down, overloaded, or
-// all its devices of the kernel's kind are breaker-excluded — the
+// its devices of the kernel's kind failed or are breaker-excluded — the
 // cluster fails the invocation over to the next-least-loaded serving
 // host instead of surfacing the error, so one node leaving (the §3.3
 // horizontal-scalability story) is invisible to callers as long as any
@@ -127,12 +127,10 @@ func (c *Cluster) Invoke(ctx context.Context, name string, params Params, data [
 
 // reroutable reports whether a host error is a transient routing
 // condition another host may not share, making cross-host failover safe:
-// the request was rejected before any kernel executed.
+// the request was rejected before any kernel executed. It is the rule
+// cplane.Router applies to the same error's wire code.
 func reroutable(err error) bool {
-	return errors.Is(err, ErrDraining) ||
-		errors.Is(err, ErrOverloaded) ||
-		errors.Is(err, ErrUnavailable) ||
-		errors.Is(err, core.ErrServerClosed)
+	return wire.Retryable(core.ErrorCode(err))
 }
 
 // pick selects the host with the fewest cluster-routed in-flight

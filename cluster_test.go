@@ -3,11 +3,14 @@ package kaas
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"kaas/internal/accel"
 	"kaas/internal/core"
+	"kaas/internal/wire"
 )
 
 func newCluster(t *testing.T) *Cluster {
@@ -191,7 +194,7 @@ func TestClusterAllHostsDownSurfacesTypedError(t *testing.T) {
 func TestClusterSkipsBreakerOpenHost(t *testing.T) {
 	// Breaker: one failure opens, and the open timeout is hours of
 	// modeled time so it cannot half-open during the test.
-	opts := []Option{WithAccelerators(TeslaP100), WithBreaker(1, 12 * time.Hour)}
+	opts := []Option{WithAccelerators(TeslaP100), WithBreaker(1, 12*time.Hour)}
 	p0, err := New(append([]Option{WithHostName("sick")}, opts...)...)
 	if err != nil {
 		t.Fatalf("New p0: %v", err)
@@ -285,5 +288,36 @@ func TestClusterSharesCompiledArtifacts(t *testing.T) {
 	}
 	if ks := st.PerKernel["matmul"]; ks.CacheHits != 1 || ks.CacheMisses != 0 {
 		t.Errorf("node-2 cache hits/misses = %d/%d, want 1/0", ks.CacheHits, ks.CacheMisses)
+	}
+}
+
+// TestClusterReroutesWhatRouterRedispatches: the in-process cluster fails
+// a host error over exactly when cplane.Router would re-dispatch the
+// RemoteError the wire makes of it — wire.Retryable of its code, the
+// router's rule for typed errors (TestRedispatchableFollowsWireRetryable).
+func TestClusterReroutesWhatRouterRedispatches(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want bool
+	}{
+		{ErrOverloaded, true},
+		{ErrDraining, true},
+		{core.ErrServerClosed, true},
+		{ErrUnavailable, true},
+		{fmt.Errorf("core: failover exhausted after 3 attempts for %q: %w", "mci", accel.ErrDeviceFailed), true},
+		{accel.ErrContextReleased, true},
+		{context.DeadlineExceeded, false},
+		{context.Canceled, false},
+		{core.ErrUnknownKernel, false},
+		{core.ErrNoDevice, false},
+		{errors.New("kernel: bad n"), false},
+	} {
+		err := fmt.Errorf("kaas: host 0: %w", tc.err)
+		if got := reroutable(err); got != tc.want {
+			t.Errorf("Cluster reroutes %v: %v, want %v", tc.err, got, tc.want)
+		}
+		if code := core.ErrorCode(err); wire.Retryable(code) != tc.want {
+			t.Errorf("Router re-dispatches %v (%s): %v, want %v", tc.err, code, !tc.want, tc.want)
+		}
 	}
 }

@@ -152,8 +152,8 @@ func TestOverloadedRetriedUntilAdmitted(t *testing.T) {
 	}
 }
 
-// TestRemoteErrorCodeSurfaced: the structured code and retryable bit on
-// a wire error reach the caller through RemoteError.
+// TestRemoteErrorCodeSurfaced: the structured code on a wire error, and
+// the retryability derived from it, reach the caller through RemoteError.
 func TestRemoteErrorCodeSurfaced(t *testing.T) {
 	_, ln := startFaultyServer(t, nil)
 	c := Dial(ln.Addr().String())

@@ -44,8 +44,9 @@ type RemoteError struct {
 	// Servers predating structured errors send none; it defaults to
 	// wire.CodeInternal.
 	Code string
-	// Retryable reports whether the server shed the request before
-	// executing it, so retrying after backoff is safe and may succeed.
+	// Retryable is wire.Retryable(Code): the server rejected the request
+	// before executing it, so retrying after backoff is safe and may
+	// succeed.
 	Retryable bool
 }
 
@@ -399,11 +400,7 @@ func replyError(reply *wire.Message) error {
 	if code == "" {
 		code = wire.CodeInternal
 	}
-	return &RemoteError{
-		Message:   reply.Header.Error,
-		Code:      code,
-		Retryable: reply.Header.Retryable,
-	}
+	return &RemoteError{Message: reply.Header.Error, Code: code, Retryable: wire.Retryable(code)}
 }
 
 // Register registers a kernel (by library name) on the server.

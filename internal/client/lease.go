@@ -198,10 +198,10 @@ func (m *muxConn) invokeLeased(ctx context.Context, msg *wire.Message) (reply *w
 }
 
 // negotiateLease asks the server for a fresh arena lease, returning nil
-// on any denial (the invoke falls back to in-band transfer). A
-// "not configured" denial — or a server old enough to answer MsgLease
-// with an unexpected-type error — disables the lease path for this
-// connection permanently.
+// on any denial (the invoke falls back to in-band transfer). A denial
+// whose code is not retryable — "not configured", or a server old enough
+// to answer MsgLease with an unexpected-type error — disables the lease
+// path for this connection permanently.
 func (m *muxConn) negotiateLease(ctx context.Context, need int64) *clientLease {
 	if m.leases.isDenied() {
 		return nil
@@ -211,8 +211,7 @@ func (m *muxConn) negotiateLease(ctx context.Context, need int64) *clientLease {
 		return nil
 	}
 	if ack.Type != wire.MsgLeaseAck || ack.Header.LeaseID == 0 {
-		if ack.Type == wire.MsgError ||
-			(ack.Type == wire.MsgLeaseAck && ack.Header.Code == wire.CodeInternal) {
+		if !wire.Retryable(ack.Header.Code) {
 			m.leases.deny()
 		}
 		return nil

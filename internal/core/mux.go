@@ -120,9 +120,7 @@ func (s *muxSession) readLoop() {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				// The peer is not speaking the protocol (or the stream
 				// desynchronized): tell it why, best effort.
-				s.send(&wire.Message{Type: wire.MsgError, Header: wire.Header{
-					Error: err.Error(), Code: wire.CodeInternal,
-				}})
+				s.send(&wire.Message{Type: wire.MsgError, Header: errHeader(err)})
 			}
 			// Peer gone: cancel every in-flight stream so runners stop
 			// burning device time for answers nobody will read.
@@ -297,8 +295,7 @@ func (s *muxSession) reply(req *wire.Message, typ wire.MsgType, h wire.Header, b
 // sendErr answers req with an error, classified with the wire
 // protocol's machine-readable code.
 func (s *muxSession) sendErr(req *wire.Message, err error) {
-	code, retryable := errorCode(err)
-	s.reply(req, wire.MsgError, wire.Header{Error: err.Error(), Code: code, Retryable: retryable}, nil)
+	s.reply(req, wire.MsgError, errHeader(err), nil)
 }
 
 // addStream registers a stream's cancel function for MsgCancel lookup.
@@ -329,22 +326,19 @@ func (s *muxSession) cancelStream(id uint64) {
 
 // serveLease negotiates one arena lease for this connection, inline (a
 // grant is a map insert, never blocking). The ack echoes the request's
-// StreamID so the client demultiplexes it like any reply. Denials carry
-// a code distinguishing "not configured" (the client disables the lease
-// path for this connection) from "no budget right now" (the client
-// simply retries on a later invocation).
+// StreamID so the client demultiplexes it like any reply. A denial's
+// code tells "not configured" (errNoArena, not retryable: the client
+// disables the lease path for this connection) from "no budget right now"
+// (shm.ErrNoSpace, retryable: the client asks again on a later
+// invocation).
 func (s *muxSession) serveLease(msg *wire.Message) {
-	if s.t.arena == nil {
-		s.reply(msg, wire.MsgLeaseAck, wire.Header{
-			Error: "out-of-band leases not configured", Code: wire.CodeInternal,
-		}, nil)
-		return
+	var l *shm.Lease
+	err := errNoArena
+	if s.t.arena != nil {
+		l, err = s.t.arena.AcquireFor(s, msg.Header.LeaseBytes)
 	}
-	l, err := s.t.arena.AcquireFor(s, msg.Header.LeaseBytes)
 	if err != nil {
-		s.reply(msg, wire.MsgLeaseAck, wire.Header{
-			Error: err.Error(), Code: wire.CodeUnavailable, Retryable: true,
-		}, nil)
+		s.reply(msg, wire.MsgLeaseAck, errHeader(err), nil)
 		return
 	}
 	s.reply(msg, wire.MsgLeaseAck, wire.Header{LeaseID: l.ID(), LeaseBytes: l.Cap()}, nil)
@@ -380,6 +374,9 @@ var errLeaseRevoked = errors.New("core: arena lease revoked; resend in-band")
 // errLeaseWindow is answered to an invoke whose payload length does not
 // fit the leased window it names.
 var errLeaseWindow = errors.New("core: payload length outside lease window")
+
+// errNoArena denies a lease request on an endpoint without an arena.
+var errNoArena = errors.New("core: out-of-band leases not configured")
 
 // resolveLease maps a leased invoke onto its arena window, pinned for
 // the invocation's lifetime so a concurrent revoke cannot recycle the

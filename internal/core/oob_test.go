@@ -263,9 +263,6 @@ func TestServeLeaseOverWire(t *testing.T) {
 		t.Fatalf("stale-lease reply = %s code %q, want error %q",
 			stale.Type, stale.Header.Code, wire.CodeLeaseRevoked)
 	}
-	if !stale.Header.Retryable {
-		t.Fatal("stale-lease error not retryable; clients could not fall back in-band")
-	}
 }
 
 // TestServeLeaseDeniedWithoutArena verifies a server without an arena

@@ -15,33 +15,37 @@ import (
 	"kaas/internal/wire"
 )
 
-// errorCode classifies a server-side error into the wire protocol's
-// machine-readable code plus whether a client may retry the same request
-// after backoff. Overload and unavailability are transient; deadline,
-// unknown-kernel, and internal failures are not.
-func errorCode(err error) (code string, retryable bool) {
+// ErrorCode maps an error to the wire protocol's machine-readable code.
+// It is the only map from the platform's errors to codes: every error
+// header the endpoint sends is built from it (errHeader), and in-process
+// callers classify through it too, so the two transports cannot disagree.
+// What a code means for retrying is wire.Retryable's to say.
+func ErrorCode(err error) string {
 	switch {
 	case errors.Is(err, ErrOverloaded):
-		return wire.CodeOverloaded, true
+		return wire.CodeOverloaded
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrServerClosed),
 		errors.Is(err, ErrUnavailable), errors.Is(err, accel.ErrDeviceFailed),
-		errors.Is(err, accel.ErrContextReleased):
-		return wire.CodeUnavailable, true
+		errors.Is(err, accel.ErrContextReleased), errors.Is(err, shm.ErrNoSpace):
+		return wire.CodeUnavailable
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return wire.CodeDeadlineExceeded, false
+		return wire.CodeDeadlineExceeded
 	case errors.Is(err, errLeaseRevoked):
-		// Stale-lease invokes are retryable by design: the client drops
-		// the revoked lease and resends the same payload in-band.
-		return wire.CodeLeaseRevoked, true
+		return wire.CodeLeaseRevoked
 	case errors.Is(err, ErrUnknownKernel), errors.Is(err, ErrNoDevice):
-		return wire.CodeUnknownKernel, false
-	case errors.Is(err, shm.ErrUnknownLease), errors.Is(err, errLeaseWindow):
-		// A handle this connection never held, or a length outside its
-		// window, is a client bug: resending cannot help.
-		return wire.CodeInternal, false
+		return wire.CodeUnknownKernel
 	default:
-		return wire.CodeInternal, false
+		// Including the lease client bugs resending cannot help: a handle
+		// this connection never held (shm.ErrUnknownLease), a length
+		// outside its window (errLeaseWindow), a lease asked of a server
+		// without an arena (errNoArena).
+		return wire.CodeInternal
 	}
+}
+
+// errHeader is the header of every error the endpoint sends.
+func errHeader(err error) wire.Header {
+	return wire.Header{Error: err.Error(), Code: ErrorCode(err)}
 }
 
 // aLongTimeAgo is a non-zero past deadline used to unblock pending reads.

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"log/slog"
 	"net"
 	"strings"
@@ -11,6 +14,7 @@ import (
 
 	"kaas/internal/accel"
 	"kaas/internal/kernels"
+	"kaas/internal/shm"
 	"kaas/internal/vclock"
 	"kaas/internal/wire"
 )
@@ -338,5 +342,36 @@ func TestLegacyPeerMapsToDefaultTenant(t *testing.T) {
 	}
 	if got := st.PerTenant["acme"].Admitted; got != 1 {
 		t.Errorf("tenant acme admitted %d, want 1 (the tagged frame)", got)
+	}
+}
+
+// TestErrorCode pins the one error → code table: every sentinel the
+// platform defines, wrapped as callers see it, and the lease errors.
+func TestErrorCode(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{ErrOverloaded, wire.CodeOverloaded},
+		{ErrDraining, wire.CodeUnavailable},
+		{ErrServerClosed, wire.CodeUnavailable},
+		{ErrUnavailable, wire.CodeUnavailable},
+		{fmt.Errorf("core: failover exhausted: %w", accel.ErrDeviceFailed), wire.CodeUnavailable},
+		{accel.ErrContextReleased, wire.CodeUnavailable},
+		{shm.ErrNoSpace, wire.CodeUnavailable},
+		{context.DeadlineExceeded, wire.CodeDeadlineExceeded},
+		{context.Canceled, wire.CodeDeadlineExceeded},
+		{errLeaseRevoked, wire.CodeLeaseRevoked},
+		{ErrUnknownKernel, wire.CodeUnknownKernel},
+		{ErrNoDevice, wire.CodeUnknownKernel},
+		{shm.ErrUnknownLease, wire.CodeInternal},
+		{fmt.Errorf("%w: lease 3 holds 8 bytes", errLeaseWindow), wire.CodeInternal},
+		{errNoArena, wire.CodeInternal},
+		{ErrAlreadyRegistered, wire.CodeInternal},
+		{errors.New("kernel: bad n"), wire.CodeInternal},
+	} {
+		if got := ErrorCode(fmt.Errorf("wrapped: %w", tc.err)); got != tc.want {
+			t.Errorf("ErrorCode(%v) = %s, want %s", tc.err, got, tc.want)
+		}
 	}
 }

@@ -25,8 +25,8 @@ type RouterConfig struct {
 	Budget *client.RetryBudget
 	// Idempotent declares the routed workload safe to re-dispatch after
 	// a connection-level failure, where the dead node may or may not
-	// have executed the request. Typed pre-execution errors
-	// (OVERLOADED, UNAVAILABLE) re-dispatch regardless.
+	// have executed the request. Typed pre-execution errors (the
+	// wire.Retryable codes) re-dispatch regardless.
 	Idempotent bool
 	// DialOptions are applied to the clients the router opens to
 	// members.
@@ -203,8 +203,8 @@ func (r *Router) dispatch(ctx context.Context, addr, tenant, kernel string, para
 }
 
 // redispatchable decides whether a failed attempt may move to another
-// node. Typed OVERLOADED and UNAVAILABLE errors are always safe: the
-// server reported them before executing the kernel. A connection-level
+// node. A typed error whose code is wire.Retryable is always safe: the
+// server reported it before executing the kernel. A connection-level
 // failure is ambiguous — the request may have executed on the node that
 // died — so it re-dispatches only for workloads declared idempotent.
 // Everything else (deadline expiry, unknown kernel, internal errors)
@@ -212,7 +212,7 @@ func (r *Router) dispatch(ctx context.Context, addr, tenant, kernel string, para
 func (r *Router) redispatchable(err error) bool {
 	var re *client.RemoteError
 	if errors.As(err, &re) {
-		return re.Code == wire.CodeOverloaded || re.Code == wire.CodeUnavailable
+		return wire.Retryable(re.Code)
 	}
 	return r.cfg.Idempotent && client.IsConnFailure(err)
 }

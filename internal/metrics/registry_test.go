@@ -162,9 +162,9 @@ func TestHistogramQuantileSpread(t *testing.T) {
 
 func TestHistogramSnapshotCumulative(t *testing.T) {
 	h := NewHistogram([]time.Duration{time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond})
-	h.Observe(time.Millisecond)     // first bucket (bounds are inclusive)
+	h.Observe(time.Millisecond)        // first bucket (bounds are inclusive)
 	h.Observe(1500 * time.Microsecond) // second bucket
-	h.Observe(4 * time.Millisecond) // third bucket
+	h.Observe(4 * time.Millisecond)    // third bucket
 	snap := h.Snapshot()
 	want := []uint64{1, 2, 3}
 	for i, b := range snap.Buckets {

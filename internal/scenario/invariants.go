@@ -1,14 +1,12 @@
 package scenario
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"time"
 
-	"kaas/internal/accel"
 	"kaas/internal/client"
 	"kaas/internal/core"
 	"kaas/internal/cplane"
@@ -40,39 +38,30 @@ const (
 	OutcomeUntyped Outcome = "untyped"
 )
 
-// Classify maps an invocation error to its outcome: the in-process typed
-// errors, their wire-protocol RemoteError codes, and context expiry. An
-// error that matches none of them is OutcomeUntyped — the failure class
-// the harness exists to catch.
+// Classify maps an invocation error to its outcome by its wire code: a
+// RemoteError's own, or core.ErrorCode of an in-process error. A code
+// with no outcome is OutcomeUntyped — the failure class the harness
+// exists to catch.
 func Classify(err error) Outcome {
 	if err == nil {
 		return OutcomeOK
 	}
+	// The one in-process refinement: the wire reports a drain as plain
+	// UNAVAILABLE, in process it can be told apart.
+	if errors.Is(err, core.ErrDraining) || errors.Is(err, core.ErrServerClosed) {
+		return OutcomeDraining
+	}
+	code := core.ErrorCode(err)
 	var re *client.RemoteError
 	if errors.As(err, &re) {
-		switch re.Code {
-		case wire.CodeOverloaded:
-			return OutcomeShed
-		case wire.CodeUnavailable:
-			return OutcomeUnavailable
-		case wire.CodeDeadlineExceeded:
-			return OutcomeDeadline
-		}
-		return OutcomeUntyped
+		code = re.Code
 	}
-	switch {
-	case errors.Is(err, core.ErrOverloaded):
+	switch code {
+	case wire.CodeOverloaded:
 		return OutcomeShed
-	case errors.Is(err, core.ErrDraining), errors.Is(err, core.ErrServerClosed):
-		return OutcomeDraining
-	case errors.Is(err, core.ErrUnavailable),
-		errors.Is(err, accel.ErrDeviceFailed),
-		errors.Is(err, accel.ErrContextReleased):
-		// Device failures that exhaust the failover loop surface wrapped —
-		// the wire maps them to UNAVAILABLE, so the in-process path must
-		// classify them the same way.
+	case wire.CodeUnavailable:
 		return OutcomeUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
+	case wire.CodeDeadlineExceeded:
 		return OutcomeDeadline
 	}
 	return OutcomeUntyped

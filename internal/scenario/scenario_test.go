@@ -376,16 +376,35 @@ func TestClassify(t *testing.T) {
 		{"device-failed", fmt.Errorf("core: failover exhausted after 3 attempts for %q: %w", "mci", accel.ErrDeviceFailed), OutcomeUnavailable},
 		{"context-released", accel.ErrContextReleased, OutcomeUnavailable},
 		{"deadline", context.DeadlineExceeded, OutcomeDeadline},
+		{"canceled", context.Canceled, OutcomeDeadline},
+		{"unknown-kernel", core.ErrUnknownKernel, OutcomeUntyped},
+		{"no-device", core.ErrNoDevice, OutcomeUntyped},
+		{"raw", errors.New("write: broken pipe"), OutcomeUntyped},
 		{"remote-overloaded", &client.RemoteError{Code: wire.CodeOverloaded}, OutcomeShed},
 		{"remote-unavailable", &client.RemoteError{Code: wire.CodeUnavailable}, OutcomeUnavailable},
 		{"remote-deadline", &client.RemoteError{Code: wire.CodeDeadlineExceeded}, OutcomeDeadline},
 		{"remote-internal", &client.RemoteError{Code: wire.CodeInternal}, OutcomeUntyped},
-		{"raw", errors.New("write: broken pipe"), OutcomeUntyped},
+		{"remote-lease-revoked", &client.RemoteError{Code: wire.CodeLeaseRevoked}, OutcomeUntyped},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := Classify(tc.err); got != tc.want {
 				t.Errorf("Classify(%v) = %q, want %q", tc.err, got, tc.want)
+			}
+			var re *client.RemoteError
+			if tc.err == nil || errors.As(tc.err, &re) {
+				return
+			}
+			// The same error as the wire delivers it classifies the same,
+			// except that a drain, UNAVAILABLE on the wire, is told apart
+			// only in process.
+			remote := &client.RemoteError{Code: core.ErrorCode(tc.err)}
+			want := tc.want
+			if want == OutcomeDraining {
+				want = OutcomeUnavailable
+			}
+			if got := Classify(fmt.Errorf("cplane: node a: %w", remote)); got != want {
+				t.Errorf("Classify(%s RemoteError) = %q, want %q", remote.Code, got, want)
 			}
 		})
 	}

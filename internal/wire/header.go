@@ -17,8 +17,6 @@ type Header struct {
 	// string to the deterministic "default" tenant so mixed-version
 	// clusters do not split accounting between "" and "default".
 	Tenant string `json:"tenant,omitempty"`
-	// Kind is the device kind name for register.
-	Kind string `json:"kind,omitempty"`
 	// Params are the invocation parameters.
 	Params map[string]float64 `json:"params,omitempty"`
 	// Values are the scalar results of an invocation.
@@ -26,13 +24,11 @@ type Header struct {
 	// Error is the failure description on MsgError.
 	Error string `json:"error,omitempty"`
 	// Code is the machine-readable classification of the failure on
-	// MsgError (one of the Code* constants). Empty on frames from servers
-	// predating structured errors; clients treat that as CodeInternal.
+	// MsgError and on a denying MsgLeaseAck (one of the Code* constants);
+	// whether the request may be retried is Retryable(Code). Empty on
+	// frames from servers predating structured errors; clients treat that
+	// as CodeInternal.
 	Code string `json:"code,omitempty"`
-	// Retryable reports whether the server considers the failure
-	// transient, i.e. the same request may succeed if retried after
-	// backoff.
-	Retryable bool `json:"retryable,omitempty"`
 	// Names lists kernel names in MsgListResult.
 	Names []string `json:"names,omitempty"`
 	// Stats is an opaque JSON stats document in MsgStatsResult.
@@ -126,7 +122,6 @@ func appendHeaderFields(b []byte, h *Header) ([]byte, bool) {
 	at := len(b)
 	b = appendStringField(b, `,"kernel":`, h.Kernel)
 	b = appendStringField(b, `,"tenant":`, h.Tenant)
-	b = appendStringField(b, `,"kind":`, h.Kind)
 	b, ok := appendFloatMapField(b, `,"params":`, h.Params)
 	if ok {
 		b, ok = appendFloatMapField(b, `,"values":`, h.Values)
@@ -136,7 +131,6 @@ func appendHeaderFields(b []byte, h *Header) ([]byte, bool) {
 	}
 	b = appendStringField(b, `,"error":`, h.Error)
 	b = appendStringField(b, `,"code":`, h.Code)
-	b = appendBoolField(b, `,"retryable":`, h.Retryable)
 	b = appendBoolField(b, `,"coldStart":`, h.ColdStart)
 	b = appendBoolField(b, `,"cachedColdStart":`, h.CachedColdStart)
 	b = appendStringField(b, `,"invocationID":`, h.InvocationID)
@@ -317,64 +311,58 @@ func scanHeader(hdr []byte, h *Header) bool {
 		case "tenant":
 			bit = 1 << 1
 			h.Tenant, i, ok = readString(hdr, i)
-		case "kind":
-			bit = 1 << 2
-			h.Kind, i, ok = readString(hdr, i)
 		case "params":
-			bit = 1 << 3
+			bit = 1 << 2
 			h.Params, i, ok = readFloatMap(hdr, i)
 		case "values":
-			bit = 1 << 4
+			bit = 1 << 3
 			h.Values, i, ok = readFloatMap(hdr, i)
 		case "error":
-			bit = 1 << 5
+			bit = 1 << 4
 			h.Error, i, ok = readString(hdr, i)
 		case "code":
-			bit = 1 << 6
+			bit = 1 << 5
 			h.Code, i, ok = readString(hdr, i)
-		case "retryable":
-			bit = 1 << 7
-			h.Retryable, i, ok = readBool(hdr, i)
 		case "coldStart":
-			bit = 1 << 8
+			bit = 1 << 6
 			h.ColdStart, i, ok = readBool(hdr, i)
 		case "cachedColdStart":
-			bit = 1 << 9
+			bit = 1 << 7
 			h.CachedColdStart, i, ok = readBool(hdr, i)
 		case "invocationID":
-			bit = 1 << 10
+			bit = 1 << 8
 			h.InvocationID, i, ok = readString(hdr, i)
 		case "durationNanos":
-			bit = 1 << 11
+			bit = 1 << 9
 			h.DurationNanos, i, ok = readInt(hdr, i)
 		case "deadlineNanos":
-			bit = 1 << 12
+			bit = 1 << 10
 			h.DeadlineNanos, i, ok = readInt(hdr, i)
 		case "streamID":
-			bit = 1 << 13
+			bit = 1 << 11
 			h.StreamID, i, ok = readUint(hdr, i, math.MaxUint64)
 		case "muxVersion":
-			bit = 1 << 14
+			bit = 1 << 12
 			var v uint64
 			v, i, ok = readUint(hdr, i, math.MaxUint8)
 			h.MuxVersion = uint8(v)
 		case "maxStreams":
-			bit = 1 << 15
+			bit = 1 << 13
 			var v int64
 			v, i, ok = readInt(hdr, i)
 			h.MaxStreams = int(v)
 			ok = ok && int64(h.MaxStreams) == v
 		case "leaseID":
-			bit = 1 << 16
+			bit = 1 << 14
 			h.LeaseID, i, ok = readUint(hdr, i, math.MaxUint64)
 		case "leaseBytes":
-			bit = 1 << 17
+			bit = 1 << 15
 			h.LeaseBytes, i, ok = readInt(hdr, i)
 		case "leaseLen":
-			bit = 1 << 18
+			bit = 1 << 16
 			h.LeaseLen, i, ok = readInt(hdr, i)
 		case "leaseResultLen":
-			bit = 1 << 19
+			bit = 1 << 17
 			h.LeaseResultLen, i, ok = readInt(hdr, i)
 		default:
 			return false

@@ -128,7 +128,7 @@ func TestScanHeaderDeclines(t *testing.T) {
 		{`{"kernel":"a\"b\\c\/d\n"}`, true},
 		{`{"streamID":18446744073709551615,"durationNanos":-9223372036854775808}`, true},
 		{`{"params":{"a":-0,"b":1E+2,"c":0.5e-7},"values":{}}`, true},
-		{`{"retryable":false,"muxVersion":255}`, true},
+		{`{"coldStart":false,"muxVersion":255}`, true},
 		{`{"params":{"a":1,"a":2}}`, true}, // last one wins in both decoders
 		{``, false},
 		{`{`, false},
@@ -140,7 +140,6 @@ func TestScanHeaderDeclines(t *testing.T) {
 		{`{"kernel":"a","kernel":"b"}`, false},
 		{`{"Kernel":"a"}`, false},
 		{`{"future":1}`, false},
-		{retiredKeyHeader, false},
 		{`{"kernel":null}`, false},
 		{`{"kernel":7}`, false},
 		{`{"kernel":"\` + `u0041"}`, false},
@@ -154,8 +153,8 @@ func TestScanHeaderDeclines(t *testing.T) {
 		{`{"durationNanos":9223372036854775808}`, false},
 		{`{"durationNanos":1e3}`, false},
 		{`{"muxVersion":256}`, false},
-		{`{"retryable":1}`, false},
-		{`{"retryable":truex}`, false},
+		{`{"coldStart":1}`, false},
+		{`{"coldStart":truex}`, false},
 		{`{"params":{"a":1e999}}`, false},
 		{`{"params":{"a":.5}}`, false},
 		{`{"params":{"a":1.}}`, false},
@@ -171,16 +170,23 @@ func TestScanHeaderDeclines(t *testing.T) {
 		}
 	}
 	// A retired key is an unknown key: the scanner declines, and the
-	// encoding/json fallback skips it and keeps the rest.
-	var got Header
-	if err := decodeHeader([]byte(retiredKeyHeader), &got); err != nil || !headersEqual(&got, &Header{Kernel: "a", StreamID: 7}) {
-		t.Errorf("decodeHeader(%s) = %+v, %v", retiredKeyHeader, got, err)
+	// encoding/json fallback skips it and keeps the rest. wantShmResult
+	// stands for the key-based out-of-band path; retryable is a function
+	// of the code; kind was never read.
+	for _, hdr := range []string{
+		`{"kernel":"a","wantShmResult":true,"streamID":7}`,
+		`{"kernel":"a","retryable":true,"streamID":7}`,
+		`{"kernel":"a","kind":"gpu","streamID":7}`,
+	} {
+		var got Header
+		if checkDecode(t, []byte(hdr)) {
+			t.Errorf("scanHeader accepted the retired key in %s", hdr)
+		}
+		if err := decodeHeader([]byte(hdr), &got); err != nil || !headersEqual(&got, &Header{Kernel: "a", StreamID: 7}) {
+			t.Errorf("decodeHeader(%s) = %+v, %v", hdr, got, err)
+		}
 	}
 }
-
-// retiredKeyHeader names a key of the key-based out-of-band path this
-// protocol once carried.
-const retiredKeyHeader = `{"kernel":"a","wantShmResult":true,"streamID":7}`
 
 // FuzzHeaderEncode builds arbitrary headers and requires appendHeader to
 // agree with json.Marshal byte for byte, or to fail where it fails.
@@ -196,9 +202,9 @@ func FuzzHeaderEncode(f *testing.F) {
 			floats[k] = []float64{v1, v2, v3}[i]
 		}
 		h := Header{
-			Kernel: kernel, Tenant: tenant, Kind: k1,
+			Kernel: kernel, Tenant: tenant,
 			Error: errText, Code: k2, InvocationID: tenant,
-			Retryable: flags&1 != 0, ColdStart: flags&4 != 0, CachedColdStart: flags&8 != 0,
+			ColdStart: flags&4 != 0, CachedColdStart: flags&8 != 0,
 			DurationNanos: n1, DeadlineNanos: n2, LeaseBytes: n2, LeaseLen: n1, LeaseResultLen: n1 ^ n2,
 			StreamID: u, LeaseID: u >> 1, MuxVersion: flags, MaxStreams: int(n1),
 		}
@@ -227,7 +233,7 @@ func FuzzHeaderDecode(f *testing.F) {
 		`{"kernel": "a"}`, "{\"kernel\":\"a\"}\n", `{"kernel":"a","kernel":"b"}`, `{"kernel":null}`,
 		`{"KERNEL":"a"}`, `{"kernel":"é\ud83d"}`, `{"kernel":"a\"b\\\/"}`, `{"streamID":18446744073709551616}`,
 		`{"muxVersion":256}`, `{"params":{"a":1e999,"b":-0,"c":1E-7}}`, `{"params":{"a":1,"a":2},"values":{}}`,
-		`{"maxStreams":-9223372036854775808,"retryable":false}`, `{"names":["a"],"stats":{"x":[1]}}`,
+		`{"maxStreams":-9223372036854775808,"coldStart":false}`, `{"names":["a"],"stats":{"x":[1]}}`,
 	} {
 		f.Add([]byte(hdr))
 	}
@@ -247,7 +253,7 @@ func FuzzHeaderDecode(f *testing.F) {
 // (commit 7637b14, where the header went through json.Marshal).
 func parentFrameMessages() []*Message {
 	return []*Message{
-		{Type: MsgRegister, Header: Header{Kernel: "matmul", Kind: "gpu"}},
+		{Type: MsgRegister, Header: Header{Kernel: "matmul"}},
 		{Type: MsgRegistered, Header: Header{Kernel: "matmul"}},
 		{Version: VersionMux, Type: MsgInvoke, Header: Header{
 			Kernel: "probe", Tenant: "victim-a", Params: map[string]float64{"work": 0, "op": 12345, "eps": 1e-7},
@@ -259,7 +265,7 @@ func parentFrameMessages() []*Message {
 			StreamID: 100001, LeaseID: 7, LeaseResultLen: 128,
 		}, Body: []byte{0, 1, 2, 3}},
 		{Version: VersionMux, Type: MsgError, Header: Header{
-			Error: "kernel \"nope\" not registered <&>\n", Code: CodeUnknownKernel, Retryable: true, StreamID: 3}},
+			Error: "kernel \"nope\" not registered <&>\n", Code: CodeUnknownKernel, StreamID: 3}},
 		{Type: MsgList},
 		{Type: MsgListResult, Header: Header{Names: []string{"matmul", "mci"}}},
 		{Type: MsgStats},

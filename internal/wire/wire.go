@@ -134,8 +134,9 @@ const (
 	MsgLease
 	// MsgLeaseAck grants a lease: Header.LeaseID names the window and
 	// Header.LeaseBytes its granted capacity. A denial carries
-	// Header.Error instead, and the client falls back to in-band
-	// transfer without surfacing a failure.
+	// Header.Error and Header.Code instead, and the client falls back to
+	// in-band transfer without surfacing a failure; a non-retryable code
+	// stops it asking again on that connection.
 	MsgLeaseAck
 	// MsgLeaseRevoke withdraws a granted lease (Header.LeaseID), sent by
 	// the server on drain, connection teardown, or a circuit-breaker
@@ -189,15 +190,17 @@ func (t MsgType) String() string {
 
 // Machine-readable error codes carried by MsgError in Header.Code. They
 // classify failures so clients can decide to retry without parsing error
-// text. Unrecognized codes must be treated as CodeInternal.
+// text (see Retryable). Unrecognized codes must be treated as
+// CodeInternal.
 const (
 	// CodeOverloaded: the server shed the request under admission control
 	// (queue bound, in-flight cap, or deadline-aware rejection). Retryable
 	// after backoff.
 	CodeOverloaded = "OVERLOADED"
 	// CodeUnavailable: no device can currently serve the kernel (devices
-	// failed, breakers open, or the server is draining). Retryable after
-	// backoff, possibly against another replica.
+	// failed, breakers open, or the server is draining), or the arena has
+	// no budget for a lease right now. Retryable after backoff, possibly
+	// against another replica.
 	CodeUnavailable = "UNAVAILABLE"
 	// CodeDeadlineExceeded: the request's deadline expired before or
 	// during service. Not retryable — the client's budget is gone.
@@ -213,6 +216,18 @@ const (
 	// (or under a fresh lease) without surfacing an error to the caller.
 	CodeLeaseRevoked = "LEASE_REVOKED"
 )
+
+// Retryable reports whether code means the server rejected the request
+// before the kernel ran, so the same request may be retried after backoff
+// or moved to another host without executing twice. It is the only such
+// table: the header carries the code alone.
+func Retryable(code string) bool {
+	switch code {
+	case CodeOverloaded, CodeUnavailable, CodeLeaseRevoked:
+		return true
+	}
+	return false
+}
 
 // Errors returned by frame decoding.
 var (

@@ -182,6 +182,20 @@ func TestMsgTypeString(t *testing.T) {
 	}
 }
 
+// TestRetryable: exactly the codes of a rejection made before the kernel
+// ran are retryable; an unknown or missing code is not.
+func TestRetryable(t *testing.T) {
+	for code, want := range map[string]bool{
+		CodeOverloaded: true, CodeUnavailable: true, CodeLeaseRevoked: true,
+		CodeDeadlineExceeded: false, CodeUnknownKernel: false, CodeInternal: false,
+		"": false, "FUTURE_CODE": false,
+	} {
+		if got := Retryable(code); got != want {
+			t.Errorf("Retryable(%q) = %v, want %v", code, got, want)
+		}
+	}
+}
+
 func TestMuxFrameRoundTrip(t *testing.T) {
 	msg := &Message{
 		Version: VersionMux,

@@ -75,8 +75,9 @@ type (
 	// ClientMetrics is a snapshot of a client's reliability counters.
 	ClientMetrics = client.Metrics
 	// RemoteError is a failure reported by the server, carrying the wire
-	// protocol's machine-readable code; the client retries only the
-	// retryable codes (overload, unavailability).
+	// protocol's machine-readable code. Its Retryable field is derived
+	// from the code (overload, unavailability), and the client retries
+	// only those.
 	RemoteError = client.RemoteError
 )
 
