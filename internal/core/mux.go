@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"kaas/internal/kernels"
 	"kaas/internal/shm"
@@ -448,7 +449,22 @@ func (s *muxSession) serveStats(msg *wire.Message) {
 // serveInvoke runs one invocation stream to completion on a stream
 // worker, bounded by the session's stream semaphore and the server's
 // admission control.
+//
+// The in-band body goes back to the wire pool when the stream ends,
+// whichever way it ends: the kernel was done with it when Server.Invoke
+// returned (kernels.Request.Data). The one exception is a reply body that
+// shares its backing array, which the writer may still be reading. (No
+// defer does this: a fourth defer in invokeStream would stop the compiler
+// open-coding the other three.)
 func (s *muxSession) serveInvoke(msg *wire.Message) {
+	if sent := s.invokeStream(msg); !sharesArray(sent, msg.Body) {
+		wire.Recycle(msg.Body)
+	}
+}
+
+// invokeStream serves one invocation and returns the reply body it handed
+// to the transport, nil when the stream ended without one.
+func (s *muxSession) invokeStream(msg *wire.Message) []byte {
 	id := msg.Header.StreamID
 
 	// Legacy (pre-tenant) peers leave Tenant empty; the server maps that
@@ -463,7 +479,7 @@ func (s *muxSession) serveInvoke(msg *wire.Message) {
 		l, err := s.resolveLease(msg)
 		if err != nil {
 			s.sendErr(msg, err)
-			return
+			return nil
 		}
 		defer l.Release()
 		lease = l
@@ -480,7 +496,7 @@ func (s *muxSession) serveInvoke(msg *wire.Message) {
 		s.t.srv.Logger().Warn("rejecting expired invocation",
 			"kernel", msg.Header.Kernel, "remote", s.conn.RemoteAddr(), "stream", id, "err", err)
 		s.sendErr(msg, err)
-		return
+		return nil
 	}
 	defer cancel()
 	s.addStream(id, cancel)
@@ -496,7 +512,7 @@ func (s *muxSession) serveInvoke(msg *wire.Message) {
 				"kernel", msg.Header.Kernel, "remote", s.conn.RemoteAddr(), "stream", id, "cause", ctx.Err())
 		}
 		s.sendErr(msg, err)
-		return
+		return nil
 	}
 
 	out := wire.Header{
@@ -512,7 +528,7 @@ func (s *muxSession) serveInvoke(msg *wire.Message) {
 	// connection's writer, which can only drop the frame or the socket.
 	if err := wire.CheckEncodable(&wire.Message{Header: out}); err != nil {
 		s.sendErr(msg, fmt.Errorf("kernel %q returned a result that cannot be sent: %w", msg.Header.Kernel, err))
-		return
+		return nil
 	}
 	body := resp.Data
 	if lease != nil && len(resp.Data) > 0 && int64(len(resp.Data)) <= lease.Cap() {
@@ -527,4 +543,17 @@ func (s *muxSession) serveInvoke(msg *wire.Message) {
 		body = nil
 	}
 	s.reply(msg, wire.MsgResult, out, body)
+	return body
+}
+
+// sharesArray reports whether a and b lie in one backing array. Distinct
+// allocations never overlap, so overlapping capacity ranges mean the same
+// array.
+func sharesArray(a, b []byte) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	pa := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
+	pb := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(cap(b)) && pb < pa+uintptr(cap(a))
 }

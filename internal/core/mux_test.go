@@ -271,6 +271,105 @@ func (echoKernel) Execute(req *kernels.Request) (*kernels.Response, error) {
 	return &kernels.Response{Values: map[string]float64{"op": req.Params["op"]}, Data: req.Data}, nil
 }
 
+// tailEchoKernel answers with its payload past the first 8 bytes: a reply
+// body inside the request body's backing array, not at its start.
+type tailEchoKernel struct{ echoKernel }
+
+func (tailEchoKernel) Name() string { return "echo-tail" }
+func (tailEchoKernel) Execute(req *kernels.Request) (*kernels.Response, error) {
+	return &kernels.Response{Values: map[string]float64{"op": req.Params["op"]}, Data: req.Data[8:]}, nil
+}
+
+// TestMuxReplyAliasingRequestBody: a kernel may answer with a slice of its
+// request body, so the server must not recycle a body its reply shares.
+// Inline, the reply is written before the stream ends; through the writer
+// queue it is read afterwards, while the session's reader fills the next
+// requests' bodies.
+func TestMuxReplyAliasingRequestBody(t *testing.T) {
+	srv, tcp, _ := startTCP(t)
+	for _, k := range []kernels.Kernel{slowKernel{}, tailEchoKernel{}} {
+		if err := srv.Register(k); err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+	}
+	payload := func(id uint64) []byte {
+		b := make([]byte, 256<<10)
+		for i := range b {
+			b[i] = byte(uint64(i)*13 + id)
+		}
+		return b
+	}
+	invoke := func(conn net.Conn, id uint64) error {
+		return wire.Write(conn, &wire.Message{Version: wire.VersionMux, Type: wire.MsgInvoke, Header: wire.Header{
+			Kernel: "echo-tail", Params: map[string]float64{"op": float64(id)}, StreamID: id,
+		}, Body: payload(id)})
+	}
+	// check reads one reply and returns its stream.
+	check := func(t *testing.T, conn net.Conn) uint64 {
+		t.Helper()
+		reply, err := wire.Read(conn)
+		if err != nil {
+			t.Fatalf("read reply: %v", err)
+		}
+		id := reply.Header.StreamID
+		if reply.Type != wire.MsgResult {
+			t.Fatalf("stream %d: reply %s (%s), want result", id, reply.Type, reply.Header.Error)
+		}
+		if !bytes.Equal(reply.Body, payload(id)[8:]) {
+			t.Errorf("stream %d: reply body (%d bytes) is not its request's tail", id, len(reply.Body))
+		}
+		return id
+	}
+	dial := func(t *testing.T) net.Conn {
+		conn := dialWire(t, tcp.Addr())
+		muxHandshake(t, conn)
+		conn.SetDeadline(time.Now().Add(30 * time.Second))
+		return conn
+	}
+
+	t.Run("inline", func(t *testing.T) {
+		conn := dial(t)
+		for id := uint64(1); id <= 8; id++ {
+			if err := invoke(conn, id); err != nil {
+				t.Fatalf("write invoke %d: %v", id, err)
+			}
+			if got := check(t, conn); got != id {
+				t.Fatalf("reply on stream %d, want %d", got, id)
+			}
+		}
+	})
+
+	t.Run("queued", func(t *testing.T) {
+		conn := dial(t)
+		// A slow stream in flight keeps a second slot taken, so every echo
+		// reply goes through the writer queue.
+		err := wire.Write(conn, &wire.Message{Version: wire.VersionMux, Type: wire.MsgInvoke,
+			Header: wire.Header{Kernel: "slow", StreamID: 1 << 20}})
+		if err != nil {
+			t.Fatalf("write slow invoke: %v", err)
+		}
+		waitFor(t, 5*time.Second, func() bool { return srv.Stats().InFlight == 1 }, "slow invocation in flight")
+		// Every request goes out before any reply is read: the replies'
+		// 12 MiB fill the socket, so queued replies wait in the writer
+		// while the reader takes in the later requests. The session's
+		// stream and queue bounds (64 each) hold them all.
+		const streams = 48
+		for id := uint64(1); id <= streams; id++ {
+			if err := invoke(conn, id); err != nil {
+				t.Fatalf("write invoke %d: %v", id, err)
+			}
+		}
+		seen := make(map[uint64]bool)
+		for i := 0; i < streams; i++ {
+			id := check(t, conn)
+			if seen[id] {
+				t.Fatalf("stream %d answered twice", id)
+			}
+			seen[id] = true
+		}
+	})
+}
+
 // TestMuxWriterKeepsFramesWholeAndOrdered pipelines eight streams over one
 // connection, half with 256 KiB bodies the writer sends from where they
 // lie and half header-only, all through the coalescing writer: every

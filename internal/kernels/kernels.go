@@ -63,7 +63,12 @@ func (p Params) Clone() Params {
 // memory).
 type Request struct {
 	Params Params
-	Data   []byte
+	// Data is valid until Execute returns, on both data paths: the server
+	// reuses an in-band body's buffer and a leased arena window for later
+	// calls. A kernel that needs the bytes afterwards copies them. It may
+	// return Data, or a slice of it, as Response.Data; the server then
+	// keeps the buffer until the reply is written.
+	Data []byte
 	// Tenant names the invoking tenant for fair queueing. Empty means
 	// the caller did not identify itself; the server normalizes that to
 	// its default tenant.
@@ -103,6 +108,7 @@ type Kernel interface {
 	// Cost models the device cost of a request at its full size.
 	Cost(req *Request) (Cost, error)
 	// Execute runs the computation (possibly size-capped) on the host.
+	// req.Data is valid only until it returns (see Request.Data).
 	Execute(req *Request) (*Response, error)
 }
 

@@ -42,48 +42,146 @@ func bytesPerOp(runs int, f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
+// drainBodyPool empties every body pool class, so the next read of a
+// poolable body takes the allocating path.
+func drainBodyPool() {
+	for i := range bodyPools {
+		for bodyPools[i].Get() != nil {
+		}
+	}
+}
+
+// classSize is the size of the smallest body pool class that holds n.
+func classSize(n int) int {
+	c := bodyPoolMin
+	for c < n {
+		c <<= 1
+	}
+	return c
+}
+
+// oneP runs the rest of the test on one P. A sync.Pool keeps a Put in a
+// per-P slot other Ps cannot take from, so only there is the buffer put
+// the next one got.
+func oneP(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestReadAllocationBoundedByArrival holds the package comment's promise:
-// a frame that claims MaxBodyLen and delivers k bytes costs memory in
-// proportion to k, not to the claim.
+// a frame that claims a body and delivers k bytes of it costs memory in
+// proportion to k, not to the claim, and returns no body. With the pool
+// warm a claim inside its classes reads into a pooled buffer, which goes
+// back to the pool when the stream runs short, while one beyond them
+// allocates by arrival as before.
 func TestReadAllocationBoundedByArrival(t *testing.T) {
-	head := []byte{'K', 'A', 'A', 'S', VersionMux, byte(MsgInvoke), 0, 0, 0, 2, '{', '}'}
-	head = binary.BigEndian.AppendUint32(head, MaxBodyLen)
+	oneP(t)
 	// What one Read allocates besides the body: the Message and the error.
 	const slack = 2 << 10
-	for _, k := range []int{0, 1, 64 << 10, 300 << 10} {
-		stream := append(bytes.Clone(head), make([]byte, k)...)
-		var rd bytes.Reader
-		got := bytesPerOp(4, func() {
-			rd.Reset(stream)
-			if _, err := Read(&rd); err == nil {
-				t.Fatalf("k=%d: truncated frame decoded", k)
+	for _, claim := range []uint32{MaxBodyLen, bodyPoolMax} {
+		head := []byte{'K', 'A', 'A', 'S', VersionMux, byte(MsgInvoke), 0, 0, 0, 2, '{', '}'}
+		head = binary.BigEndian.AppendUint32(head, claim)
+		for _, k := range []int{0, 1, 64 << 10, 300 << 10} {
+			stream := append(bytes.Clone(head), make([]byte, k)...)
+			// Warm the class a bodyPoolMax claim reads into, here rather than
+			// once: the GCs that earlier claims' garbage sets off empty it.
+			Recycle(make([]byte, bodyPoolMax))
+			var rd bytes.Reader
+			got := bytesPerOp(4, func() {
+				rd.Reset(stream)
+				msg, err := Read(&rd)
+				if err == nil {
+					t.Fatalf("claim=%d k=%d: truncated frame decoded", claim, k)
+				}
+				if msg != nil {
+					t.Fatalf("claim=%d k=%d: truncated frame returned a message with %d body bytes", claim, k, len(msg.Body))
+				}
+			})
+			limit := sectionGrowth * max(allocChunk, sectionGrowth*k) / (sectionGrowth - 1)
+			if got > float64(limit+slack) {
+				t.Errorf("claim=%d k=%d: Read allocated %.0f bytes, want <= %d (+%d)", claim, k, got, limit, slack)
 			}
-		})
-		limit := sectionGrowth * max(allocChunk, sectionGrowth*k) / (sectionGrowth - 1)
-		if got > float64(limit+slack) {
-			t.Errorf("k=%d: Read allocated %.0f bytes, want <= %d (+%d)", k, got, limit, slack)
-		}
-		if got < float64(k) {
-			t.Errorf("k=%d: measured %.0f bytes, less than the stream delivered: the measurement is broken", k, got)
+			if claim > bodyPoolMax && got < float64(k) {
+				t.Errorf("k=%d: measured %.0f bytes, less than the stream delivered: the measurement is broken", k, got)
+			}
+			// Each short read must have put the pooled buffer back for the
+			// next (the race detector drops pooled entries at random).
+			if claim <= bodyPoolMax && !raceEnabled && got > slack {
+				t.Errorf("claim=%d k=%d: Read allocated %.0f bytes with the pool warm, want <= %d", claim, k, got, slack)
+			}
 		}
 	}
 }
 
 // TestReadSectionSteps pins the growth rule itself: the first buffer is
 // the section or allocChunk, each later one sectionGrowth times what has
-// arrived, the last exactly n.
+// arrived, the last exactly n. A read of a class size takes the pooled
+// buffer, holding an earlier frame's bytes; a read of any other length
+// leaves the next class's buffer in the pool.
 func TestReadSectionSteps(t *testing.T) {
+	oneP(t)
 	for _, n := range []int{1, allocChunk, allocChunk + 1, 1 << 20, 1<<20 + 3} {
 		src := bodyMessage(n).Body
-		got, err := readSection(bytes.NewReader(src), n)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+		for _, pooled := range []bool{false, true} {
+			drainBodyPool()
+			var stale []byte
+			if pooled {
+				stale = bytes.Repeat([]byte{0xEE}, classSize(n))
+				Recycle(stale)
+			}
+			got, err := readSection(bytes.NewReader(src), n)
+			if err != nil {
+				t.Fatalf("n=%d pooled=%v: %v", n, pooled, err)
+			}
+			if !bytes.Equal(got, src) {
+				t.Errorf("n=%d pooled=%v: section bytes differ", n, pooled)
+			}
+			if len(got) != n || cap(got) != n {
+				t.Errorf("n=%d pooled=%v: len, cap = %d, %d, want exactly n", n, pooled, len(got), cap(got))
+			}
+			if !pooled {
+				continue
+			}
+			used := &got[0] == &stale[0]
+			if bodyClass(n) < 0 && used {
+				t.Errorf("n=%d: a read of a length that is not a class size took a %d-byte pooled buffer", n, len(stale))
+			}
+			// The race detector drops pooled entries at random.
+			if bodyClass(n) >= 0 && !raceEnabled && !used {
+				t.Errorf("n=%d: a read with a %d-byte buffer pooled did not use it", n, len(stale))
+			}
 		}
-		if !bytes.Equal(got, src) {
-			t.Errorf("n=%d: section bytes differ", n)
-		}
-		if cap(got) != n {
-			t.Errorf("n=%d: final buffer cap = %d, want exactly n", n, cap(got))
+	}
+	drainBodyPool()
+}
+
+// TestRecycleClasses: Recycle files a buffer whose capacity is a class
+// size under that class, and leaves any other buffer to the GC.
+func TestRecycleClasses(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries under the race detector")
+	}
+	oneP(t)
+	for _, tt := range []struct {
+		cap, class int // class -1: not pooled
+	}{
+		{0, -1},
+		{bodyPoolMin - 1, -1},
+		{bodyPoolMin, 0},
+		{2*bodyPoolMin - 1, -1},
+		{2 * bodyPoolMin, 1},
+		{1 << 20, 8},
+		{1<<20 + 3, -1},
+		{bodyPoolMax, bodyPoolClasses - 1},
+		{bodyPoolMax + 1, -1},
+		{2 * bodyPoolMax, -1},
+	} {
+		drainBodyPool()
+		Recycle(make([]byte, 0, tt.cap))
+		for i := range bodyPools {
+			if got := bodyPools[i].Get() != nil; got != (i == tt.class) {
+				t.Errorf("cap %d: class %d holds a buffer = %v, want %v", tt.cap, i, got, i == tt.class)
+			}
 		}
 	}
 }
@@ -183,29 +281,39 @@ func TestAppendSplitBoundary(t *testing.T) {
 }
 
 // TestBodyAllocationBudgets: a received body is allocated once (and a
-// 1 MiB one within 1.35x), a sent body not at all.
+// 1 MiB one within 1.35x), or not at all when the previous one was
+// recycled; a sent body is not allocated at all.
 func TestBodyAllocationBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries under the race detector")
 	}
-	// A decoded Message with this header's strings and map. The runs are
-	// many so that a pooled buffer stranded on another P costs little.
+	oneP(t)
+	// A decoded Message with this header's strings and map.
 	const perMessage, runs = 1 << 10, 100
 	for _, tt := range []struct {
-		n      int
-		factor float64
-	}{{4 << 10, 1}, {64 << 10, 1}, {1 << 20, 1.35}} {
+		n       int
+		factor  float64
+		recycle bool
+	}{
+		{4 << 10, 1, false}, {64 << 10, 1, false}, {1 << 20, 1.35, false},
+		{64 << 10, 0, true}, {1 << 20, 0, true},
+	} {
+		drainBodyPool()
 		msg := bodyMessage(tt.n)
 		frame, _ := Append(nil, msg)
 		var rd bytes.Reader
 		read := bytesPerOp(runs, func() {
 			rd.Reset(frame)
-			if _, err := Read(&rd); err != nil {
+			got, err := Read(&rd)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if tt.recycle {
+				Recycle(got.Body)
 			}
 		})
 		if limit := tt.factor*float64(tt.n) + perMessage; read > limit {
-			t.Errorf("Read of a %d-byte body allocates %.0f B/op, want <= %.0f", tt.n, read, limit)
+			t.Errorf("Read of a %d-byte body (recycled %v) allocates %.0f B/op, want <= %.0f", tt.n, tt.recycle, read, limit)
 		}
 		write := bytesPerOp(runs, func() {
 			if err := Write(io.Discard, msg); err != nil {

@@ -76,7 +76,10 @@ func seedFrames(t testing.TB) [][]byte {
 
 // FuzzRead throws arbitrary byte streams at the frame decoder: it must
 // never panic, and every frame it accepts, up to the first it rejects,
-// must re-encode and decode to the same message.
+// must re-encode and decode to the same message. Each decoded body is
+// then recycled and the stream decoded again, so the second pass reads
+// into buffers holding the first pass's bytes: it must decode the same
+// frames and stop at the same error.
 func FuzzRead(f *testing.F) {
 	for _, frame := range seedFrames(f) {
 		f.Add(frame)
@@ -120,24 +123,43 @@ func FuzzRead(f *testing.F) {
 	f.Add(stream)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rd := bytes.NewReader(data)
-		for {
-			msg, err := Read(rd)
-			if err != nil {
-				return
+		// decode reads every frame of data, recycling each body once it has
+		// been checked and copied into the returned list.
+		decode := func() ([]*Message, error) {
+			var got []*Message
+			rd := bytes.NewReader(data)
+			for {
+				msg, err := Read(rd)
+				if err != nil {
+					return got, err
+				}
+				if len(msg.Body) != cap(msg.Body) {
+					t.Fatalf("body len %d, cap %d: bytes past the body are reachable", len(msg.Body), cap(msg.Body))
+				}
+				// Accepted frames must survive a round trip.
+				var buf bytes.Buffer
+				if err := Write(&buf, msg); err != nil {
+					t.Fatalf("re-encode accepted frame: %v", err)
+				}
+				again, err := Read(&buf)
+				if err != nil {
+					t.Fatalf("re-decode accepted frame: %v", err)
+				}
+				if again.Type != msg.Type || !bytes.Equal(again.Body, msg.Body) {
+					t.Fatalf("round trip changed frame: %+v != %+v", again, msg)
+				}
+				Recycle(again.Body)
+				kept := *msg
+				kept.Body = bytes.Clone(msg.Body)
+				Recycle(msg.Body)
+				got = append(got, &kept)
 			}
-			// Accepted frames must survive a round trip.
-			var buf bytes.Buffer
-			if err := Write(&buf, msg); err != nil {
-				t.Fatalf("re-encode accepted frame: %v", err)
-			}
-			again, err := Read(&buf)
-			if err != nil {
-				t.Fatalf("re-decode accepted frame: %v", err)
-			}
-			if again.Type != msg.Type || !bytes.Equal(again.Body, msg.Body) {
-				t.Fatalf("round trip changed frame: %+v != %+v", again, msg)
-			}
+		}
+		first, err1 := decode()
+		second, err2 := decode()
+		if !reflect.DeepEqual(first, second) || err1.Error() != err2.Error() {
+			t.Fatalf("decoding after recycling differs: %d frames (%v), then %d frames (%v)",
+				len(first), err1, len(second), err2)
 		}
 	})
 }

@@ -42,6 +42,14 @@
 // honest body of up to allocChunk lands in one allocation of its own size
 // and a 1 MiB body in 1.31x its size.
 //
+// A body whose length is a power of two from bodyPoolMin to bodyPoolMax
+// may instead land in a buffer from the body pool, filled only by Recycle
+// with buffers of exactly those sizes. A read that finds one there reads
+// straight into it and allocates nothing; a read that finds none follows
+// the schedule above, so the arrival bound holds either way. A short read
+// puts the pooled buffer back and returns no body. A body of any other
+// length is read and dropped as if there were no pool.
+//
 // Write never copies a body larger than inlineBodyMax: the frame's head
 // (everything before the body) is encoded into a pooled buffer and the
 // body follows it from the caller's slice in one vectored write (writev on
@@ -59,8 +67,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net"
 	"sync"
+	"unsafe"
 )
 
 // Protocol constants.
@@ -465,13 +475,65 @@ const allocChunk = 64 << 10
 // 256 KiB and 1 MiB buffers: 1.31x its size allocated, 0.31x re-copied.
 const sectionGrowth = 4
 
-// readSection reads exactly n bytes into a buffer sized by what has
+// The body pool's size classes are the powers of two from bodyPoolMin
+// (4 KiB) to bodyPoolMax (4 MiB); class i holds buffers of exactly
+// bodyPoolMin<<i bytes. Below 4 KiB a fresh buffer is as cheap as a pooled
+// one; above 4 MiB a body is rare enough that keeping one around for the
+// next is not worth the memory.
+const (
+	bodyPoolShift   = 12
+	bodyPoolClasses = 11
+	bodyPoolMin     = 1 << bodyPoolShift
+	bodyPoolMax     = bodyPoolMin << (bodyPoolClasses - 1)
+)
+
+// bodyPools holds recycled body buffers by class, each as a pointer to its
+// first byte so that a Put does not allocate. A sync.Pool per class lets
+// the GC trim them, so an idle connection pins no memory.
+var bodyPools [bodyPoolClasses]sync.Pool
+
+// bodyClass returns the body pool class of size n, or -1 if n is not a
+// class size. Only class sizes are pooled, in both directions: a buffer
+// goes back to the class a read of its own length looks in, and a body of
+// any other length is allocated and dropped as if there were no pool.
+func bodyClass(n int) int {
+	if n < bodyPoolMin || n > bodyPoolMax || n&(n-1) != 0 {
+		return -1
+	}
+	return bits.Len(uint(n)) - 1 - bodyPoolShift
+}
+
+// Recycle gives a body Read returned back to the pool for a later Read of
+// the same length to fill. The caller must hold no other reference to b,
+// or to any slice sharing its backing array, once it calls Recycle. A b
+// whose capacity is not a class size is left to the GC.
+func Recycle(b []byte) {
+	if i := bodyClass(cap(b)); i >= 0 {
+		bodyPools[i].Put(unsafe.Pointer(unsafe.SliceData(b)))
+	}
+}
+
+// readSection reads exactly n bytes into a recycled buffer if n is a class
+// size and the pool has one, otherwise into a buffer sized by what has
 // arrived, not by n (see the package comment for the bound): a frame that
 // lies about its length on a truncated stream costs memory in proportion
 // to what the stream really delivers.
 func readSection(r io.Reader, n int) ([]byte, error) {
 	if n <= 0 {
 		return nil, nil
+	}
+	if i := bodyClass(n); i >= 0 {
+		// The buffer is exactly n long, so no byte past the body is
+		// reachable.
+		pool := &bodyPools[i]
+		if p, _ := pool.Get().(unsafe.Pointer); p != nil {
+			buf := unsafe.Slice((*byte)(p), n)
+			if _, err := io.ReadFull(r, buf); err != nil {
+				pool.Put(p)
+				return nil, err
+			}
+			return buf, nil
+		}
 	}
 	buf := make([]byte, min(n, allocChunk))
 	for have := 0; ; {
