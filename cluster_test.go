@@ -4,297 +4,193 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"kaas/internal/accel"
 	"kaas/internal/core"
+	"kaas/internal/cplane"
 	"kaas/internal/wire"
 )
 
-func newCluster(t *testing.T) *Cluster {
+// Federation is kaasd nodes joined by internal/cplane, with a
+// cplane.Router dispatching over the wire. These tests drive real
+// platforms through an observer-backed router and read each node's own
+// counters to see where the work landed.
+
+// newRouterNode builds a wire-serving cluster node.
+func newRouterNode(t *testing.T, name string, opts ...Option) *Platform {
 	t.Helper()
-	gpuHost, err := New(WithHostName("gpu-node"), WithAccelerators(TeslaP100))
+	base := []Option{WithHostName(name), WithListenAddr("127.0.0.1:0"), WithClusterNode(name)}
+	p, err := New(append(base, opts...)...)
 	if err != nil {
-		t.Fatalf("New gpu host: %v", err)
+		t.Fatalf("New %s: %v", name, err)
 	}
-	fpgaHost, err := New(WithHostName("fpga-node"), WithAccelerators(AlveoU250))
-	if err != nil {
-		t.Fatalf("New fpga host: %v", err)
-	}
-	mixedHost, err := New(WithHostName("mixed-node"), WithAccelerators(TeslaP100, AlveoU250))
-	if err != nil {
-		t.Fatalf("New mixed host: %v", err)
-	}
-	c, err := NewCluster(gpuHost, fpgaHost, mixedHost)
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	t.Cleanup(c.Close)
-	return c
+	t.Cleanup(p.Close)
+	return p
 }
 
-func TestNewClusterValidation(t *testing.T) {
-	if _, err := NewCluster(); err == nil {
-		t.Error("empty cluster succeeded")
+// newObserverRouter joins an observer node to the platforms, waits until
+// each has gossiped, and returns a router over it. The observer beats
+// every 20 ms of wall time, so health changes reach it quickly. Every
+// kernel these tests run is pure, so the router may re-dispatch a call
+// whose connection failed.
+func newObserverRouter(t *testing.T, nodes ...*Platform) (*cplane.Router, *cplane.Node) {
+	t.Helper()
+	obs := cplane.NewNode(cplane.Config{Name: "router", HeartbeatEvery: 20 * time.Millisecond})
+	t.Cleanup(obs.Close)
+	for _, p := range nodes {
+		obs.Join(p.Addr())
 	}
-	if _, err := NewCluster(nil); err == nil {
-		t.Error("nil platform succeeded")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := obs.WaitMembers(ctx, len(nodes)); err != nil {
+		t.Fatalf("WaitMembers: %v", err)
+	}
+	r := cplane.NewRouter(cplane.RouterConfig{Node: obs, Idempotent: true})
+	t.Cleanup(r.Close)
+	return r, obs
+}
+
+// waitMember polls the observer's view of the member at addr until cond
+// holds or a wall deadline expires.
+func waitMember(t *testing.T, obs *cplane.Node, addr, what string, cond func(cplane.Member) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		for _, m := range obs.Members() {
+			if m.Addr == addr && cond(m) {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
+// register registers the kernel through the router and waits until the
+// observer's gossip lists it on each of the given serving nodes, so a
+// heartbeat sent before the registration cannot hide it from the pick.
+func register(t *testing.T, r *cplane.Router, obs *cplane.Node, kernel string, serving ...*Platform) {
+	t.Helper()
+	if err := r.Register(context.Background(), kernel); err != nil {
+		t.Fatalf("Register %s: %v", kernel, err)
+	}
+	for _, p := range serving {
+		waitMember(t, obs, p.Addr(), kernel+" gossiped", func(m cplane.Member) bool {
+			return m.Alive && slices.Contains(m.Kernels, kernel)
+		})
+	}
+}
+
+func invocations(p *Platform, kernel string) uint64 {
+	return p.Stats().PerKernel[kernel].Invocations
+}
+
+// newKindNodes builds a GPU-only and an FPGA-only node behind a router
+// and registers matmul (GPU) and histogram (FPGA) through it.
+func newKindNodes(t *testing.T) (r *cplane.Router, gpu, fpga *Platform) {
+	t.Helper()
+	gpu = newRouterNode(t, "gpu-node", WithAccelerators(TeslaP100))
+	fpga = newRouterNode(t, "fpga-node", WithAccelerators(AlveoU250))
+	r, obs := newObserverRouter(t, gpu, fpga)
+	register(t, r, obs, "matmul", gpu)
+	register(t, r, obs, "histogram", fpga)
+	return r, gpu, fpga
+}
+
+// TestClusterRegisterByKindAvailability: registering through the router
+// deploys a kernel only on the nodes with a device of its kind, and a
+// kernel the library does not know registers nowhere.
 func TestClusterRegisterByKindAvailability(t *testing.T) {
-	c := newCluster(t)
-	if c.Size() != 3 {
-		t.Fatalf("Size = %d, want 3", c.Size())
+	r, gpu, fpga := newKindNodes(t)
+	if got := gpu.Kernels(); !slices.Equal(got, []string{"matmul"}) {
+		t.Errorf("GPU node kernels = %v, want [matmul]", got)
 	}
-	// matmul (GPU) lands on hosts 0 and 2; histogram (FPGA) on 1 and 2.
-	if err := c.RegisterByName("matmul"); err != nil {
-		t.Fatalf("RegisterByName matmul: %v", err)
+	if got := fpga.Kernels(); !slices.Equal(got, []string{"histogram"}) {
+		t.Errorf("FPGA node kernels = %v, want [histogram]", got)
 	}
-	if err := c.RegisterByName("histogram"); err != nil {
-		t.Fatalf("RegisterByName histogram: %v", err)
-	}
-	stats := c.Stats()
-	if stats[0].Kernels != 1 || stats[1].Kernels != 1 || stats[2].Kernels != 2 {
-		t.Errorf("kernels per host = %d/%d/%d, want 1/1/2",
-			stats[0].Kernels, stats[1].Kernels, stats[2].Kernels)
-	}
-	if err := c.RegisterByName("nope"); err == nil {
-		t.Error("unknown kernel succeeded")
+	if err := r.Register(context.Background(), "nope"); err == nil {
+		t.Error("registering an unknown kernel succeeded")
 	}
 }
 
+// TestClusterRoutesToServingHost: each kernel lands only on the node
+// that has a device of its kind.
 func TestClusterRoutesToServingHost(t *testing.T) {
-	c := newCluster(t)
-	if err := c.RegisterByName("histogram"); err != nil {
-		t.Fatalf("Register: %v", err)
+	r, gpu, fpga := newKindNodes(t)
+
+	ctx := context.Background()
+	const calls = 3
+	for i := 0; i < calls; i++ {
+		res, err := r.Invoke(ctx, "histogram", Params{"n": 10000}, nil)
+		if err != nil {
+			t.Fatalf("Invoke histogram: %v", err)
+		}
+		if res.Values["total"] != 10000 {
+			t.Errorf("histogram total = %v, want 10000", res.Values["total"])
+		}
+		if _, err := r.Invoke(ctx, "matmul", Params{"n": 64}, nil); err != nil {
+			t.Fatalf("Invoke matmul: %v", err)
+		}
 	}
-	resp, report, host, err := c.Invoke(context.Background(), "histogram", Params{"n": 10000}, nil)
-	if err != nil {
-		t.Fatalf("Invoke: %v", err)
+	if got := invocations(fpga, "histogram"); got != calls {
+		t.Errorf("FPGA node served %d histogram calls, want %d", got, calls)
 	}
-	if host != 1 && host != 2 {
-		t.Errorf("histogram routed to host %d, want an FPGA host (1 or 2)", host)
+	if got := invocations(gpu, "matmul"); got != calls {
+		t.Errorf("GPU node served %d matmul calls, want %d", got, calls)
 	}
-	if resp.Values["total"] != 10000 {
-		t.Errorf("total = %v", resp.Values["total"])
-	}
-	if report == nil || report.Device == "" {
-		t.Error("missing report")
+	if got := invocations(gpu, "histogram") + invocations(fpga, "matmul"); got != 0 {
+		t.Errorf("%d calls landed on a node without a device of their kind", got)
 	}
 }
 
+// TestClusterUnknownKernel: a kernel registered nowhere fails through
+// the router.
 func TestClusterUnknownKernel(t *testing.T) {
-	c := newCluster(t)
-	if _, _, _, err := c.Invoke(context.Background(), "ghost", nil, nil); err == nil {
+	r, _, _ := newKindNodes(t)
+	if _, err := r.Invoke(context.Background(), "ghost", nil, nil); err == nil {
 		t.Error("unregistered kernel succeeded")
 	}
 }
 
-func TestClusterSpreadsConcurrentLoad(t *testing.T) {
-	c := newCluster(t)
-	if err := c.RegisterByName("matmul"); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	var mu sync.Mutex
-	hosts := make(map[int]int)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _, host, err := c.Invoke(context.Background(), "matmul", Params{"n": 4000}, nil)
-			if err != nil {
-				t.Errorf("Invoke: %v", err)
-				return
-			}
-			mu.Lock()
-			hosts[host]++
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	// Both GPU-bearing hosts (0 and 2) should have served work.
-	if hosts[0] == 0 || hosts[2] == 0 {
-		t.Errorf("load not spread across GPU hosts: %v", hosts)
-	}
-	if hosts[1] != 0 {
-		t.Errorf("FPGA-only host served %d matmul invocations", hosts[1])
-	}
-}
-
+// TestClusterFailsOverFromDrainingHost: a node that has shut down
+// gracefully rejects new work, so the router hands every call to the
+// other node. The router breaks load ties by node name, so without the
+// failover it would pick the drained node first.
 func TestClusterFailsOverFromDrainingHost(t *testing.T) {
-	a, err := New(WithHostName("node-a"), WithAccelerators(TeslaP100))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	b, err := New(WithHostName("node-b"), WithAccelerators(TeslaP100))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer b.Close()
-	c, err := NewCluster(a, b)
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	if err := c.RegisterByName("mci"); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
+	a := newRouterNode(t, "node-a", WithAccelerators(TeslaP100))
+	b := newRouterNode(t, "node-b", WithAccelerators(TeslaP100))
+	r, obs := newObserverRouter(t, a, b)
+	register(t, r, obs, "mci", a, b)
 
-	ctx := context.Background()
-	// Drain host 0: it rejects new work with ErrDraining, so the cluster
-	// must reroute every subsequent invocation to host 1.
-	shutdownCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	if err := a.Shutdown(shutdownCtx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	for i := 0; i < 4; i++ {
-		_, _, host, err := c.Invoke(ctx, "mci", Params{"n": 1000}, nil)
-		if err != nil {
-			t.Fatalf("Invoke after drain: %v", err)
-		}
-		if host != 1 {
-			t.Errorf("invocation served by host %d, want failover to 1", host)
-		}
-	}
-}
-
-func TestClusterAllHostsDownSurfacesTypedError(t *testing.T) {
-	a, err := New(WithHostName("solo"), WithAccelerators(TeslaP100))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	c, err := NewCluster(a)
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	if err := c.RegisterByName("mci"); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := a.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	_, _, _, err = c.Invoke(context.Background(), "mci", Params{"n": 1000}, nil)
-	if !errors.Is(err, core.ErrServerClosed) {
-		t.Errorf("Invoke on fully-drained cluster = %v, want ErrServerClosed", err)
-	}
-}
-
-// TestClusterSkipsBreakerOpenHost: a host whose every device of the
-// kernel's kind is excluded by an open circuit breaker must be
-// ineligible for routing — not merely failed over from after receiving
-// its least-loaded share. Before the Routable check in pick, host 0
-// kept receiving (and failing) invocations here; now its invocation
-// counter stays frozen while host 1 serves everything.
-func TestClusterSkipsBreakerOpenHost(t *testing.T) {
-	// Breaker: one failure opens, and the open timeout is hours of
-	// modeled time so it cannot half-open during the test.
-	opts := []Option{WithAccelerators(TeslaP100), WithBreaker(1, 12*time.Hour)}
-	p0, err := New(append([]Option{WithHostName("sick")}, opts...)...)
-	if err != nil {
-		t.Fatalf("New p0: %v", err)
-	}
-	p1, err := New(append([]Option{WithHostName("healthy")}, opts...)...)
-	if err != nil {
-		t.Fatalf("New p1: %v", err)
-	}
-	c, err := NewCluster(p0, p1)
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	t.Cleanup(c.Close)
-	if err := c.RegisterByName("mci"); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-
-	ctx := context.Background()
-	// Fail host 0's only GPU and invoke it directly: the failure is
-	// recorded as breaker evidence and (threshold 1) opens the breaker.
-	gpus := p0.host.DevicesByKind(GPU)
-	if len(gpus) != 1 {
-		t.Fatalf("host 0 has %d GPUs, want 1", len(gpus))
-	}
-	gpus[0].Fail()
-	if _, _, err := p0.Invoke(ctx, "mci", Params{"n": 1000}, nil); err == nil {
-		t.Fatal("Invoke on failed device succeeded")
-	}
-	// Repair the device: now only the open breaker excludes it.
-	gpus[0].Repair()
-	if p0.server.Routable("mci") {
-		t.Fatal("host 0 routable with its only GPU breaker open")
-	}
-
-	before := p0.Stats().PerKernel["mci"].Invocations
-	for i := 0; i < 6; i++ {
-		_, _, host, err := c.Invoke(ctx, "mci", Params{"n": 1000}, nil)
-		if err != nil {
-			t.Fatalf("Invoke %d: %v", i, err)
-		}
-		if host != 1 {
-			t.Errorf("invocation %d served by host %d, want 1", i, host)
+	const calls = 4
+	for i := 0; i < calls; i++ {
+		if _, err := r.Invoke(ctx, "mci", Params{"n": 1000}, nil); err != nil {
+			t.Fatalf("Invoke %d after drain: %v", i, err)
 		}
 	}
-	if after := p0.Stats().PerKernel["mci"].Invocations; after != before {
-		t.Errorf("breaker-open host received %d invocations", after-before)
+	if got := invocations(a, "mci"); got != 0 {
+		t.Errorf("drained node served %d invocations", got)
+	}
+	if got := invocations(b, "mci"); got != calls {
+		t.Errorf("surviving node served %d of %d invocations", got, calls)
 	}
 }
 
-// TestClusterSharesCompiledArtifacts: a kernel JIT-compiled during a cold
-// start on one cluster member is seeded into its peers' caches, so the
-// peer's first boot of the same kernel is cached-cold — it skips
-// compilation entirely.
-func TestClusterSharesCompiledArtifacts(t *testing.T) {
-	opts := []Option{WithTimeScale(5000), WithArtifactCache(64 << 20)}
-	p1, err := New(append([]Option{WithHostName("node-1")}, opts...)...)
-	if err != nil {
-		t.Fatalf("New p1: %v", err)
-	}
-	p2, err := New(append([]Option{WithHostName("node-2")}, opts...)...)
-	if err != nil {
-		t.Fatalf("New p2: %v", err)
-	}
-	c, err := NewCluster(p1, p2)
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	t.Cleanup(c.Close)
-	if err := c.RegisterByName("matmul"); err != nil {
-		t.Fatalf("RegisterByName: %v", err)
-	}
-
-	_, r1, err := p1.Invoke(context.Background(), "matmul", Params{"n": 32}, nil)
-	if err != nil {
-		t.Fatalf("Invoke on node-1: %v", err)
-	}
-	if !r1.Cold || r1.CachedCold {
-		t.Errorf("node-1 first boot: Cold=%v CachedCold=%v, want a plain cold start", r1.Cold, r1.CachedCold)
-	}
-
-	_, r2, err := p2.Invoke(context.Background(), "matmul", Params{"n": 32}, nil)
-	if err != nil {
-		t.Fatalf("Invoke on node-2: %v", err)
-	}
-	if !r2.Cold || !r2.CachedCold {
-		t.Errorf("node-2 first boot: Cold=%v CachedCold=%v, want cached-cold via the seeded artifact", r2.Cold, r2.CachedCold)
-	}
-	st := p2.Stats()
-	if st.ArtifactCache == nil || st.ArtifactCache.Seeded != 1 {
-		t.Fatalf("node-2 cache stats = %+v, want 1 seeded artifact", st.ArtifactCache)
-	}
-	if ks := st.PerKernel["matmul"]; ks.CacheHits != 1 || ks.CacheMisses != 0 {
-		t.Errorf("node-2 cache hits/misses = %d/%d, want 1/0", ks.CacheHits, ks.CacheMisses)
-	}
-}
-
-// TestClusterReroutesWhatRouterRedispatches: the in-process cluster fails
-// a host error over exactly when cplane.Router would re-dispatch the
-// RemoteError the wire makes of it — wire.Retryable of its code, the
-// router's rule for typed errors (TestRedispatchableFollowsWireRetryable).
+// TestClusterReroutesWhatRouterRedispatches: the errors a platform
+// raises reach the router as wire codes, and the router moves a call to
+// another node exactly for the transient ones — shed, draining, closed,
+// no usable device — never for a deadline or a caller's mistake.
 func TestClusterReroutesWhatRouterRedispatches(t *testing.T) {
 	for _, tc := range []struct {
 		err  error
@@ -312,12 +208,83 @@ func TestClusterReroutesWhatRouterRedispatches(t *testing.T) {
 		{core.ErrNoDevice, false},
 		{errors.New("kernel: bad n"), false},
 	} {
-		err := fmt.Errorf("kaas: host 0: %w", tc.err)
-		if got := reroutable(err); got != tc.want {
-			t.Errorf("Cluster reroutes %v: %v, want %v", tc.err, got, tc.want)
-		}
+		err := fmt.Errorf("kaas: node a: %w", tc.err)
 		if code := core.ErrorCode(err); wire.Retryable(code) != tc.want {
 			t.Errorf("Router re-dispatches %v (%s): %v, want %v", tc.err, code, !tc.want, tc.want)
 		}
+	}
+}
+
+// TestClusterSkipsBreakerOpenHost: once gossip shows a node with no
+// eligible GPU (its only GPU's breaker is open), the router sends that
+// node no GPU work at all, rather than failing over from it per call.
+func TestClusterSkipsBreakerOpenHost(t *testing.T) {
+	// One failure opens the breaker, and the open timeout is hours of
+	// modeled time so it cannot half-open during the test.
+	opts := []Option{WithAccelerators(TeslaP100), WithBreaker(1, 12*time.Hour)}
+	// The router breaks load ties by node name, so unless it skips the
+	// sick node it picks it first.
+	sick := newRouterNode(t, "node-a", opts...)
+	healthy := newRouterNode(t, "node-b", opts...)
+	r, obs := newObserverRouter(t, sick, healthy)
+	register(t, r, obs, "mci", sick, healthy)
+
+	ctx := context.Background()
+	// Fail the sick node's only GPU and invoke it in process: the failure
+	// is breaker evidence and (threshold 1) opens the breaker. Repair the
+	// device, so only the open breaker excludes it.
+	gpus := sick.host.DevicesByKind(GPU)
+	if len(gpus) != 1 {
+		t.Fatalf("sick node has %d GPUs, want 1", len(gpus))
+	}
+	gpus[0].Fail()
+	if _, _, err := sick.Invoke(ctx, "mci", Params{"n": 1000}, nil); err == nil {
+		t.Fatal("Invoke on a failed device succeeded")
+	}
+	gpus[0].Repair()
+	waitMember(t, obs, sick.Addr(), "gossip of the open breaker", func(m cplane.Member) bool {
+		return m.Eligible["GPU"] == 0
+	})
+
+	sickBefore, healthyBefore := invocations(sick, "mci"), invocations(healthy, "mci")
+	const calls = 6
+	for i := 0; i < calls; i++ {
+		if _, err := r.Invoke(ctx, "mci", Params{"n": 1000}, nil); err != nil {
+			t.Fatalf("Invoke %d: %v", i, err)
+		}
+	}
+	if got := invocations(sick, "mci") - sickBefore; got != 0 {
+		t.Errorf("breaker-open node received %d invocations", got)
+	}
+	if got := invocations(healthy, "mci") - healthyBefore; got != calls {
+		t.Errorf("healthy node served %d of %d invocations", got, calls)
+	}
+	if st := r.Stats(); st.Redispatches != 0 {
+		t.Errorf("router re-dispatched %d calls: the sick node was picked, not skipped", st.Redispatches)
+	}
+}
+
+// TestClusterSpreadsConcurrentLoad: concurrent calls go to the least
+// loaded node, so eight at once reach both GPU nodes.
+func TestClusterSpreadsConcurrentLoad(t *testing.T) {
+	a := newRouterNode(t, "gpu-a", WithAccelerators(TeslaP100))
+	b := newRouterNode(t, "gpu-b", WithAccelerators(TeslaP100))
+	r, obs := newObserverRouter(t, a, b)
+	register(t, r, obs, "matmul", a, b)
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := r.Invoke(context.Background(), "matmul", Params{"n": 4000}, nil); err != nil {
+				t.Errorf("Invoke: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	na, nb := invocations(a, "matmul"), invocations(b, "matmul")
+	if na == 0 || nb == 0 || na+nb != 8 {
+		t.Errorf("calls per node = %d/%d, want 8 spread over both", na, nb)
 	}
 }

@@ -16,7 +16,7 @@ func TestScenarioList(t *testing.T) {
 		t.Fatalf("runScenario list: %v", err)
 	}
 	out := buf.String()
-	for _, want := range []string{"replay-diurnal", "chaos-flap", "drain-midload", "mux-storm", "cluster-failover"} {
+	for _, want := range []string{"replay-diurnal", "chaos-flap", "drain-midload", "mux-storm", "node-drain-handoff"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("listing is missing %s:\n%s", want, out)
 		}

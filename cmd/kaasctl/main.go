@@ -280,8 +280,8 @@ func printVerboseStats(w io.Writer, st *core.Stats) error {
 	fmt.Fprintf(w, "kernels: %d  runners: %d  in-flight: %d  cold starts: %d  pre-warms: %d  failovers: %d  evictions: %d  reaps: %d\n",
 		st.Kernels, st.Runners, st.InFlight, st.ColdStarts, st.PreWarms, st.Failovers, st.Evictions, st.Reaps)
 	if ac := st.ArtifactCache; ac != nil {
-		fmt.Fprintf(w, "artifact cache: %d entries (%s of %s)  hits: %d  misses: %d  seeded: %d  evictions: %d\n",
-			ac.Entries, formatBytes(ac.UsedBytes), formatBytes(ac.BudgetBytes), ac.Hits, ac.Misses, ac.Seeded, ac.Evictions)
+		fmt.Fprintf(w, "artifact cache: %d entries (%s of %s)  hits: %d  misses: %d  evictions: %d\n",
+			ac.Entries, formatBytes(ac.UsedBytes), formatBytes(ac.BudgetBytes), ac.Hits, ac.Misses, ac.Evictions)
 	}
 	if dp := st.DataPlane; dp.OOBInvocations > 0 || dp.LeaseGrants > 0 || dp.ArenaCapacity > 0 {
 		fmt.Fprintf(w, "data plane: oob invocations: %d (%s)  in-band: %s  leases: %d active (%s granted, %d grants, %d reuses, %d revoked)\n",

@@ -3,10 +3,9 @@
 // transpiling, or place-and-routing) a kernel for a device kind is the
 // dominant first-invocation cost on every accelerator the paper models;
 // the cache makes that cost a one-time event per (kernel, device-kind)
-// pair. Entries are addressed by a digest of the kernel's identity and
-// compile signature, bounded by a byte budget with LRU eviction, and —
-// mirroring GKM-style kernel registries — distributable across federated
-// hosts so an artifact compiled on one node is a hit on its peers.
+// pair on one host. Entries are addressed by a digest of the kernel's
+// identity and compile signature and bounded by a byte budget with LRU
+// eviction.
 package artifact
 
 import (
@@ -57,20 +56,17 @@ type Artifact struct {
 
 // Stats is a point-in-time snapshot of cache effectiveness.
 type Stats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	// Seeded counts artifacts received from peer caches.
-	Seeded      uint64 `json:"seeded"`
+	Hits        uint64 `json:"hits"`
+	Misses      uint64 `json:"misses"`
+	Evictions   uint64 `json:"evictions"`
 	Entries     int    `json:"entries"`
 	UsedBytes   int64  `json:"used_bytes"`
 	BudgetBytes int64  `json:"budget_bytes"`
 }
 
 // Cache is a concurrency-safe LRU artifact cache with a byte budget.
-// Lookup and Store implement the local hit/miss path; Seed inserts
-// without hit/miss accounting and is how peer caches propagate artifacts
-// cluster-wide (see Link). The zero budget means "unbounded".
+// Lookup and Store implement the hit/miss path. The zero budget means
+// "unbounded".
 type Cache struct {
 	mu     sync.Mutex
 	budget int64
@@ -78,9 +74,7 @@ type Cache struct {
 	order  *list.List // front = most recently used; values are *Artifact
 	index  map[Key]*list.Element
 
-	hits, misses, evictions, seeded uint64
-
-	peers []*Cache
+	hits, misses, evictions uint64
 }
 
 // NewCache creates a cache bounded to budget bytes (0 = unbounded).
@@ -107,52 +101,25 @@ func (c *Cache) Lookup(key Key) *Artifact {
 	return el.Value.(*Artifact)
 }
 
-// Store inserts an artifact compiled locally and seeds it into every
-// linked peer cache, so a kernel compiled on one node is a cache hit on
-// its siblings. Artifacts larger than the whole budget are not cached.
+// Store inserts (or refreshes) an artifact compiled locally and evicts
+// LRU entries until the budget holds. Artifacts larger than the whole
+// budget are not cached.
 func (c *Cache) Store(a *Artifact) {
 	c.mu.Lock()
-	c.insertLocked(a)
-	peers := append([]*Cache(nil), c.peers...)
-	c.mu.Unlock()
-	// Seed outside c.mu: peers lock themselves, and bidirectional links
-	// would otherwise order locks both ways.
-	for _, p := range peers {
-		p.Seed(a)
-	}
-}
-
-// Seed inserts an artifact received from a peer. Unlike Store it does
-// not re-propagate (no flooding loops) and does not count as a miss.
-func (c *Cache) Seed(a *Artifact) {
-	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.index[a.Key]; ok {
-		return
-	}
-	if c.insertLocked(a) {
-		c.seeded++
-	}
-}
-
-// insertLocked adds (or refreshes) an artifact and evicts LRU entries
-// until the budget holds. Returns false if the artifact alone exceeds
-// the budget and was rejected.
-func (c *Cache) insertLocked(a *Artifact) bool {
 	if el, ok := c.index[a.Key]; ok {
 		c.used += a.Size - el.Value.(*Artifact).Size
 		el.Value = a
 		c.order.MoveToFront(el)
 		c.evictOverBudgetLocked()
-		return true
+		return
 	}
 	if c.budget > 0 && a.Size > c.budget {
-		return false
+		return
 	}
 	c.index[a.Key] = c.order.PushFront(a)
 	c.used += a.Size
 	c.evictOverBudgetLocked()
-	return true
 }
 
 func (c *Cache) evictOverBudgetLocked() {
@@ -169,27 +136,6 @@ func (c *Cache) evictOverBudgetLocked() {
 	}
 }
 
-// Link connects two caches bidirectionally: artifacts stored on either
-// are seeded into the other. Linking is idempotent.
-func Link(a, b *Cache) {
-	if a == nil || b == nil || a == b {
-		return
-	}
-	a.addPeer(b)
-	b.addPeer(a)
-}
-
-func (c *Cache) addPeer(p *Cache) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, q := range c.peers {
-		if q == p {
-			return
-		}
-	}
-	c.peers = append(c.peers, p)
-}
-
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
@@ -198,7 +144,6 @@ func (c *Cache) Stats() Stats {
 		Hits:        c.hits,
 		Misses:      c.misses,
 		Evictions:   c.evictions,
-		Seeded:      c.seeded,
 		Entries:     len(c.index),
 		UsedBytes:   c.used,
 		BudgetBytes: c.budget,

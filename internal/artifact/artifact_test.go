@@ -105,34 +105,8 @@ func TestCacheEvictionChurn(t *testing.T) {
 	}
 }
 
-func TestLinkPropagatesStores(t *testing.T) {
-	a, b, c := NewCache(0), NewCache(0), NewCache(0)
-	Link(a, b)
-	Link(a, c)
-	Link(a, b) // idempotent
-	x := art("x", 10)
-	a.Store(x)
-	if b.Lookup(x.Key) == nil || c.Lookup(x.Key) == nil {
-		t.Fatal("store on a did not seed linked peers")
-	}
-	if st := b.Stats(); st.Seeded != 1 {
-		t.Fatalf("peer seeded = %d, want 1", st.Seeded)
-	}
-	// Seeding must not flood back and forth: storing on b reaches a
-	// exactly once and stops there.
-	y := art("y", 10)
-	b.Store(y)
-	if a.Lookup(y.Key) == nil {
-		t.Fatal("store on b did not seed a")
-	}
-	if st := c.Stats(); st.Seeded != 1 {
-		t.Fatalf("c seeded = %d: b's artifacts must not transit through a", st.Seeded)
-	}
-}
-
 func TestCacheConcurrentAccess(t *testing.T) {
-	a, b := NewCache(500), NewCache(500)
-	Link(a, b)
+	a := NewCache(500)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -144,7 +118,6 @@ func TestCacheConcurrentAccess(t *testing.T) {
 				if a.Lookup(k) == nil {
 					a.Store(art(name, 60))
 				}
-				b.Lookup(k)
 			}
 		}(g)
 	}

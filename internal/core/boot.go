@@ -148,9 +148,9 @@ func (s *Server) coldStart(ctx context.Context, inv string, e *entry, k kernels.
 	s.cfg.Logger.Info("runner started", "inv", inv, "runner", r.id, "device", r.device.ID())
 
 	// JIT compilation against the artifact cache: a hit means some
-	// runner (here or on a linked peer host) already compiled this
-	// kernel for this device kind, and the boot proceeds straight to
-	// setup ("cached-cold"); a miss pays the modeled compile cost and
+	// earlier runner on this host already compiled this kernel for this
+	// device kind, and the boot proceeds straight to setup
+	// ("cached-cold"); a miss pays the modeled compile cost and
 	// publishes the artifact.
 	if c := s.cfg.Artifacts; c != nil {
 		compile, size := kernels.CompileProfile(k)

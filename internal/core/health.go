@@ -98,27 +98,3 @@ func (s *Server) Health() Health {
 	}
 	return h
 }
-
-// Routable reports whether an invocation of the named kernel could be
-// admitted and placed right now: the kernel is registered, the server
-// is accepting work, and at least one device of the kernel's kind is
-// eligible (not failed, breaker closed or ready to probe). Cluster
-// routing uses it to skip hosts that could only fail the invocation —
-// notably a host whose every device breaker for the kind is open.
-func (s *Server) Routable(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining || s.closed {
-		return false
-	}
-	e, ok := s.entries[name]
-	if !ok {
-		return false
-	}
-	for _, d := range s.cfg.Host.DevicesByKind(e.kernel.Kind()) {
-		if s.deviceEligibleLocked(d) {
-			return true
-		}
-	}
-	return false
-}

@@ -9,8 +9,8 @@ import (
 )
 
 // TestRedispatchableFollowsWireRetryable: a typed error moves to another
-// node exactly when its code is wire.Retryable, the rule kaas.Cluster
-// applies in process (TestClusterReroutesWhatRouterRedispatches).
+// node exactly when its code is wire.Retryable; which errors carry those
+// codes is core.ErrorCode's table (core.TestErrorCode).
 func TestRedispatchableFollowsWireRetryable(t *testing.T) {
 	r := NewRouter(RouterConfig{})
 	for _, code := range []string{

@@ -17,13 +17,15 @@
 // per-job progress and schedules a timer for the next completion, so job
 // finish times are exact under the fluid model regardless of wall-clock
 // jitter. All timing flows through a vclock.Clock, so the same engine runs
-// in scaled simulation time or real time.
+// in scaled simulation time or real time. On an exact clock, one that
+// moves only when told to, finish times are exact to the nanosecond.
 package psched
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -368,7 +370,10 @@ func (e *Engine) rescheduleLocked(now time.Time) {
 	if needSec > maxTimerSec {
 		needSec = maxTimerSec
 	}
-	e.timer = e.clock.AfterFunc(time.Duration(needSec*float64(time.Second)), e.onTimer)
+	// Round up: a truncated sub-nanosecond wait would arm a zero-delay
+	// timer that fires at the instant lastUpdate already holds, so
+	// advanceLocked could never retire the residue.
+	e.timer = e.clock.AfterFunc(time.Duration(math.Ceil(needSec*float64(time.Second))), e.onTimer)
 }
 
 // onTimer advances state when a completion deadline is reached.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -397,5 +398,70 @@ func TestWorkConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
+	}
+}
+
+// zeroTimerClock is a manual clock that counts timers armed with no
+// delay. On an exact clock such a timer fires at the instant it was
+// armed, with no modeled time for the engine to serve work in.
+type zeroTimerClock struct {
+	*vclock.Manual
+	zeroArms atomic.Int64
+}
+
+func (c *zeroTimerClock) AfterFunc(d time.Duration, f func()) vclock.Timer {
+	if d <= 0 {
+		c.zeroArms.Add(1)
+	}
+	return c.Manual.AfterFunc(d, f)
+}
+
+// TestSubNanosecondResidueFinishes: two processor-sharing jobs of 1.35
+// units at 1 unit/ns each need 2.7 ns. A completion timer truncated to
+// 2 ns leaves 0.7 ns of service, and a zero-delay timer armed for it
+// re-fires at the same instant forever on an exact clock. The engine must
+// round its timer up, never arm a zero-delay timer, and finish both jobs
+// within a nanosecond of their fluid finish time.
+func TestSubNanosecondResidueFinishes(t *testing.T) {
+	clock := &zeroTimerClock{Manual: vclock.NewManual(time.Unix(0, 0))}
+	e := mustEngine(t, clock, Config{Capacity: 1e9})
+	type result struct {
+		d   time.Duration
+		err error
+	}
+	results := make(chan result, 2)
+	for range 2 {
+		go func() {
+			d, err := e.Run(context.Background(), 1.35)
+			results <- result{d, err}
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for e.Usage().Active != 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("jobs never entered service")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Step the clock one nanosecond at a time, as an exact clock reaches
+	// each timer deadline.
+	for step := 0; step < 4; step++ {
+		clock.Advance(time.Nanosecond)
+		if n := clock.zeroArms.Load(); n > 0 {
+			t.Fatalf("engine armed %d zero-delay timers by t=%dns", n, step+1)
+		}
+	}
+	for range 2 {
+		select {
+		case r := <-results:
+			if r.err != nil {
+				t.Fatalf("Run: %v", r.err)
+			}
+			if r.d < 2*time.Nanosecond || r.d > 3*time.Nanosecond {
+				t.Errorf("elapsed = %v, want within 1ns of 2.7ns", r.d)
+			}
+		case <-time.After(time.Until(deadline)):
+			t.Fatal("jobs did not finish: the sub-nanosecond residue was never retired")
+		}
 	}
 }

@@ -25,14 +25,14 @@ import (
 type Chaos struct {
 	// Flaps fail/repair devices on the scripted schedules.
 	Flaps []FlapSpec `json:"flaps,omitempty"`
-	// Link degrades the client link mid-run (shaped transport only).
+	// Link degrades the client link mid-run (wire transport with a
+	// BaseLink only).
 	Link *LinkSpec `json:"link,omitempty"`
-	// ConnKills severs live client connections (tcp transports only).
+	// ConnKills severs live client connections (wire transport only).
 	ConnKills *ConnKillSpec `json:"conn_kills,omitempty"`
 	// Drain gracefully drains the server mid-load (inproc transport).
 	Drain *DrainSpec `json:"drain,omitempty"`
-	// HostDown shuts one cluster host down mid-load (cluster and nodes
-	// transports).
+	// HostDown shuts one cluster host down mid-load (nodes transport).
 	HostDown *HostDownSpec `json:"host_down,omitempty"`
 	// NodeKill abruptly kills one cluster node mid-load (nodes
 	// transport): no drain, no goodbye — connections die mid-request,
@@ -91,7 +91,8 @@ type FlapSpec struct {
 
 // LinkSpec degrades the client link to the Degraded profile At after the
 // run starts and restores the original profile Duration later — the
-// "network turns bad mid-run" injector for the shaped transport.
+// "network turns bad mid-run" injector for a wire transport with a
+// BaseLink.
 type LinkSpec struct {
 	AfterEvent int              `json:"after_event,omitempty"`
 	At         time.Duration    `json:"at"`
@@ -143,11 +144,11 @@ type NodeKillSpec struct {
 // fills in whichever targets exist for the chosen transport.
 type chaosEnv struct {
 	clock vclock.Clock
-	// devices are the flappable host devices (nil for cluster runs).
+	// devices are the flappable host devices (nil for nodes runs).
 	devices []faults.FailRepairer
-	// link is the shaped transport's client link.
+	// link is the wire client's modeled link (nil without a BaseLink).
 	link *netshape.Link
-	// listener is the fault-injecting listener of tcp transports.
+	// listener is the wire transport's fault-injecting listener.
 	listener *faults.Listener
 	// drain gracefully drains the serving platform.
 	drain func(context.Context) error
@@ -218,7 +219,7 @@ func (c Chaos) start(ctx context.Context, env *chaosEnv, seed int64) (*chaosRun,
 	}
 	if c.Link != nil {
 		if env.link == nil {
-			return nil, errSpec("link chaos needs the shaped transport")
+			return nil, errSpec("link chaos needs a BaseLink")
 		}
 		spec := *c.Link
 		if err := spec.Degraded.Validate(); err != nil {
@@ -250,7 +251,7 @@ func (c Chaos) start(ctx context.Context, env *chaosEnv, seed int64) (*chaosRun,
 	}
 	if c.ConnKills != nil {
 		if env.listener == nil {
-			return nil, errSpec("conn-kill chaos needs a tcp transport")
+			return nil, errSpec("conn-kill chaos needs the wire transport")
 		}
 		spec := *c.ConnKills
 		if spec.Kills <= 0 {
@@ -296,7 +297,7 @@ func (c Chaos) start(ctx context.Context, env *chaosEnv, seed int64) (*chaosRun,
 	}
 	if c.HostDown != nil {
 		if env.hostDown == nil {
-			return nil, errSpec("host-down chaos needs the cluster transport")
+			return nil, errSpec("host-down chaos needs the nodes transport")
 		}
 		spec := *c.HostDown
 		run.wg.Add(1)

@@ -427,8 +427,8 @@ func (s ScaledToZero) Check(d *RunData) error {
 
 // CacheWarmed asserts the compiled-artifact cache converted repeat cold
 // starts into cached-cold boots: at least MinHits cold starts after the
-// first found their compiled kernel already cached (locally or seeded
-// from a peer host) and skipped the modeled JIT compile. Like
+// first found their compiled kernel already cached and skipped the
+// modeled JIT compile. Like
 // ScaledToZero this is a floor — the exact hit count depends on how
 // many scale-to-zero cycles the trace produces.
 type CacheWarmed struct{ MinHits uint64 }

@@ -16,8 +16,8 @@ import (
 // timeouts are wall-clock backstops.
 //
 // The matrix deliberately covers every transport: the in-process control
-// plane, the plain and multiplexed wire transports, the shaped link, and
-// the federated cluster.
+// plane, the wire transport (default and widened connection counts, and
+// behind a modeled link), and wire-joined cluster nodes.
 var registry = map[string]Spec{
 	"replay-diurnal": {
 		Name:        "replay-diurnal",
@@ -82,7 +82,7 @@ var registry = map[string]Spec{
 	"replay-heavytail": {
 		Name:        "replay-heavytail",
 		Description: "Pareto (heavy-tailed) inter-arrivals over the plain wire transport; uncapped, so bursts queue but never fail",
-		Transport:   TransportTCP,
+		Transport:   TransportWire,
 		Trace: TraceSpec{
 			Events: 400,
 			Arrivals: ArrivalSpec{
@@ -136,7 +136,7 @@ var registry = map[string]Spec{
 	"chaos-link": {
 		Name:        "chaos-link",
 		Description: "the client link degrades mid-run (50ms RTT, 20% loss) and recovers; latency moves, correctness must not",
-		Transport:   TransportShaped,
+		Transport:   TransportWire,
 		BaseLink:    netshape.Profile{RTT: 200 * time.Microsecond, BandwidthBps: 1e9},
 		Trace: TraceSpec{
 			Events:   400,
@@ -165,7 +165,7 @@ var registry = map[string]Spec{
 	"chaos-connkill": {
 		Name:        "chaos-connkill",
 		Description: "live client connections are severed repeatedly; the retrying client must convert every kill into an eventual success",
-		Transport:   TransportTCP,
+		Transport:   TransportWire,
 		Retry: &client.RetryPolicy{
 			MaxAttempts: 8,
 			BaseDelay:   5 * time.Millisecond,
@@ -221,7 +221,7 @@ var registry = map[string]Spec{
 	"mux-storm": {
 		Name:        "mux-storm",
 		Description: "dense load over the multiplexed wire transport while a device flaps; streams share conns, failures stay typed",
-		Transport:   TransportMux,
+		Transport:   TransportWire,
 		MuxConns:    4,
 		Trace: TraceSpec{
 			Events:   1200,
@@ -257,7 +257,7 @@ var registry = map[string]Spec{
 		Name: "oob-lease-revoke",
 		Description: "zero-copy leases over the mux while a device flaps; each breaker-open revokes the leased arena " +
 			"windows mid-load and clients must degrade to in-band transfer without surfacing a single error",
-		Transport: TransportMux,
+		Transport: TransportWire,
 		MuxConns:  4,
 		OOB:       true,
 		Trace: TraceSpec{
@@ -294,17 +294,20 @@ var registry = map[string]Spec{
 	},
 
 	"cluster-failover": {
-		Name:        "cluster-failover",
-		Description: "one of two federated hosts shuts down mid-load; cluster rerouting makes the loss invisible to every client",
-		Transport:   TransportCluster,
-		Hosts:       2,
-		GPUs:        1,
+		Name: "cluster-failover",
+		Description: "one of two wire-joined hosts, one GPU each, shuts down at a fixed modeled time mid-load; the cluster " +
+			"router hands its share to the survivor and the loss stays invisible to every client",
+		Transport: TransportNodes,
+		Hosts:     2,
+		GPUs:      1,
 		Trace: TraceSpec{
 			Events:   300,
 			Arrivals: ArrivalSpec{Kind: "poisson", Mean: 30 * time.Millisecond},
 			Mix:      []KernelMix{{Kernel: "mci", Weight: 1, MinN: 5e8, MaxN: 2e9}},
 		},
 		Chaos: Chaos{
+			// Time-anchored, unlike node-drain-handoff's event anchor: the
+			// shutdown lands at 4 s of modeled time whatever has been issued.
 			HostDown: &HostDownSpec{Host: 0, At: 4 * time.Second, Timeout: 20 * time.Second},
 		},
 		Invariants: []Invariant{

@@ -32,16 +32,11 @@ const (
 	// TransportInProcess invokes core.Server directly — the control
 	// plane without a wire in front of it.
 	TransportInProcess Transport = "inproc"
-	// TransportTCP goes through the full wire protocol with the client's
-	// default connection count.
-	TransportTCP Transport = "tcp"
-	// TransportMux is TransportTCP over MuxConns shared connections.
-	TransportMux Transport = "mux"
-	// TransportShaped is TransportTCP with a modeled network link in
-	// front, so link chaos has something to degrade.
-	TransportShaped Transport = "shaped"
-	// TransportCluster invokes through a federated multi-host Cluster.
-	TransportCluster Transport = "cluster"
+	// TransportWire goes through the full wire protocol: one client over
+	// MuxConns shared connections (client default when zero), behind a
+	// modeled BaseLink when one is set, so link chaos has something to
+	// degrade.
+	TransportWire Transport = "wire"
 	// TransportNodes invokes through the wire-backed cluster control
 	// plane: Hosts kaasd platforms joined into one gossip cluster, with a
 	// cplane.Router dispatching over the wire and failing work over
@@ -61,7 +56,7 @@ type Spec struct {
 	Trace TraceSpec
 	// GPUs is the accelerator count per host (default 2).
 	GPUs int
-	// Hosts is the cluster host count (cluster transport only,
+	// Hosts is the cluster host count (nodes transport only,
 	// default 2).
 	Hosts int
 	// MaxConcurrent caps in-flight replay invocations (default 32).
@@ -95,13 +90,13 @@ type Spec struct {
 	// cache with this byte budget when positive, so repeat cold starts
 	// skip the modeled JIT compile (cached-cold).
 	ArtifactCacheBytes int64
-	// OOB enables the zero-copy out-of-band data plane (tcp, mux and
-	// shaped transports): the server fronts a pooled tensor arena, the client
+	// OOB enables the zero-copy out-of-band data plane (wire
+	// transport): the server fronts a pooled tensor arena, the client
 	// negotiates per-stream leases, and breaker-open/drain revoke them
 	// mid-load. ArenaBytes is the arena budget (0 = 256 MiB).
 	OOB        bool
 	ArenaBytes int64
-	// Retry enables client retries (tcp transports); its Seed is
+	// Retry enables client retries (wire transport); its Seed is
 	// re-derived from the scenario seed at run time.
 	Retry *client.RetryPolicy
 	// RetryBudgetCapacity and RetryBudgetRatio shape the shared
@@ -109,9 +104,11 @@ type Spec struct {
 	// 256-token bucket refilled at half a token per success — wide enough
 	// that legitimate failover is never clipped, finite so a storm is).
 	RetryBudgetCapacity, RetryBudgetRatio float64
-	// MuxConns is the shared connection count (mux transport, default 4).
+	// MuxConns is the wire client's shared connection count (0 = the
+	// client default).
 	MuxConns int
-	// BaseLink is the healthy link profile (shaped transport).
+	// BaseLink is the wire client's healthy link profile (zero = no
+	// modeled link).
 	BaseLink netshape.Profile
 	// InvokeTimeout bounds each invocation in wall time (default 30s) —
 	// the backstop that keeps a wedged invocation from hanging the run.
@@ -132,9 +129,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.MaxConcurrent <= 0 {
 		s.MaxConcurrent = 32
-	}
-	if s.MuxConns <= 0 {
-		s.MuxConns = 4
 	}
 	if s.InvokeTimeout <= 0 {
 		s.InvokeTimeout = 30 * time.Second
@@ -399,11 +393,9 @@ func buildHarness(spec Spec, trace Trace, clock vclock.Clock, seed int64, scale 
 	// externally loaded traces work without editing the scenario.
 	names := kernelNames(trace)
 	switch spec.Transport {
-	case TransportCluster:
-		return buildCluster(spec, names, clock, scale)
 	case TransportNodes:
 		return buildNodes(spec, names, clock, scale)
-	case TransportInProcess, TransportTCP, TransportMux, TransportShaped:
+	case TransportInProcess, TransportWire:
 		return buildServer(spec, names, clock, seed)
 	default:
 		return nil, errSpec("unknown transport %q", spec.Transport)
@@ -412,8 +404,9 @@ func buildHarness(spec Spec, trace Trace, clock vclock.Clock, seed int64, scale 
 
 // buildServer assembles the single-host transports: a core.Server with
 // the spec's admission/breaker shape, optionally fronted by the wire
-// protocol (plain, multiplexed, or behind a modeled link), with chaos
-// hooks wired to whatever exists on the chosen path.
+// protocol (over MuxConns connections, behind a modeled link when
+// BaseLink is set), with chaos hooks wired to whatever exists on the
+// chosen path.
 func buildServer(spec Spec, names []string, clock vclock.Clock, seed int64) (*harness, error) {
 	h := &harness{}
 	profiles := make([]accel.Profile, spec.GPUs)
@@ -482,8 +475,8 @@ func buildServer(spec Spec, names []string, clock vclock.Clock, seed int64) (*ha
 		return h, nil
 	}
 
-	// Wire transports share the TCP server; conn-kill chaos needs the
-	// fault-injecting listener in front of it.
+	// The wire transport serves through a fault-injecting listener, the
+	// conn-kill chaos target.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		h.close()
@@ -524,13 +517,13 @@ func buildServer(spec Spec, names []string, clock vclock.Clock, seed int64) (*ha
 	if arena != nil {
 		opts = append(opts, client.WithArena(arena))
 	}
-	switch spec.Transport {
-	case TransportMux:
+	if spec.MuxConns > 0 {
 		opts = append(opts, client.WithMux(spec.MuxConns))
-	case TransportShaped:
+	}
+	if spec.BaseLink != (netshape.Profile{}) {
 		if err := spec.BaseLink.Validate(); err != nil {
 			h.close()
-			return nil, errSpec("shaped transport base link: %v", err)
+			return nil, errSpec("wire transport base link: %v", err)
 		}
 		link, err := netshape.NewLinkProfile(clock, spec.BaseLink)
 		if err != nil {
@@ -550,7 +543,7 @@ func buildServer(spec Spec, names []string, clock vclock.Clock, seed int64) (*ha
 }
 
 // tenantOptions translates the spec's fairness knobs into platform
-// options for the multi-host transports.
+// options for the nodes transport.
 func tenantOptions(spec Spec) []kaas.Option {
 	var opts []kaas.Option
 	if len(spec.TenantWeights) > 0 {
@@ -563,71 +556,6 @@ func tenantOptions(spec Spec) []kaas.Option {
 		opts = append(opts, kaas.WithStickinessBound(spec.StickinessBound))
 	}
 	return opts
-}
-
-// buildCluster assembles the federated transport: Hosts platforms with
-// the spec's device shape behind one Cluster, host-down chaos wired to
-// Platform.Shutdown.
-func buildCluster(spec Spec, names []string, clock vclock.Clock, scale float64) (*harness, error) {
-	h := &harness{}
-	profiles := make([]kaas.DeviceProfile, spec.GPUs)
-	for i := range profiles {
-		profiles[i] = kaas.TeslaP100
-	}
-	platforms := make([]*kaas.Platform, spec.Hosts)
-	for i := range platforms {
-		opts := []kaas.Option{
-			kaas.WithTimeScale(scale),
-			kaas.WithHostName(fmt.Sprintf("host%d", i)),
-			kaas.WithAccelerators(profiles...),
-			kaas.WithAdmissionLimits(spec.MaxInFlightTotal, spec.MaxQueuePerKernel),
-			kaas.WithBreaker(spec.BreakerThreshold, spec.BreakerOpenTimeout),
-			kaas.WithoutResultComputation(),
-		}
-		opts = append(opts, tenantOptions(spec)...)
-		if spec.KeepAliveIdle > 0 {
-			opts = append(opts, kaas.WithKeepAlive(spec.KeepAliveIdle, spec.KeepAliveSweep))
-		}
-		if spec.PreWarmLead > 0 {
-			opts = append(opts, kaas.WithPreWarm(spec.PreWarmLead))
-		}
-		if spec.ArtifactCacheBytes > 0 {
-			opts = append(opts, kaas.WithArtifactCache(spec.ArtifactCacheBytes))
-		}
-		p, err := kaas.New(opts...)
-		if err != nil {
-			h.close()
-			return nil, err
-		}
-		platforms[i] = p
-		h.cleanup = append(h.cleanup, p.Close)
-	}
-	cluster, err := kaas.NewCluster(platforms...)
-	if err != nil {
-		h.close()
-		return nil, err
-	}
-	for _, name := range names {
-		if err := cluster.RegisterByName(name); err != nil {
-			h.close()
-			return nil, err
-		}
-	}
-	h.env = &chaosEnv{
-		clock: clock,
-		hostDown: func(ctx context.Context, host int) error {
-			if host < 0 || host >= len(platforms) {
-				return errSpec("host-down host %d out of range (cluster has %d)", host, len(platforms))
-			}
-			return platforms[host].Shutdown(ctx)
-		},
-	}
-	h.stats = func() []core.Stats { return cluster.Stats() }
-	h.invoke = func(ctx context.Context, e Event) error {
-		_, _, _, err := cluster.Invoke(ctx, e.Kernel, kaas.Params{"n": e.N}, make([]byte, e.Payload))
-		return err
-	}
-	return h, nil
 }
 
 // buildNodes assembles the wire-backed cluster transport: Hosts kaasd

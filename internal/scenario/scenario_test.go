@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -30,8 +33,8 @@ func TestScenarioMatrix(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			// noisy-neighbor paces an open-loop trace in wall time (~200 µs
 			// between arrivals): it runs alone, before the parallel group
-			// starts, because thirteen scenarios beside it starve its timers
-			// into the flood its spec warns about.
+			// starts, because the other scenarios beside it starve its
+			// timers into the flood its spec warns about.
 			if name != "noisy-neighbor" {
 				t.Parallel()
 			}
@@ -194,6 +197,38 @@ func TestLookupUnknownListsKnown(t *testing.T) {
 	}
 	if len(List()) < 6 {
 		t.Errorf("registry has %d scenarios, want at least 6", len(List()))
+	}
+}
+
+// TestGoldenMatchesRegistry runs no scenario: it requires the committed
+// verdict golden to name exactly the registry's scenarios, in List
+// order, each under its spec's transport — so a scenario added, renamed,
+// deleted or moved to another transport without regenerating the golden
+// fails tier-1, not only the CI gate that replays the whole matrix.
+func TestGoldenMatchesRegistry(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "verdicts_seed1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := regexp.MustCompile(`^scenario (\S+): transport=(\S+) seed=1$`)
+	var got []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		m := header.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		got = append(got, m[1])
+		spec, err := Lookup(m[1])
+		if err != nil {
+			t.Errorf("golden names %s: %v", m[1], err)
+			continue
+		}
+		if Transport(m[2]) != spec.Transport {
+			t.Errorf("golden runs %s on transport=%s, registry on %s", m[1], m[2], spec.Transport)
+		}
+	}
+	if want := List(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("golden scenarios = %v, registry = %v", got, want)
 	}
 }
 

@@ -286,9 +286,8 @@ func WithPreWarm(lead time.Duration) Option {
 // used beyond it). A cold start that finds its kernel's artifact cached
 // skips JIT compilation entirely — the "cached-cold" start temperature —
 // and on a cache miss the compiled artifact is published for later boots
-// and for peer platforms in the same cluster (see NewCluster, which
-// links members' caches). A budget of zero or less disables the cache,
-// and every cold start pays the modeled compile cost.
+// on this platform. A budget of zero or less disables the cache, and
+// every cold start pays the modeled compile cost.
 func WithArtifactCache(budgetBytes int64) Option {
 	return func(c *config) { c.artifactCacheBytes = budgetBytes }
 }
