@@ -472,14 +472,18 @@ func (c *Client) InvokeTenantContext(ctx context.Context, tenant, kernel string,
 	if reply.Type != wire.MsgResult {
 		return nil, fmt.Errorf("client: unexpected reply %s", reply.Type)
 	}
-	return &Result{
+	res := &Result{
 		Values:       reply.Header.Values,
 		Data:         reply.Body,
 		Cold:         reply.Header.ColdStart,
 		CachedCold:   reply.Header.CachedColdStart,
 		InvocationID: reply.Header.InvocationID,
 		ServerTime:   time.Duration(reply.Header.DurationNanos),
-	}, nil
+	}
+	// The Result holds the reply's values and body; only the struct goes
+	// back to the pool.
+	wire.Release(reply)
+	return res, nil
 }
 
 // ControlContext performs one cluster control-plane round trip: payload

@@ -76,8 +76,12 @@ func (s *Server) Invoke(ctx context.Context, name string, req *kernels.Request) 
 	met.invocations.Inc()
 	tm.admitted.Inc()
 
+	// The ID is built in a stack buffer and converted once: one
+	// allocation, where concatenating a formatted number costs two.
+	var idBuf [24]byte
+	id := strconv.AppendUint(append(idBuf[:0], "inv-"...), s.invSeq.Add(1), 10)
 	report := &Report{
-		InvocationID: "inv-" + strconv.FormatUint(s.invSeq.Add(1), 10),
+		InvocationID: string(id),
 		Kernel:       name,
 	}
 	report.Breakdown.Queue += queued

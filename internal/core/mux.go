@@ -142,6 +142,7 @@ func (s *muxSession) readLoop() {
 			default:
 				go s.streamWorker(msg)
 			}
+			continue // serveInvoke releases msg when its stream ends
 		case wire.MsgCancel:
 			s.cancelStream(msg.Header.StreamID)
 		case wire.MsgLease:
@@ -166,6 +167,9 @@ func (s *muxSession) readLoop() {
 		default:
 			s.sendErr(msg, fmt.Errorf("unexpected message type %s", msg.Type))
 		}
+		// Inline handlers copy what they keep (a control body is the
+		// handler's): the request ends here.
+		wire.Release(msg)
 	}
 }
 
@@ -216,6 +220,8 @@ func (s *muxSession) writeLoop() {
 	defer close(s.writerDone)
 	buf := make([]byte, 0, 16<<10)
 	var body []byte
+	// appendMsg encodes a queued reply and releases it: a body AppendSplit
+	// leaves in place is held in body, not in the message.
 	appendMsg := func(m *wire.Message) {
 		if s.failed.Load() {
 			return
@@ -226,6 +232,7 @@ func (s *muxSession) writeLoop() {
 			s.t.srv.Logger().Warn("reply encode failed",
 				"remote", s.conn.RemoteAddr(), "type", m.Type.String(), "err", err)
 		}
+		wire.Release(m)
 	}
 	flush := func() {
 		if !s.failed.Load() && len(buf) > 0 {
@@ -270,7 +277,8 @@ func (s *muxSession) writeLoop() {
 
 // send hands one reply to the transport: inline on the socket when this
 // is the connection's only in-flight stream (lowest latency), otherwise
-// through the coalescing writer (fewest syscalls).
+// through the coalescing writer (fewest syscalls). The transport owns msg
+// from here and releases it once encoded.
 func (s *muxSession) send(msg *wire.Message) {
 	if s.failed.Load() {
 		return
@@ -278,6 +286,7 @@ func (s *muxSession) send(msg *wire.Message) {
 	if len(s.sem) <= 1 && s.wmu.TryLock() {
 		err := wire.Write(s.conn, msg)
 		s.wmu.Unlock()
+		wire.Release(msg)
 		if err != nil {
 			s.writeFailed(err)
 		}
@@ -289,8 +298,10 @@ func (s *muxSession) send(msg *wire.Message) {
 // reply answers req in kind: same protocol version, same stream (none
 // on a version-1 request).
 func (s *muxSession) reply(req *wire.Message, typ wire.MsgType, h wire.Header, body []byte) {
-	h.StreamID = req.Header.StreamID
-	s.send(&wire.Message{Version: req.Version, Type: typ, Header: h, Body: body})
+	m := wire.NewMessage()
+	m.Version, m.Type, m.Header, m.Body = req.Version, typ, h, body
+	m.Header.StreamID = req.Header.StreamID
+	s.send(m)
 }
 
 // sendErr answers req with an error, classified with the wire
@@ -453,13 +464,15 @@ func (s *muxSession) serveStats(msg *wire.Message) {
 // The in-band body goes back to the wire pool when the stream ends,
 // whichever way it ends: the kernel was done with it when Server.Invoke
 // returned (kernels.Request.Data). The one exception is a reply body that
-// shares its backing array, which the writer may still be reading. (No
-// defer does this: a fourth defer in invokeStream would stop the compiler
-// open-coding the other three.)
+// shares its backing array, which the writer may still be reading. The
+// request message goes back to its pool too: every reply copied what it
+// needed from it. (No defer does this: a fourth defer in invokeStream
+// would stop the compiler open-coding the other three.)
 func (s *muxSession) serveInvoke(msg *wire.Message) {
 	if sent := s.invokeStream(msg); !sharesArray(sent, msg.Body) {
 		wire.Recycle(msg.Body)
 	}
+	wire.Release(msg)
 }
 
 // invokeStream serves one invocation and returns the reply body it handed

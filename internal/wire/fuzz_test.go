@@ -123,8 +123,9 @@ func FuzzRead(f *testing.F) {
 	f.Add(stream)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// decode reads every frame of data, recycling each body once it has
-		// been checked and copied into the returned list.
+		// decode reads every frame of data, recycling each body and
+		// releasing each message once it has been checked and copied into
+		// the returned list.
 		decode := func() ([]*Message, error) {
 			var got []*Message
 			rd := bytes.NewReader(data)
@@ -149,16 +150,18 @@ func FuzzRead(f *testing.F) {
 					t.Fatalf("round trip changed frame: %+v != %+v", again, msg)
 				}
 				Recycle(again.Body)
+				Release(again)
 				kept := *msg
 				kept.Body = bytes.Clone(msg.Body)
 				Recycle(msg.Body)
+				Release(msg)
 				got = append(got, &kept)
 			}
 		}
 		first, err1 := decode()
 		second, err2 := decode()
 		if !reflect.DeepEqual(first, second) || err1.Error() != err2.Error() {
-			t.Fatalf("decoding after recycling differs: %d frames (%v), then %d frames (%v)",
+			t.Fatalf("decoding after recycling and releasing differs: %d frames (%v), then %d frames (%v)",
 				len(first), err1, len(second), err2)
 		}
 	})

@@ -342,13 +342,15 @@ func nullMuxFrames() []*Message {
 }
 
 // TestHeaderAllocationBudgets: encoding a header-only frame into a reused
-// buffer allocates nothing, and decoding one allocates what the caller
-// keeps (the Message, the header's strings and its map) plus the two
-// length arrays Read passes to its io.Reader.
+// buffer allocates nothing, and decoding one allocates only what the
+// caller keeps, the header's strings and its map, when the message is
+// released: the invoke's kernel name, params map (two allocations) and
+// two keys; the result's values map (two), key and invocation ID.
 func TestHeaderAllocationBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries under the race detector")
 	}
+	readAllocs := map[MsgType]float64{MsgInvoke: 5, MsgResult: 4}
 	for _, msg := range nullMuxFrames() {
 		frame, err := Append(nil, msg)
 		if err != nil {
@@ -372,11 +374,13 @@ func TestHeaderAllocationBudgets(t *testing.T) {
 		var rd bytes.Reader
 		if got := testing.AllocsPerRun(100, func() {
 			rd.Reset(frame)
-			if _, err := Read(&rd); err != nil {
+			m, err := Read(&rd)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}); got > 8 {
-			t.Errorf("Read of the null-mux %v frame: %v allocs, want <= 8", msg.Type, got)
+			Release(m)
+		}); got != readAllocs[msg.Type] {
+			t.Errorf("Read of the null-mux %v frame: %v allocs, want %v", msg.Type, got, readAllocs[msg.Type])
 		}
 	}
 }

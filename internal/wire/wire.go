@@ -50,6 +50,15 @@
 // puts the pooled buffer back and returns no body. A body of any other
 // length is read and dropped as if there were no pool.
 //
+// The Message Read returns comes from a pool as well. An owner that knows
+// a message's life has ended hands it back with Release, which zeroes the
+// struct and leaves what its fields point to alone: a Body, map or string
+// copied out beforehand stays valid, and a body goes back only through
+// Recycle. Releasing is an optimisation, never an obligation; a message
+// nobody releases is garbage-collected. NewMessage takes an empty one
+// from the same pool. A race build poisons what either pool takes back,
+// so a stale reference reads values no frame carries.
+//
 // Write never copies a body larger than inlineBodyMax: the frame's head
 // (everything before the body) is encoded into a pooled buffer and the
 // body follows it from the caller's slice in one vectored write (writev on
@@ -281,7 +290,8 @@ var bufPool = sync.Pool{
 	},
 }
 
-// hdrPool recycles header-decoding buffers across Read calls. decodeHeader
+// hdrPool recycles header-decoding buffers across Read calls, which also
+// read a frame's preamble and body length through them. decodeHeader
 // copies everything it keeps, so the buffer never escapes.
 var hdrPool = sync.Pool{
 	New: func() any {
@@ -390,10 +400,15 @@ func Write(w io.Writer, msg *Message) error {
 }
 
 // Read decodes one message from r, accepting protocol versions 1 and 2
-// and recording which one the frame carried in Message.Version.
+// and recording which one the frame carried in Message.Version. The
+// message comes from the pool Release fills; the lengths before and after
+// the header are read through the header's pooled buffer, so Read
+// allocates only what the caller keeps.
 func Read(r io.Reader) (*Message, error) {
-	var pre [10]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
+	bp := hdrPool.Get().(*[]byte)
+	defer hdrPool.Put(bp)
+	pre := (*bp)[:10]
+	if _, err := io.ReadFull(r, pre); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, io.EOF
 		}
@@ -405,19 +420,20 @@ func Read(r io.Reader) (*Message, error) {
 	if pre[4] == 0 || pre[4] > MaxVersion {
 		return nil, fmt.Errorf("%w: %d", ErrBadVersion, pre[4])
 	}
-	msg := &Message{Type: MsgType(pre[5]), Version: pre[4]}
+	msg := NewMessage()
+	msg.Type, msg.Version = MsgType(pre[5]), pre[4]
 	hdrLen := binary.BigEndian.Uint32(pre[6:10])
 	if hdrLen > MaxHeaderLen {
 		return nil, fmt.Errorf("%w: header %d bytes", ErrTooLarge, hdrLen)
 	}
-	if err := readHeader(r, int(hdrLen), &msg.Header); err != nil {
+	if err := readHeader(r, int(hdrLen), &msg.Header, bp); err != nil {
 		return nil, err
 	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	lenBuf := (*bp)[:4]
+	if _, err := io.ReadFull(r, lenBuf); err != nil {
 		return nil, fmt.Errorf("wire: read body length: %w", err)
 	}
-	bodyLen := binary.BigEndian.Uint32(lenBuf[:])
+	bodyLen := binary.BigEndian.Uint32(lenBuf)
 	if bodyLen > MaxBodyLen {
 		return nil, fmt.Errorf("%w: body %d bytes", ErrTooLarge, bodyLen)
 	}
@@ -432,10 +448,10 @@ func Read(r io.Reader) (*Message, error) {
 }
 
 // readHeader reads and decodes the n-byte JSON header into out, which must
-// be zero. Small headers pass through a pooled buffer (decodeHeader copies
-// what it keeps); oversized ones fall back to the incremental section
-// reader.
-func readHeader(r io.Reader, n int, out *Header) error {
+// be zero. Small headers pass through bp, the caller's buffer from hdrPool
+// (decodeHeader copies what it keeps), which readHeader grows if needed;
+// oversized ones fall back to the incremental section reader.
+func readHeader(r io.Reader, n int, out *Header, bp *[]byte) error {
 	if n > maxPooledBuf {
 		hdr, err := readSection(r, n)
 		if err != nil {
@@ -446,8 +462,6 @@ func readHeader(r io.Reader, n int, out *Header) error {
 		}
 		return nil
 	}
-	bp := hdrPool.Get().(*[]byte)
-	defer hdrPool.Put(bp)
 	buf := *bp
 	if cap(buf) < n {
 		buf = make([]byte, n)
@@ -464,6 +478,29 @@ func readHeader(r io.Reader, n int, out *Header) error {
 		return fmt.Errorf("wire: decode header: %w", err)
 	}
 	return nil
+}
+
+// msgPool recycles the Message structs Read returns and NewMessage hands
+// out, filled by Release.
+var msgPool = sync.Pool{New: func() any { return new(Message) }}
+
+// NewMessage returns an empty Message from the pool that Release fills.
+// Nothing obliges its owner to release it: an unreleased message is left
+// to the GC like any other.
+func NewMessage() *Message {
+	m := msgPool.Get().(*Message)
+	scrubTaken(m)
+	return m
+}
+
+// Release gives a message Read or NewMessage returned back to the pool,
+// zeroing it. The caller must hold no other reference to m once it calls
+// Release; what m's fields point to is not touched, so a Body, map or
+// string copied out of m beforehand stays valid (a body goes back to its
+// own pool through Recycle, under Recycle's rule).
+func Release(m *Message) {
+	scrubReleased(m)
+	msgPool.Put(m)
 }
 
 // allocChunk caps how much readSection allocates before any byte of a
@@ -509,6 +546,7 @@ func bodyClass(n int) int {
 // whose capacity is not a class size is left to the GC.
 func Recycle(b []byte) {
 	if i := bodyClass(cap(b)); i >= 0 {
+		poisonBody(b[:cap(b)])
 		bodyPools[i].Put(unsafe.Pointer(unsafe.SliceData(b)))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -375,6 +376,40 @@ func TestReadReusedAcrossMessages(t *testing.T) {
 	}
 	if first.Header.Kernel != "first-kernel-name" {
 		t.Errorf("first header mutated by second Read: %q", first.Header.Kernel)
+	}
+}
+
+// TestReleasedMessageReusedClean guards the message pool: a message Read
+// fills after an earlier one was released holds only what its own frame
+// carries, never a field of the earlier stream.
+func TestReleasedMessageReusedClean(t *testing.T) {
+	oneP(t)
+	var buf bytes.Buffer
+	invoke := &Message{Version: VersionMux, Type: MsgInvoke, Header: Header{
+		Kernel: "probe", Tenant: "tenant-a", Params: map[string]float64{"op": 7},
+		DeadlineNanos: 1700000000000000000, StreamID: 9, LeaseID: 3, LeaseLen: 64,
+	}, Body: []byte("in-band body")}
+	hello := &Message{Type: MsgHello, Header: Header{MuxVersion: VersionMux}}
+	for _, m := range []*Message{invoke, hello} {
+		if err := Write(&buf, m); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+	}
+	first, err := Read(&buf)
+	if err != nil {
+		t.Fatalf("Read invoke: %v", err)
+	}
+	Release(first)
+	second, err := Read(&buf)
+	if err != nil {
+		t.Fatalf("Read hello: %v", err)
+	}
+	if !raceEnabled && second != first {
+		t.Fatal("Read did not take the released message from the pool")
+	}
+	want := Message{Version: Version, Type: MsgHello, Header: Header{MuxVersion: VersionMux}}
+	if !reflect.DeepEqual(*second, want) {
+		t.Errorf("hello read into a released message = %+v, want %+v", *second, want)
 	}
 }
 
