@@ -25,13 +25,15 @@ race:
 flake:
 	$(GO) test -count=20 -race ./internal/wire ./internal/core ./internal/client ./internal/cplane ./internal/shm ./internal/scenario
 
-# Short fuzzing smoke run over the wire-protocol decoder and over the
-# hand-written header codec, which is held to encoding/json's output.
+# Short fuzzing smoke run over the wire-protocol decoder, the
+# hand-written header codec (held to encoding/json's output) and the
+# server session (scripted client operations over one connection).
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzHeaderEncode -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzHeaderDecode -fuzztime=10s ./internal/wire
+	$(GO) test -run=FuzzSession -fuzz=FuzzSession -fuzztime=10s ./internal/core
 
 # End-to-end invocation-path robustness check through a fault-injecting
 # listener (see internal/faults).

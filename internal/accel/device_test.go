@@ -54,17 +54,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestParseKind(t *testing.T) {
-	for _, name := range []string{"CPU", "GPU", "FPGA", "TPU", "QPU", "gpu", "cpu"} {
-		if _, err := ParseKind(name); err != nil {
-			t.Errorf("ParseKind(%q): %v", name, err)
-		}
-	}
-	if _, err := ParseKind("NPU"); err == nil {
-		t.Error("ParseKind(NPU) succeeded, want error")
-	}
-}
-
 func TestProfileValidate(t *testing.T) {
 	good := testProfile()
 	if err := good.Validate(); err != nil {
@@ -429,9 +418,6 @@ func TestHostConstruction(t *testing.T) {
 	}
 	if _, ok := h.Device("nonexistent"); ok {
 		t.Error("Device(nonexistent) found")
-	}
-	if h.TotalEnergy() < 0 {
-		t.Error("TotalEnergy negative")
 	}
 }
 

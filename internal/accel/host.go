@@ -93,15 +93,6 @@ func (h *Host) Device(id string) (*Device, bool) {
 	return nil, false
 }
 
-// TotalEnergy sums modeled energy across the CPU and all devices.
-func (h *Host) TotalEnergy() float64 {
-	total := h.cpu.Energy()
-	for _, d := range h.devices {
-		total += d.Energy()
-	}
-	return total
-}
-
 // Close shuts down every device on the host.
 func (h *Host) Close() {
 	if h.cpu != nil {

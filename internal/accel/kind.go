@@ -47,21 +47,3 @@ func (k Kind) String() string {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
 }
-
-// ParseKind converts a short name to a Kind.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "CPU", "cpu":
-		return CPU, nil
-	case "GPU", "gpu":
-		return GPU, nil
-	case "FPGA", "fpga":
-		return FPGA, nil
-	case "TPU", "tpu":
-		return TPU, nil
-	case "QPU", "qpu":
-		return QPU, nil
-	default:
-		return 0, fmt.Errorf("accel: unknown kind %q", s)
-	}
-}

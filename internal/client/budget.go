@@ -6,12 +6,13 @@ import (
 )
 
 // RetryBudget is a cross-invocation token bucket that bounds the total
-// volume of retries a client (or a set of callers sharing the budget)
-// may generate. The per-invocation RetryPolicy spaces retries out in
-// time; the budget bounds them in aggregate, which is what matters when
-// a node dies: without it, every caller's policy fires in lockstep and
-// the survivors absorb a synchronized retry storm on top of the failed
-// node's displaced load.
+// volume of retries a set of callers sharing it may generate; a cluster
+// router (cplane.Router) charges its cross-host re-dispatches to one.
+// The per-invocation RetryPolicy spaces retries out in time; the budget
+// bounds them in aggregate, which is what matters when a node dies:
+// without it, every caller's policy fires in lockstep and the survivors
+// absorb a synchronized retry storm on top of the failed node's
+// displaced load.
 //
 // The math follows the classic retry-throttling scheme: the bucket
 // starts full at Capacity tokens, every retry (or cross-host
@@ -25,7 +26,7 @@ import (
 //
 // The zero value is not usable; construct with NewRetryBudget. A single
 // budget is safe for concurrent use and is designed to be shared across
-// clients (e.g. all peer clients of a cluster router).
+// callers.
 type RetryBudget struct {
 	mu       sync.Mutex
 	capacity float64

@@ -1,11 +1,6 @@
 package client
 
-import (
-	"context"
-	"net"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestRetryBudgetBucketMath(t *testing.T) {
 	b := NewRetryBudget(3, 0.5)
@@ -53,79 +48,5 @@ func TestRetryBudgetDefaults(t *testing.T) {
 	want := DefaultRetryBudgetCapacity - 1 + DefaultRetryBudgetRatio
 	if got := b.Tokens(); got != want {
 		t.Fatalf("tokens after one spend and one credit = %v, want %v", got, want)
-	}
-}
-
-// deadAddr returns an address that refuses connections.
-func deadAddr(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
-// TestClientRetryBudgetBoundsAttempts: against a dead server, the shared
-// budget cuts the retry ladder short of the per-invocation policy and
-// records the exhaustion in the client metrics.
-func TestClientRetryBudgetBoundsAttempts(t *testing.T) {
-	addr := deadAddr(t)
-	budget := NewRetryBudget(2, 0.1)
-	c := Dial(addr,
-		WithRetryPolicy(RetryPolicy{MaxAttempts: 6, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}),
-		WithRetryBudget(budget),
-	)
-	defer c.Close()
-
-	if _, err := c.InvokeContext(context.Background(), "mci", nil, nil); err == nil {
-		t.Fatal("invoke against a dead address succeeded")
-	}
-	m := c.Metrics()
-	// The first attempt is free; the budget pays for 2 of the policy's 5
-	// retries; the 3rd is skipped.
-	if m.Retries != 2 {
-		t.Errorf("Retries = %d, want 2 budgeted retries", m.Retries)
-	}
-	if m.BudgetExhausted != 1 {
-		t.Errorf("BudgetExhausted = %d, want 1", m.BudgetExhausted)
-	}
-	if budget.Spent() != 2 || budget.Exhausted() != 1 {
-		t.Errorf("budget Spent/Exhausted = %d/%d, want 2/1", budget.Spent(), budget.Exhausted())
-	}
-
-	// A second invocation finds the bucket already empty: its first
-	// attempt fails and no retries follow.
-	if _, err := c.InvokeContext(context.Background(), "mci", nil, nil); err == nil {
-		t.Fatal("invoke against a dead address succeeded")
-	}
-	if got := c.Metrics().Retries; got != 2 {
-		t.Errorf("retries after invoking with an empty budget = %d, want still 2", got)
-	}
-}
-
-// TestClientRetryBudgetSharedAcrossClients: two clients sharing one
-// budget drain it together — the point of the bucket is bounding the
-// aggregate storm, not per-client counts.
-func TestClientRetryBudgetSharedAcrossClients(t *testing.T) {
-	addr := deadAddr(t)
-	budget := NewRetryBudget(3, 0.1)
-	policy := RetryPolicy{MaxAttempts: 10, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
-	c1 := Dial(addr, WithRetryPolicy(policy), WithRetryBudget(budget))
-	defer c1.Close()
-	c2 := Dial(addr, WithRetryPolicy(policy), WithRetryBudget(budget))
-	defer c2.Close()
-
-	c1.InvokeContext(context.Background(), "mci", nil, nil)
-	c2.InvokeContext(context.Background(), "mci", nil, nil)
-	// Three budgeted retries total, however they were split between the
-	// clients (first attempts are free).
-	if total := c1.Metrics().Retries + c2.Metrics().Retries; total != 3 {
-		t.Errorf("total retries = %d, want the 3 the budget covers", total)
-	}
-	if budget.Exhausted() == 0 {
-		t.Error("budget exhaustion not recorded")
 	}
 }

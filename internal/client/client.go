@@ -110,14 +110,6 @@ func WithMux(conns int) Option {
 	return func(c *Client) { c.slots = make([]muxSlot, max(conns, 1)) }
 }
 
-// WithRetryBudget attaches a cross-invocation retry budget: retries are
-// only attempted while the shared token bucket has tokens, so a dead
-// server cannot trigger a synchronized retry storm from every caller.
-// The same budget may be shared by many clients.
-func WithRetryBudget(b *RetryBudget) Option {
-	return func(c *Client) { c.budget = b }
-}
-
 // WithTenant stamps every invocation from this client with a tenant
 // identity for server-side fair queueing. Servers that predate tenant
 // accounting ignore the header; unidentified clients are accounted to
@@ -139,19 +131,15 @@ type Metrics struct {
 	ConnErrors uint64
 	// RemoteErrors counts server-reported (never retried) failures.
 	RemoteErrors uint64
-	// BudgetExhausted counts retries this client skipped because the
-	// shared retry budget was empty (zero without WithRetryBudget).
-	BudgetExhausted uint64
 }
 
 // clientMetrics is the atomic backing store for Metrics.
 type clientMetrics struct {
-	attempts        atomic.Uint64
-	retries         atomic.Uint64
-	staleConns      atomic.Uint64
-	connErrors      atomic.Uint64
-	remoteErrors    atomic.Uint64
-	budgetExhausted atomic.Uint64
+	attempts     atomic.Uint64
+	retries      atomic.Uint64
+	staleConns   atomic.Uint64
+	connErrors   atomic.Uint64
+	remoteErrors atomic.Uint64
 }
 
 // Client talks to a KaaS server. It is safe for concurrent use: all
@@ -164,7 +152,6 @@ type Client struct {
 	arena   *shm.ArenaPool
 	timeout time.Duration
 	retry   RetryPolicy
-	budget  *RetryBudget
 	tenant  string
 
 	// slots are the shared connections, opened lazily; next spreads
@@ -199,12 +186,11 @@ func Dial(addr string, opts ...Option) *Client {
 // Metrics returns a snapshot of the client's reliability counters.
 func (c *Client) Metrics() Metrics {
 	return Metrics{
-		Attempts:        c.metrics.attempts.Load(),
-		Retries:         c.metrics.retries.Load(),
-		StaleConns:      c.metrics.staleConns.Load(),
-		ConnErrors:      c.metrics.connErrors.Load(),
-		RemoteErrors:    c.metrics.remoteErrors.Load(),
-		BudgetExhausted: c.metrics.budgetExhausted.Load(),
+		Attempts:     c.metrics.attempts.Load(),
+		Retries:      c.metrics.retries.Load(),
+		StaleConns:   c.metrics.staleConns.Load(),
+		ConnErrors:   c.metrics.connErrors.Load(),
+		RemoteErrors: c.metrics.remoteErrors.Load(),
 	}
 }
 
@@ -259,13 +245,6 @@ func (c *Client) roundTrip(ctx context.Context, msg *wire.Message) (*wire.Messag
 	var lastErr error
 	for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			if c.budget != nil && !c.budget.Spend() {
-				// The shared budget is empty: every caller is already
-				// retrying, and one more synchronized retry only deepens
-				// the storm. Fail with the last real error.
-				c.metrics.budgetExhausted.Add(1)
-				break
-			}
 			if !c.backoff(ctx, attempt) {
 				// The remaining deadline cannot cover the backoff (or the
 				// context was cancelled outright): give the caller the
@@ -278,9 +257,6 @@ func (c *Client) roundTrip(ctx context.Context, msg *wire.Message) (*wire.Messag
 		}
 		reply, err := c.attempt(ctx, msg)
 		if err == nil {
-			if c.budget != nil {
-				c.budget.Credit()
-			}
 			return reply, nil
 		}
 		var re *RemoteError

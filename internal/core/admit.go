@@ -9,8 +9,7 @@ import (
 )
 
 // DefaultTenant is the tenant identity assumed when a request carries no
-// tenant. Legacy (pre-v2 or pre-tenant) peers cannot send the header
-// field, and mapping them all to one deterministic key keeps
+// tenant. Peers that predate tenants cannot send the header field, and mapping them all to one deterministic key keeps
 // mixed-version clusters from splitting queues and metrics between ""
 // and "default".
 const DefaultTenant = "default"

@@ -311,7 +311,7 @@ func (s *Server) serve(ctx context.Context, k kernels.Kernel, r *runner, req *ke
 	report.Breakdown.Exec += execTime
 
 	var resp *kernels.Response
-	if !s.computeOff.Load() {
+	if !s.cfg.DisableCompute {
 		resp, err = k.Execute(req)
 		if err != nil {
 			return nil, fmt.Errorf("core: execute: %w", err)

@@ -28,17 +28,15 @@ const DefaultMaxConnStreams = 64
 // into one socket write before flushing.
 const maxCoalescedWrite = 64 << 10
 
-// muxSession serves one connection, whichever protocol version its peer
-// speaks: a single reader goroutine (the connection's handler) fans
-// invocation frames out to bounded stream workers, and a single writer
-// goroutine serializes their replies back onto the socket, coalescing
-// bursts into one write. Every reply carries its request's Version and
-// StreamID, so a version-1 peer is simply the session with one stream in
-// flight: its frames name no stream, and the reader holds each one back
-// until the previous reply has left. Per-stream MsgCancel frames cancel
-// the matching in-flight invocation's context without disturbing sibling
-// streams, and the reader's blocked read is the disconnect detector that
-// cancels them all.
+// muxSession serves one connection of the multiplexed protocol: a single
+// reader goroutine (the connection's handler) fans invocation frames out
+// to bounded stream workers, and a single writer goroutine serializes
+// their replies back onto the socket, coalescing bursts into one write.
+// Every reply carries its request's Version and StreamID; a frame that
+// names no stream is stream 0, served like any other with no ordering
+// promise. Per-stream MsgCancel frames cancel the matching in-flight
+// invocation's context without disturbing sibling streams, and the
+// reader's blocked read is the disconnect detector that cancels them all.
 type muxSession struct {
 	t    *TCPServer
 	conn net.Conn
@@ -128,11 +126,6 @@ func (s *muxSession) readLoop() {
 			s.finish(true)
 			return
 		}
-		if msg.Version < wire.VersionMux {
-			// A version-1 reply names no stream, so replies must leave in
-			// request order: the previous request finishes first.
-			s.wg.Wait()
-		}
 		switch msg.Type {
 		case wire.MsgInvoke:
 			s.sem <- struct{}{} // per-connection stream bound
@@ -148,14 +141,10 @@ func (s *muxSession) readLoop() {
 		case wire.MsgLease:
 			s.serveLease(msg)
 		case wire.MsgHello:
-			// An offer of the multiplexed protocol is accepted with the
-			// stream bound this session enforces; anything less is
-			// acknowledged at version 1.
-			ack := wire.Header{MuxVersion: wire.Version}
-			if msg.Header.MuxVersion >= wire.VersionMux {
-				ack = wire.Header{MuxVersion: wire.VersionMux, MaxStreams: cap(s.sem)}
-			}
-			s.reply(msg, wire.MsgHelloAck, ack, nil)
+			// The server speaks only the multiplexed protocol: every offer
+			// is acknowledged at version 2 with the stream bound this
+			// session enforces.
+			s.reply(msg, wire.MsgHelloAck, wire.Header{MuxVersion: wire.VersionMux, MaxStreams: cap(s.sem)}, nil)
 		case wire.MsgRegister:
 			s.serveRegister(msg)
 		case wire.MsgList:
@@ -295,8 +284,7 @@ func (s *muxSession) send(msg *wire.Message) {
 	s.writeCh <- msg
 }
 
-// reply answers req in kind: same protocol version, same stream (none
-// on a version-1 request).
+// reply answers req in kind: same protocol version, same stream.
 func (s *muxSession) reply(req *wire.Message, typ wire.MsgType, h wire.Header, body []byte) {
 	m := wire.NewMessage()
 	m.Version, m.Type, m.Header, m.Body = req.Version, typ, h, body

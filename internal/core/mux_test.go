@@ -143,10 +143,10 @@ func TestMuxCancelFrameStopsKernel(t *testing.T) {
 	}
 }
 
-// TestMuxHelloNegotiation pins the version negotiation rules: a client
-// offering nothing newer than the legacy protocol stays legacy on the
-// same connection, and the mux acknowledgement advertises the configured
-// per-connection stream bound.
+// TestMuxHelloNegotiation pins the version negotiation rules: the
+// server speaks only the multiplexed protocol, so an offer of the legacy
+// version is still acknowledged at version 2 with the per-connection
+// stream bound, and the connection keeps serving afterwards.
 func TestMuxHelloNegotiation(t *testing.T) {
 	srv, tcp, _ := startTCP(t)
 	if err := srv.Register(slowKernel{}); err != nil {
@@ -154,32 +154,25 @@ func TestMuxHelloNegotiation(t *testing.T) {
 	}
 	tcp.SetMaxConnStreams(3)
 
-	// Legacy offer: acknowledged at version 1, connection keeps serving
-	// plain request/response frames.
-	legacy := dialWire(t, tcp.Addr())
-	if err := wire.Write(legacy, &wire.Message{Type: wire.MsgHello, Header: wire.Header{MuxVersion: wire.Version}}); err != nil {
-		t.Fatalf("write legacy hello: %v", err)
-	}
-	ack, err := wire.Read(legacy)
-	if err != nil {
-		t.Fatalf("read legacy ack: %v", err)
-	}
-	if ack.Type != wire.MsgHelloAck || ack.Header.MuxVersion != wire.Version {
-		t.Fatalf("legacy ack = %s (mux version %d), want ack at version %d",
-			ack.Type, ack.Header.MuxVersion, wire.Version)
-	}
-	if err := wire.Write(legacy, &wire.Message{Type: wire.MsgList}); err != nil {
-		t.Fatalf("write legacy list: %v", err)
-	}
-	if reply, err := wire.Read(legacy); err != nil || reply.Type != wire.MsgListResult {
-		t.Fatalf("legacy list after hello = %v, %v; want list result", reply, err)
-	}
-
-	// Mux offer: the acknowledgement carries the stream bound.
-	mux := dialWire(t, tcp.Addr())
-	ack = muxHandshake(t, mux)
-	if ack.Header.MaxStreams != 3 {
-		t.Errorf("MaxStreams = %d, want 3", ack.Header.MaxStreams)
+	for _, offer := range []uint8{wire.Version, wire.VersionMux} {
+		conn := dialWire(t, tcp.Addr())
+		if err := wire.Write(conn, &wire.Message{Type: wire.MsgHello, Header: wire.Header{MuxVersion: offer}}); err != nil {
+			t.Fatalf("offer %d: write hello: %v", offer, err)
+		}
+		ack, err := wire.Read(conn)
+		if err != nil {
+			t.Fatalf("offer %d: read ack: %v", offer, err)
+		}
+		if ack.Type != wire.MsgHelloAck || ack.Header.MuxVersion != wire.VersionMux || ack.Header.MaxStreams != 3 {
+			t.Fatalf("offer %d: ack = %s (mux version %d, max streams %d), want ack at version %d with 3 streams",
+				offer, ack.Type, ack.Header.MuxVersion, ack.Header.MaxStreams, wire.VersionMux)
+		}
+		if err := wire.Write(conn, &wire.Message{Version: wire.VersionMux, Type: wire.MsgList, Header: wire.Header{StreamID: 1}}); err != nil {
+			t.Fatalf("offer %d: write list: %v", offer, err)
+		}
+		if reply, err := wire.Read(conn); err != nil || reply.Type != wire.MsgListResult || reply.Header.StreamID != 1 {
+			t.Fatalf("offer %d: list after hello = %v, %v; want list result on stream 1", offer, reply, err)
+		}
 	}
 }
 

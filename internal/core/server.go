@@ -201,9 +201,6 @@ type Server struct {
 	breakers *breaker.Set // nil when breakers are disabled
 	batcher  *batcher     // nil when micro-batching is disabled
 	dpMet    *dataPlaneMetrics
-	// computeOff mirrors Config.DisableCompute so SetComputeResults can
-	// flip it while invocations read it without the lock.
-	computeOff atomic.Bool
 
 	// arena is the tensor arena pool published by the TCP layer (via
 	// WithArenaPool) so Stats and WriteMetrics can report lease
@@ -347,7 +344,6 @@ func New(cfg Config) (*Server, error) {
 		libInit:   make(map[accel.Kind]bool),
 		runnersOn: make(map[string]int),
 	}
-	s.computeOff.Store(cfg.DisableCompute)
 	s.cond = sync.NewCond(&s.mu)
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.dpMet = newDataPlaneMetrics(s.reg)
@@ -419,9 +415,6 @@ func (s *Server) Logger() *slog.Logger { return s.cfg.Logger }
 
 // Metrics returns the registry the server feeds.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
-
-// SetComputeResults toggles real host computation of kernel results.
-func (s *Server) SetComputeResults(on bool) { s.computeOff.Store(!on) }
 
 // Register deploys a kernel on the server. Registration initializes the
 // kernel's host framework (numba, TensorFlow, ...) once per device kind —

@@ -319,25 +319,24 @@ func TestDeviceMemoryExhaustion(t *testing.T) {
 	}
 }
 
+// TestComputeResultsToggle: Config.DisableCompute skips the kernel's
+// real host computation; without it every invocation executes.
 func TestComputeResultsToggle(t *testing.T) {
-	s, _, _ := newTestServer(t, 1, nil)
-	k := &fakeKernel{name: "k", kind: accel.GPU, cost: stdCost()}
-	if err := s.Register(k); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	s.SetComputeResults(false)
-	if _, _, err := s.Invoke(context.Background(), "k", nil); err != nil {
-		t.Fatalf("Invoke: %v", err)
-	}
-	if k.executions() != 0 {
-		t.Errorf("executions = %d with compute disabled, want 0", k.executions())
-	}
-	s.SetComputeResults(true)
-	if _, _, err := s.Invoke(context.Background(), "k", nil); err != nil {
-		t.Fatalf("Invoke: %v", err)
-	}
-	if k.executions() != 1 {
-		t.Errorf("executions = %d with compute enabled, want 1", k.executions())
+	for _, tc := range []struct {
+		disable bool
+		want    int
+	}{{true, 0}, {false, 1}} {
+		s, _, _ := newTestServer(t, 1, func(c *Config) { c.DisableCompute = tc.disable })
+		k := &fakeKernel{name: "k", kind: accel.GPU, cost: stdCost()}
+		if err := s.Register(k); err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+		if _, _, err := s.Invoke(context.Background(), "k", nil); err != nil {
+			t.Fatalf("Invoke: %v", err)
+		}
+		if got := k.executions(); got != tc.want {
+			t.Errorf("DisableCompute=%v: executions = %d, want %d", tc.disable, got, tc.want)
+		}
 	}
 }
 

@@ -302,7 +302,7 @@ func TestMonteCarloName(t *testing.T) {
 // TestLegacyPeerMapsToDefaultTenant: a pre-tenant peer cannot send the
 // Tenant header field, and a tenant-aware peer may send any name. Both
 // must land in per-tenant accounting under deterministic keys — the
-// legacy invocation under "default", never under "" — so mixed-version
+// untagged invocation under "default", never under "" — so mixed-version
 // clusters do not split queues and metrics between two spellings of the
 // same tenant.
 func TestLegacyPeerMapsToDefaultTenant(t *testing.T) {
@@ -311,15 +311,17 @@ func TestLegacyPeerMapsToDefaultTenant(t *testing.T) {
 		t.Fatalf("Register: %v", err)
 	}
 	conn := dialWire(t, tcp.Addr())
-	// A legacy frame: no Tenant field at all.
+	// A frame from a pre-tenant peer: no Tenant field at all.
 	legacy := &wire.Message{
-		Type:   wire.MsgInvoke,
-		Header: wire.Header{Kernel: "mci", Params: map[string]float64{"n": 5000}},
+		Version: wire.VersionMux,
+		Type:    wire.MsgInvoke,
+		Header:  wire.Header{Kernel: "mci", Params: map[string]float64{"n": 5000}, StreamID: 1},
 	}
 	// A tenant-aware frame from the same connection.
 	tagged := &wire.Message{
-		Type:   wire.MsgInvoke,
-		Header: wire.Header{Kernel: "mci", Params: map[string]float64{"n": 5000}, Tenant: "acme"},
+		Version: wire.VersionMux,
+		Type:    wire.MsgInvoke,
+		Header:  wire.Header{Kernel: "mci", Params: map[string]float64{"n": 5000}, StreamID: 2, Tenant: "acme"},
 	}
 	for i, msg := range []*wire.Message{legacy, tagged} {
 		if err := wire.Write(conn, msg); err != nil {
@@ -338,7 +340,7 @@ func TestLegacyPeerMapsToDefaultTenant(t *testing.T) {
 		t.Error(`Stats.PerTenant contains the "" key — legacy tenants are not normalized`)
 	}
 	if got := st.PerTenant[DefaultTenant].Admitted; got != 1 {
-		t.Errorf("default tenant admitted %d, want 1 (the legacy frame)", got)
+		t.Errorf("default tenant admitted %d, want 1 (the untagged frame)", got)
 	}
 	if got := st.PerTenant["acme"].Admitted; got != 1 {
 		t.Errorf("tenant acme admitted %d, want 1 (the tagged frame)", got)

@@ -3,6 +3,8 @@ package cplane_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -11,19 +13,33 @@ import (
 	"kaas"
 	"kaas/internal/client"
 	"kaas/internal/cplane"
+	"kaas/internal/kernels"
 	"kaas/internal/vclock"
 	"kaas/internal/wire"
 )
 
 // fakePeer is a minimal wire endpoint that answers MsgControl frames
 // with its own gossip — or, while muted, with an error — so heartbeat
-// outcomes can be scripted without a real server.
+// outcomes can be scripted without a real server. While shedding it
+// gossips that it serves the mci kernel and answers every invocation
+// with a retryable OVERLOADED error.
 type fakePeer struct {
-	ln    net.Listener
-	name  string
-	muted atomic.Bool
-	seq   atomic.Uint64
+	ln       net.Listener
+	name     string
+	muted    atomic.Bool
+	shedding atomic.Bool
+	seq      atomic.Uint64
 }
+
+// mciKind is the device kind the mci kernel runs on, which a shedding
+// fakePeer advertises so the router considers it eligible.
+var mciKind = func() string {
+	k, err := kernels.ByName("mci")
+	if err != nil {
+		panic(err)
+	}
+	return k.Kind().String()
+}()
 
 func newFakePeer(t *testing.T, name string) *fakePeer {
 	t.Helper()
@@ -59,10 +75,15 @@ func (f *fakePeer) serve() {
 				case msg.Type == wire.MsgHello:
 					reply = &wire.Message{Type: wire.MsgHelloAck, Header: wire.Header{MuxVersion: wire.VersionMux}}
 				case msg.Type == wire.MsgControl && !f.muted.Load():
-					body, _ := json.Marshal(&cplane.Gossip{
-						Node: f.name, Addr: f.addr(), Seq: f.seq.Add(1),
-					})
+					g := &cplane.Gossip{Node: f.name, Addr: f.addr(), Seq: f.seq.Add(1)}
+					if f.shedding.Load() {
+						g.Kernels = []string{"mci"}
+						g.Eligible = map[string]int{mciKind: 1}
+					}
+					body, _ := json.Marshal(g)
 					reply = &wire.Message{Type: wire.MsgControlAck, Body: body}
+				case msg.Type == wire.MsgInvoke && f.shedding.Load():
+					reply.Header = wire.Header{Error: "shedding", Code: wire.CodeOverloaded}
 				}
 				reply.Version = msg.Version
 				reply.Header.StreamID = msg.Header.StreamID
@@ -322,6 +343,56 @@ func TestRouterFailsOverOnNodeDeath(t *testing.T) {
 	}
 	if after := r.Stats().Redispatches; after != before {
 		t.Errorf("%d re-dispatches against a known-dead node", after-before)
+	}
+}
+
+// TestRouterBudgetBoundsRedispatches: when every member sheds with a
+// retryable error, the shared retry budget, not the member count, ends
+// the failover chain. The first pick is free, re-dispatches stop at the
+// budget's capacity, and each one skipped for want of a token is counted
+// — within one invocation and across invocations sharing the bucket.
+func TestRouterBudgetBoundsRedispatches(t *testing.T) {
+	obs := cplane.NewNode(cplane.Config{Name: "router"})
+	t.Cleanup(obs.Close)
+	const members = 5
+	for i := 0; i < members; i++ {
+		f := newFakePeer(t, fmt.Sprintf("shed-%d", i))
+		f.shedding.Store(true)
+		obs.Join(f.addr())
+	}
+	waitFor(t, "every member gossiping mci", func() bool {
+		serving := 0
+		for _, m := range obs.Members() {
+			if m.Alive && len(m.Kernels) == 1 && m.Kernels[0] == "mci" {
+				serving++
+			}
+		}
+		return serving == members
+	})
+
+	budget := client.NewRetryBudget(2, 0.1)
+	r := cplane.NewRouter(cplane.RouterConfig{Node: obs, Budget: budget})
+	t.Cleanup(r.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	for i, want := range []cplane.RouterStats{
+		// Two paid re-dispatches, then the third is skipped.
+		{Dispatches: 1, Redispatches: 2, BudgetExhausted: 1},
+		// The bucket is empty: no re-dispatch at all.
+		{Dispatches: 2, Redispatches: 2, BudgetExhausted: 2},
+	} {
+		_, err := r.Invoke(ctx, "mci", kaas.Params{"n": 1000}, nil)
+		var re *client.RemoteError
+		if !errors.As(err, &re) || re.Code != wire.CodeOverloaded {
+			t.Fatalf("invoke %d: err = %v, want the last member's OVERLOADED", i, err)
+		}
+		if got := r.Stats(); got != want {
+			t.Fatalf("invoke %d: router stats = %+v, want %+v", i, got, want)
+		}
+	}
+	if budget.Spent() != 2 || budget.Exhausted() != 2 {
+		t.Errorf("budget Spent/Exhausted = %d/%d, want 2/2", budget.Spent(), budget.Exhausted())
 	}
 }
 

@@ -257,7 +257,6 @@ type Registry struct {
 	counters map[metricKey]*Counter
 	gauges   map[metricKey]*Gauge
 	hists    map[metricKey]*Histogram
-	buckets  map[string][]time.Duration // histogram family -> bucket bounds
 }
 
 // NewRegistry creates an empty registry.
@@ -268,7 +267,6 @@ func NewRegistry() *Registry {
 		counters: make(map[metricKey]*Counter),
 		gauges:   make(map[metricKey]*Gauge),
 		hists:    make(map[metricKey]*Histogram),
-		buckets:  make(map[string][]time.Duration),
 	}
 }
 
@@ -276,16 +274,6 @@ func NewRegistry() *Registry {
 func (r *Registry) Help(name, help string) {
 	r.mu.Lock()
 	r.help[name] = help
-	r.mu.Unlock()
-}
-
-// SetHistogramBuckets overrides the bucket bounds used for histograms of
-// the named family created after the call.
-func (r *Registry) SetHistogramBuckets(name string, bounds []time.Duration) {
-	b := make([]time.Duration, len(bounds))
-	copy(b, bounds)
-	r.mu.Lock()
-	r.buckets[name] = b
 	r.mu.Unlock()
 }
 
@@ -365,8 +353,7 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 }
 
 // Histogram returns the histogram for the name and label pairs, creating
-// it on first use with the family's configured buckets (default
-// DefaultLatencyBuckets).
+// it on first use with DefaultLatencyBuckets.
 func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 	key := metricKey{name, renderLabels(labels)}
 	r.mu.RLock()
@@ -381,11 +368,7 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 		return h
 	}
 	r.types[name] = "histogram"
-	bounds := r.buckets[name]
-	if bounds == nil {
-		bounds = DefaultLatencyBuckets()
-	}
-	h = NewHistogram(bounds)
+	h = NewLatencyHistogram()
 	r.hists[key] = h
 	return h
 }

@@ -180,7 +180,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r.Counter("kaas_invocations_total", "kernel", "matmul").Add(3)
 	r.Counter("kaas_invocations_total", "kernel", "mci").Add(1)
 	r.Gauge("kaas_in_flight").Set(2)
-	r.SetHistogramBuckets("kaas_latency_seconds", []time.Duration{time.Millisecond, time.Second})
 	r.Histogram("kaas_latency_seconds", "kernel", "matmul").Observe(500 * time.Microsecond)
 
 	var sb strings.Builder
@@ -197,7 +196,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 		"kaas_in_flight 2",
 		"# TYPE kaas_latency_seconds histogram",
 		`kaas_latency_seconds_bucket{kernel="matmul",le="0.001"} 1`,
-		`kaas_latency_seconds_bucket{kernel="matmul",le="1"} 1`,
+		`kaas_latency_seconds_bucket{kernel="matmul",le="0.002"} 1`,
+		`kaas_latency_seconds_bucket{kernel="matmul",le="300"} 1`,
 		`kaas_latency_seconds_bucket{kernel="matmul",le="+Inf"} 1`,
 		`kaas_latency_seconds_sum{kernel="matmul"} 0.0005`,
 		`kaas_latency_seconds_count{kernel="matmul"} 1`,

@@ -20,8 +20,7 @@ import (
 )
 
 // Profile describes one network link's characteristics. All values are
-// in modeled time; see Compose for stacking several hops into one
-// effective profile.
+// in modeled time.
 type Profile struct {
 	// RTT is the round-trip time.
 	RTT time.Duration
@@ -57,28 +56,6 @@ func (p Profile) lossPenalty() time.Duration {
 	}
 	return time.Duration(p.Loss / (1 - p.Loss) * float64(p.RTT))
 }
-
-// Compose stacks profiles into the effective profile of the path through
-// all of them: RTTs add, the narrowest hop's bandwidth wins, and losses
-// combine as independent drop probabilities (1 - Π(1-lossᵢ)).
-// Composing zero profiles yields a zero-RTT infinite-bandwidth path.
-func Compose(profiles ...Profile) Profile {
-	out := Profile{BandwidthBps: inf}
-	survive := 1.0
-	for _, p := range profiles {
-		out.RTT += p.RTT
-		if p.BandwidthBps < out.BandwidthBps {
-			out.BandwidthBps = p.BandwidthBps
-		}
-		survive *= 1 - p.Loss
-	}
-	out.Loss = 1 - survive
-	return out
-}
-
-// inf is the bandwidth of an unconstrained hop (1 EB/s — effectively no
-// serialization delay at any realistic payload size).
-const inf = 1e18
 
 // Link describes one direction-symmetric network link. Its profile may
 // be swapped at runtime (SetProfile), so harnesses can degrade a link

@@ -103,48 +103,6 @@ func TestProfileValidate(t *testing.T) {
 	}
 }
 
-func TestComposeStacksHops(t *testing.T) {
-	lan := Profile{RTT: 100 * time.Microsecond, BandwidthBps: 125e6}
-	wan := Profile{RTT: 40 * time.Millisecond, BandwidthBps: 12.5e6, Loss: 0.01}
-	got := Compose(lan, wan)
-	if got.RTT != 40*time.Millisecond+100*time.Microsecond {
-		t.Errorf("composed RTT = %v", got.RTT)
-	}
-	if got.BandwidthBps != 12.5e6 {
-		t.Errorf("composed bandwidth = %v, want narrowest hop", got.BandwidthBps)
-	}
-	if got.Loss <= 0.0099 || got.Loss >= 0.0101 {
-		t.Errorf("composed loss = %v, want ~0.01", got.Loss)
-	}
-	if err := got.Validate(); err != nil {
-		t.Errorf("composed profile invalid: %v", err)
-	}
-}
-
-func TestComposeLossIndependence(t *testing.T) {
-	a := Profile{BandwidthBps: 1e6, Loss: 0.5}
-	b := Profile{BandwidthBps: 1e6, Loss: 0.5}
-	got := Compose(a, b).Loss
-	if got < 0.7499 || got > 0.7501 {
-		t.Errorf("Compose loss = %v, want 0.75 (independent drops)", got)
-	}
-}
-
-func TestComposeEmptyIsUnconstrained(t *testing.T) {
-	p := Compose()
-	if p.RTT != 0 || p.Loss != 0 {
-		t.Errorf("empty composition = %+v, want zero RTT and loss", p)
-	}
-	// An unconstrained path adds no measurable serialization delay.
-	l, err := NewLinkProfile(vclock.Scaled(1000), p)
-	if err != nil {
-		t.Fatalf("NewLinkProfile: %v", err)
-	}
-	if d := l.TransferDelay(1 << 30); d > time.Microsecond {
-		t.Errorf("unconstrained TransferDelay = %v, want ~0", d)
-	}
-}
-
 func TestLossChargesRetransmissionDelay(t *testing.T) {
 	clock := vclock.Scaled(1000)
 	clean, err := NewLinkProfile(clock, Profile{RTT: 10 * time.Millisecond, BandwidthBps: 1e6})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"math/rand"
 )
 
 // S applies the phase gate (√Z) to qubit q.
@@ -65,68 +64,4 @@ func (s *State) CZ(a, b int) error {
 		}
 	}
 	return nil
-}
-
-// CRY applies a controlled RY(theta) with the given control and target.
-func (s *State) CRY(control, target int, theta float64) error {
-	if err := s.checkQubit(control); err != nil {
-		return err
-	}
-	if err := s.checkQubit(target); err != nil {
-		return err
-	}
-	if control == target {
-		return fmt.Errorf("qsim: CRY control equals target (%d)", control)
-	}
-	cos := complex(math.Cos(theta/2), 0)
-	sin := complex(math.Sin(theta/2), 0)
-	cbit := 1 << uint(control)
-	tbit := 1 << uint(target)
-	for i := 0; i < len(s.amp); i++ {
-		if i&cbit == 0 || i&tbit != 0 {
-			continue
-		}
-		j := i | tbit
-		a0, a1 := s.amp[i], s.amp[j]
-		s.amp[i] = cos*a0 - sin*a1
-		s.amp[j] = sin*a0 + cos*a1
-	}
-	return nil
-}
-
-// MeasureQubit measures a single qubit in the computational basis,
-// collapsing the state, and returns the observed bit.
-func (s *State) MeasureQubit(rng *rand.Rand, q int) (int, error) {
-	if err := s.checkQubit(q); err != nil {
-		return 0, err
-	}
-	bit := 1 << uint(q)
-	var p1 float64
-	for i, a := range s.amp {
-		if i&bit != 0 {
-			p1 += real(a)*real(a) + imag(a)*imag(a)
-		}
-	}
-	outcome := 0
-	if rng.Float64() < p1 {
-		outcome = 1
-	}
-	// Collapse and renormalize.
-	var norm float64
-	for i := range s.amp {
-		keep := (outcome == 1) == (i&bit != 0)
-		if !keep {
-			s.amp[i] = 0
-			continue
-		}
-		norm += real(s.amp[i])*real(s.amp[i]) + imag(s.amp[i])*imag(s.amp[i])
-	}
-	if norm == 0 {
-		return 0, fmt.Errorf("qsim: measurement collapsed to zero norm")
-	}
-	scale := complex(1/math.Sqrt(norm), 0)
-	for i := range s.amp {
-		s.amp[i] *= scale
-	}
-	return outcome, nil
 }

@@ -1,8 +1,7 @@
 // Package workload generates the client load patterns of the evaluation:
-// closed-loop clients performing back-to-back invocations, fixed-count
-// parallel batches, the ramping client population of the autoscaling
-// experiment (§5.5), and open-loop trace replay (Replay) for the
-// scenario harness's trace-driven workloads.
+// fixed-count parallel batches, the ramping closed-loop client
+// population of the autoscaling experiment (§5.5), and open-loop trace
+// replay (Replay) for the scenario harness's trace-driven workloads.
 package workload
 
 import (
@@ -59,37 +58,6 @@ func RunParallel(ctx context.Context, n int, task Task) ([]time.Duration, error)
 	}
 	wg.Wait()
 	return durations, errors.Join(errs...)
-}
-
-// ClosedLoop runs n clients that each perform iterations tasks back to
-// back, returning every completion time (n × iterations entries).
-func ClosedLoop(ctx context.Context, n, iterations int, task Task) ([]time.Duration, error) {
-	if n <= 0 || iterations <= 0 {
-		return nil, fmt.Errorf("workload: invalid shape clients=%d iterations=%d", n, iterations)
-	}
-	all := make([][]time.Duration, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < iterations; j++ {
-				d, err := task(ctx, i)
-				if err != nil {
-					errs[i] = fmt.Errorf("client %d iteration %d: %w", i, j, err)
-					return
-				}
-				all[i] = append(all[i], d)
-			}
-		}()
-	}
-	wg.Wait()
-	var flat []time.Duration
-	for _, ds := range all {
-		flat = append(flat, ds...)
-	}
-	return flat, errors.Join(errs...)
 }
 
 // Completion is one finished task in a ramp run.

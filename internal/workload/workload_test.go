@@ -48,42 +48,6 @@ func TestRunParallelPropagatesErrors(t *testing.T) {
 	}
 }
 
-func TestClosedLoop(t *testing.T) {
-	var count atomic.Int32
-	durations, err := ClosedLoop(context.Background(), 3, 4,
-		func(context.Context, int) (time.Duration, error) {
-			count.Add(1)
-			return time.Second, nil
-		})
-	if err != nil {
-		t.Fatalf("ClosedLoop: %v", err)
-	}
-	if count.Load() != 12 || len(durations) != 12 {
-		t.Errorf("count=%d durations=%d, want 12/12", count.Load(), len(durations))
-	}
-	if _, err := ClosedLoop(context.Background(), 0, 1, nil); err == nil {
-		t.Error("zero clients succeeded")
-	}
-}
-
-func TestClosedLoopStopsFailingClient(t *testing.T) {
-	boom := errors.New("boom")
-	var calls atomic.Int32
-	_, err := ClosedLoop(context.Background(), 1, 10,
-		func(context.Context, int) (time.Duration, error) {
-			if calls.Add(1) == 3 {
-				return 0, boom
-			}
-			return time.Second, nil
-		})
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v, want boom", err)
-	}
-	if calls.Load() != 3 {
-		t.Errorf("calls = %d, want 3 (stop at failure)", calls.Load())
-	}
-}
-
 func TestRampValidation(t *testing.T) {
 	if _, err := Ramp(context.Background(), RampConfig{}, nil); err == nil {
 		t.Error("empty config succeeded")
