@@ -23,7 +23,7 @@ race:
 # of the time (the lease-revocation race merged at 65 % failure because
 # CI ran it once); any failure here is a bug, not noise.
 flake:
-	$(GO) test -count=20 -race ./internal/wire ./internal/core ./internal/client ./internal/cplane ./internal/shm ./internal/scenario
+	$(GO) test -count=20 -race ./internal/wire ./internal/core ./internal/client ./internal/accel ./internal/cplane ./internal/shm ./internal/scenario
 
 # Short fuzzing smoke run over the wire-protocol decoder, the
 # hand-written header codec (held to encoding/json's output) and the

@@ -134,23 +134,59 @@ func (d *Device) Close() {
 // (this queueing is exactly the paper's time sharing when Slots is 1). It
 // pays the profile's RuntimeInit cost before returning.
 func (d *Device) Acquire(ctx context.Context) (*Context, error) {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil, ErrDeviceClosed
+	if err := d.usable(); err != nil {
+		return nil, err
 	}
-	if d.failed {
-		d.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrDeviceFailed, d.id)
-	}
-	d.mu.Unlock()
-
 	select {
 	case d.slots <- struct{}{}:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+	return d.open()
+}
 
+// AcquireWithin is Acquire with the wait for a free slot bounded by wait,
+// a wall-clock duration: when no slot frees up in time it returns
+// context.DeadlineExceeded, as Acquire under a context.WithTimeout would,
+// without deriving a context. A free slot is taken without looking at
+// ctx; a cancelled ctx ends the wait with ctx.Err(). The server's cold
+// start retries it in slices, evicting an idle runner between them.
+func (d *Device) AcquireWithin(ctx context.Context, wait time.Duration) (*Context, error) {
+	if err := d.usable(); err != nil {
+		return nil, err
+	}
+	select {
+	case d.slots <- struct{}{}:
+	default:
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		select {
+		case d.slots <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-t.C:
+			return nil, context.DeadlineExceeded
+		}
+	}
+	return d.open()
+}
+
+// usable reports why the device cannot hand out a context, if it cannot.
+func (d *Device) usable() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return ErrDeviceClosed
+	}
+	if d.failed {
+		return fmt.Errorf("%w: %s", ErrDeviceFailed, d.id)
+	}
+	return nil
+}
+
+// open pays RuntimeInit and creates a context on the slot its caller
+// holds, giving the slot back if the device closed meanwhile.
+func (d *Device) open() (*Context, error) {
 	d.clock.Sleep(d.profile.RuntimeInit)
 
 	d.mu.Lock()

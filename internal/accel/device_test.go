@@ -182,6 +182,70 @@ func TestAcquireRespectsContextCancel(t *testing.T) {
 	}
 }
 
+// TestAcquireWithinBoundsTheWait: AcquireWithin takes a free slot even
+// under a cancelled context, ends a wait on a full device with
+// DeadlineExceeded once its bound passes and with ctx.Err() when ctx is
+// cancelled first, and takes a slot released while it waits.
+func TestAcquireWithinBoundsTheWait(t *testing.T) {
+	p := testProfile()
+	p.Slots = 1
+	d := testDevice(t, p)
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	c1, err := d.AcquireWithin(cancelled, time.Hour)
+	if err != nil {
+		t.Fatalf("AcquireWithin on a free slot with a cancelled context: %v", err)
+	}
+
+	start := time.Now()
+	if _, err := d.AcquireWithin(context.Background(), 20*time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("wait on a full device = %v, want DeadlineExceeded", err)
+	}
+	if waited := time.Since(start); waited < 20*time.Millisecond {
+		t.Errorf("wait on a full device ended after %v, before its 20ms bound", waited)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := d.AcquireWithin(ctx, time.Hour)
+		errCh <- err
+	}()
+	time.Sleep(10 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled wait = %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("AcquireWithin did not honor cancel")
+	}
+
+	got := make(chan *Context, 1)
+	go func() {
+		c, err := d.AcquireWithin(context.Background(), time.Hour)
+		if err != nil {
+			t.Errorf("wait for a released slot: %v", err)
+		}
+		got <- c
+	}()
+	time.Sleep(10 * time.Millisecond)
+	c1.Release()
+	select {
+	case c := <-got:
+		if c != nil {
+			c.Release()
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("AcquireWithin did not take the released slot")
+	}
+	if st := d.Stats(); st.ActiveContexts != 0 || st.ColdStarts != 2 {
+		t.Errorf("Stats = %+v, want 0 active contexts after 2 cold starts", st)
+	}
+}
+
 func TestExecDuration(t *testing.T) {
 	d := testDevice(t, testProfile())
 	c, err := d.Acquire(context.Background())
@@ -249,8 +313,9 @@ func TestCopyDuration(t *testing.T) {
 
 func TestExecContention(t *testing.T) {
 	// Use a modest scale so wall-clock goroutine launch skew is
-	// negligible in modeled time and both kernels truly overlap.
-	d, err := NewDevice(vclock.Scaled(500), "t/gpu0", testProfile())
+	// negligible in modeled time and both kernels truly overlap: at 50 a
+	// millisecond of skew on a loaded machine is 50 modeled ms.
+	d, err := NewDevice(vclock.Scaled(50), "t/gpu0", testProfile())
 	if err != nil {
 		t.Fatalf("NewDevice: %v", err)
 	}

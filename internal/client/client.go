@@ -402,7 +402,8 @@ func (c *Client) RegisterContext(ctx context.Context, kernel string) error {
 
 // Result is a completed invocation.
 type Result struct {
-	// Values are the kernel's scalar outputs.
+	// Values are the kernel's scalar outputs. The map is the caller's:
+	// it is decoded fresh for this result and never pooled.
 	Values map[string]float64
 	// Data is the kernel's output payload.
 	Data []byte

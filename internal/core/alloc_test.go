@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"kaas/internal/accel"
@@ -58,64 +59,107 @@ func startNullTCP(t *testing.T, k kernels.Kernel) *TCPServer {
 	return tcp
 }
 
+// sumKernel answers like the benchmark's probe kernel: one value computed
+// from a param, in a fresh map.
+type sumKernel struct{}
+
+func (sumKernel) Name() string     { return "sum" }
+func (sumKernel) Kind() accel.Kind { return accel.GPU }
+func (sumKernel) Cost(req *kernels.Request) (kernels.Cost, error) {
+	return kernels.Cost{Work: req.Params["work"]}, nil
+}
+func (sumKernel) Execute(req *kernels.Request) (*kernels.Response, error) {
+	return &kernels.Response{Values: map[string]float64{"sum": req.Params["op"] + 1}}, nil
+}
+
 // TestWarmCallAllocationBudget pins what a warm header-only call
 // allocates in client and server together, over a default client: one
 // call at a time (every frame written inline) and eight at once (frames
-// through both writer queues). The budget is the measured count, so one
-// more allocation on the hot path fails it, even on only some of the
-// eight calls; AllocsPerRun rounds down, so an occasional allocation (a
-// pool emptied by GC) does not.
+// through both writer queues). Each row's budget is its measured count,
+// so one more allocation on the hot path fails it, even on only some of
+// the eight calls; AllocsPerRun rounds down, so an occasional allocation
+// (a pool emptied by GC) does not. The "params" row is shaped like the
+// benchmark's null-mux call: two params in, a fresh one-value map back,
+// which the client hands to its caller.
 func TestWarmCallAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries under the race detector")
 	}
-	tcp := startNullTCP(t, nullKernel{})
-	cl := client.Dial(tcp.Addr())
-	defer cl.Close()
-	call := func() error {
-		_, err := cl.Invoke("null", nil, nil)
-		return err
+	rows := []struct {
+		name   string
+		kernel kernels.Kernel
+		params bool
+		budget float64
+	}{
+		{"no params", nullKernel{}, false, 8},
+		{"params", sumKernel{}, true, 11},
 	}
-	// Warm up: both connections dialed, the runner booted, pools full.
-	for i := 0; i < 200; i++ {
-		if err := call(); err != nil {
-			t.Fatalf("warm-up call: %v", err)
-		}
-	}
-
-	const budget = 13
-	sequential := testing.AllocsPerRun(200, func() {
-		if err := call(); err != nil {
-			t.Fatalf("call: %v", err)
-		}
-	})
-	if sequential > budget {
-		t.Errorf("one call at a time: %v allocs per call, want <= %d", sequential, budget)
-	}
-
-	const callers = 8
-	start := make(chan struct{})
-	done := make(chan error, callers)
-	defer close(start)
-	for i := 0; i < callers; i++ {
-		go func() {
-			for range start {
-				done <- call()
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			tcp := startNullTCP(t, row.kernel)
+			cl := client.Dial(tcp.Addr())
+			defer cl.Close()
+			name := row.kernel.Name()
+			// call reuses its caller's params map, as the benchmark's
+			// callers do: the client encodes it before the call returns.
+			call := func(p kernels.Params, op int) error {
+				if !row.params {
+					_, err := cl.Invoke(name, nil, nil)
+					return err
+				}
+				p["op"], p["work"] = float64(op), 0
+				res, err := cl.Invoke(name, p, nil)
+				if err == nil && res.Values["sum"] != float64(op+1) {
+					return fmt.Errorf("op %d: values %v", op, res.Values)
+				}
+				return err
 			}
-		}()
-	}
-	perRun := testing.AllocsPerRun(100, func() {
-		for i := 0; i < callers; i++ {
-			start <- struct{}{}
-		}
-		for i := 0; i < callers; i++ {
-			if err := <-done; err != nil {
-				t.Fatalf("call: %v", err)
+			p := kernels.Params{}
+			// Warm up: both connections dialed, the runner booted, pools full.
+			for i := 0; i < 200; i++ {
+				if err := call(p, i); err != nil {
+					t.Fatalf("warm-up call: %v", err)
+				}
 			}
-		}
-	})
-	if perRun > budget*callers {
-		t.Errorf("%d calls at once: %v allocs, want <= %d", callers, perRun, budget*callers)
+
+			op := 0
+			sequential := testing.AllocsPerRun(200, func() {
+				op++
+				if err := call(p, op); err != nil {
+					t.Fatalf("call: %v", err)
+				}
+			})
+			if sequential > row.budget {
+				t.Errorf("one call at a time: %v allocs per call, want <= %v", sequential, row.budget)
+			}
+
+			const callers = 8
+			start := make(chan int)
+			done := make(chan error, callers)
+			defer close(start)
+			for i := 0; i < callers; i++ {
+				go func() {
+					p := kernels.Params{}
+					for op := range start {
+						done <- call(p, op)
+					}
+				}()
+			}
+			perRun := testing.AllocsPerRun(100, func() {
+				for i := 0; i < callers; i++ {
+					op++
+					start <- op
+				}
+				for i := 0; i < callers; i++ {
+					if err := <-done; err != nil {
+						t.Fatalf("call: %v", err)
+					}
+				}
+			})
+			if perRun > row.budget*callers {
+				t.Errorf("%d calls at once: %v allocs, want <= %v", callers, perRun, row.budget*callers)
+			}
+			t.Logf("allocs per call: %v one at a time, %v with %d at once", sequential, perRun/callers, callers)
+		})
 	}
-	t.Logf("allocs per call: %v one at a time, %v with %d at once", sequential, perRun/callers, callers)
 }

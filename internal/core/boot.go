@@ -196,7 +196,7 @@ func (s *Server) coldStart(ctx context.Context, inv string, e *entry, k kernels.
 // forever.
 //
 // Device occupancy advances in modeled time, so the retry slice is a
-// modeled duration converted to the wall-clock timeout dev.Acquire
+// modeled duration converted to the wall-clock timeout dev.AcquireWithin
 // needs. The original constant was 2ms of wall time, which at the
 // default test scale of 5000 quantized the re-check to 10 modeled
 // seconds — a blocked cold start could idle for ~10 modeled seconds
@@ -234,9 +234,7 @@ func (s *Server) acquireSlot(ctx context.Context, dev *accel.Device) (*accel.Con
 			s.evictIdleRunnerLocked(dev)
 			s.mu.Unlock()
 		}
-		actx, cancel := context.WithTimeout(ctx, s.evictRetrySlice())
-		dctx, err := dev.Acquire(actx)
-		cancel()
+		dctx, err := dev.AcquireWithin(ctx, s.evictRetrySlice())
 		if err == nil {
 			return dctx, nil
 		}

@@ -221,7 +221,7 @@ func TestPreWarmNoLeakWhenDemandNeverArrives(t *testing.T) {
 }
 
 // TestEvictRetrySliceScalesWithClock pins the unit fix: the retry slice
-// handed to dev.Acquire is a wall duration derived from a modeled
+// handed to dev.AcquireWithin is a wall duration derived from a modeled
 // budget, so the re-check cadence is the same number of modeled
 // milliseconds on every clock. The original constant was 2ms of wall
 // time, which a scale-5000 test clock stretched to 10 modeled seconds

@@ -219,17 +219,21 @@ func (s *Server) invokeOnce(ctx context.Context, e *entry, t *tenantState, req *
 		s.coldStart(ctx, report.InvocationID, e, k, r, &report.Breakdown)
 		report.CachedCold = r.cached
 	} else {
-		// Wait for the runner to finish starting if necessary.
+		// Wait for the runner to finish starting if necessary. A warm
+		// runner is taken without asking ctx for Done, which would make a
+		// stream's done channel.
 		waitStart := s.clock.Now()
 		s.kernelMet(e).queueDepth.Inc()
-		select {
-		case <-r.ready:
-			s.kernelMet(e).queueDepth.Dec()
-		case <-ctx.Done():
-			s.kernelMet(e).queueDepth.Dec()
-			s.releaseRunner(e, r)
-			return nil, nil, ctx.Err()
+		if !runnerStarted(r) {
+			select {
+			case <-r.ready:
+			case <-ctx.Done():
+				s.kernelMet(e).queueDepth.Dec()
+				s.releaseRunner(e, r)
+				return nil, nil, ctx.Err()
+			}
 		}
+		s.kernelMet(e).queueDepth.Dec()
 		report.Breakdown.Queue += s.clock.Now().Sub(waitStart)
 	}
 	if r.startErr != nil {

@@ -60,7 +60,7 @@ type muxSession struct {
 	work chan *wire.Message
 
 	mu      sync.Mutex
-	streams map[uint64]context.CancelFunc
+	streams map[uint64]*stream
 
 	wg sync.WaitGroup
 }
@@ -74,7 +74,7 @@ func newMuxSession(t *TCPServer, conn net.Conn) *muxSession {
 		writerDone: make(chan struct{}),
 		sem:        make(chan struct{}, t.maxConnStreams()),
 		work:       make(chan *wire.Message),
-		streams:    make(map[uint64]context.CancelFunc),
+		streams:    make(map[uint64]*stream),
 	}
 }
 
@@ -178,8 +178,8 @@ func (s *muxSession) streamWorker(msg *wire.Message) {
 func (s *muxSession) finish(cancelStreams bool) {
 	if cancelStreams {
 		s.mu.Lock()
-		for _, cancel := range s.streams {
-			cancel()
+		for _, st := range s.streams {
+			st.cancel(context.Canceled)
 		}
 		s.mu.Unlock()
 	}
@@ -298,18 +298,20 @@ func (s *muxSession) sendErr(req *wire.Message, err error) {
 	s.reply(req, wire.MsgError, errHeader(err), nil)
 }
 
-// addStream registers a stream's cancel function for MsgCancel lookup.
-func (s *muxSession) addStream(id uint64, cancel context.CancelFunc) {
+// addStream registers a stream for MsgCancel lookup.
+func (s *muxSession) addStream(id uint64, st *stream) {
 	s.mu.Lock()
-	s.streams[id] = cancel
+	s.streams[id] = st
 	s.mu.Unlock()
 }
 
-// removeStream forgets a completed stream.
-func (s *muxSession) removeStream(id uint64) {
+// endStream forgets a completed stream and cancels its context, so a
+// kernel that kept it sees the call over.
+func (s *muxSession) endStream(id uint64, st *stream) {
 	s.mu.Lock()
 	delete(s.streams, id)
 	s.mu.Unlock()
+	st.cancel(context.Canceled)
 }
 
 // cancelStream cancels one in-flight stream's context, if it is still
@@ -317,10 +319,10 @@ func (s *muxSession) removeStream(id uint64) {
 // ignored — the cancel raced with the reply.
 func (s *muxSession) cancelStream(id uint64) {
 	s.mu.Lock()
-	cancel := s.streams[id]
+	st := s.streams[id]
 	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	if st != nil {
+		st.cancel(context.Canceled)
 	}
 }
 
@@ -449,28 +451,33 @@ func (s *muxSession) serveStats(msg *wire.Message) {
 // worker, bounded by the session's stream semaphore and the server's
 // admission control.
 //
-// The in-band body goes back to the wire pool when the stream ends,
-// whichever way it ends: the kernel was done with it when Server.Invoke
-// returned (kernels.Request.Data). The one exception is a reply body that
-// shares its backing array, which the writer may still be reading. The
-// request message goes back to its pool too: every reply copied what it
-// needed from it. (No defer does this: a fourth defer in invokeStream
-// would stop the compiler open-coding the other three.)
+// The in-band body and the params map go back to the wire pools when the
+// stream ends, whichever way it ends: the kernel was done with them when
+// Server.Invoke returned (kernels.Request.Data, kernels.Request.Params).
+// The exceptions are a reply body that shares the body's backing array
+// and a reply whose values are the params map, which the writer may still
+// be reading. The request message goes back to its pool too: every reply
+// copied what it needed from it.
 func (s *muxSession) serveInvoke(msg *wire.Message) {
-	if sent := s.invokeStream(msg); !sharesArray(sent, msg.Body) {
+	body, values := s.invokeStream(msg)
+	if !sharesArray(body, msg.Body) {
 		wire.Recycle(msg.Body)
+	}
+	if !sameMap(values, msg.Header.Params) {
+		wire.RecycleParams(msg.Header.Params)
 	}
 	wire.Release(msg)
 }
 
-// invokeStream serves one invocation and returns the reply body it handed
-// to the transport, nil when the stream ended without one.
-func (s *muxSession) invokeStream(msg *wire.Message) []byte {
+// invokeStream serves one invocation and returns the reply body and values
+// it handed to the transport, nil when the stream ended without a result.
+func (s *muxSession) invokeStream(msg *wire.Message) ([]byte, map[string]float64) {
 	id := msg.Header.StreamID
 
 	// Legacy (pre-tenant) peers leave Tenant empty; the server maps that
 	// to the deterministic "default" tenant at admission.
-	req := &kernels.Request{Params: kernels.Params(msg.Header.Params), Tenant: msg.Header.Tenant}
+	st := &stream{req: kernels.Request{Params: kernels.Params(msg.Header.Params), Tenant: msg.Header.Tenant}}
+	req := &st.req
 	var lease *shm.Lease
 	switch {
 	case msg.Header.LeaseID != 0:
@@ -480,7 +487,7 @@ func (s *muxSession) invokeStream(msg *wire.Message) []byte {
 		l, err := s.resolveLease(msg)
 		if err != nil {
 			s.sendErr(msg, err)
-			return nil
+			return nil, nil
 		}
 		defer l.Release()
 		lease = l
@@ -492,28 +499,26 @@ func (s *muxSession) invokeStream(msg *wire.Message) []byte {
 		s.t.srv.dpMet.inbandBytes.Add(uint64(len(msg.Body)))
 	}
 
-	ctx, cancel, err := invokeContext(msg)
-	if err != nil {
+	if err := st.arm(msg.Header.DeadlineNanos); err != nil {
 		s.t.srv.Logger().Warn("rejecting expired invocation",
 			"kernel", msg.Header.Kernel, "remote", s.conn.RemoteAddr(), "stream", id, "err", err)
 		s.sendErr(msg, err)
-		return nil
+		return nil, nil
 	}
-	defer cancel()
-	s.addStream(id, cancel)
-	defer s.removeStream(id)
+	s.addStream(id, st)
+	defer s.endStream(id, st)
 
-	resp, report, err := s.t.srv.Invoke(ctx, msg.Header.Kernel, req)
+	resp, report, err := s.t.srv.Invoke(st, msg.Header.Kernel, req)
 	if err != nil {
-		if ctx.Err() != nil {
+		if st.Err() != nil {
 			// The stream was cancelled (deadline, CANCEL frame, or the
 			// connection died): the reply is best-effort; sibling
 			// streams on this connection are unaffected.
 			s.t.srv.Logger().Info("invocation cancelled",
-				"kernel", msg.Header.Kernel, "remote", s.conn.RemoteAddr(), "stream", id, "cause", ctx.Err())
+				"kernel", msg.Header.Kernel, "remote", s.conn.RemoteAddr(), "stream", id, "cause", st.Err())
 		}
 		s.sendErr(msg, err)
-		return nil
+		return nil, nil
 	}
 
 	out := wire.Header{
@@ -529,7 +534,7 @@ func (s *muxSession) invokeStream(msg *wire.Message) []byte {
 	// connection's writer, which can only drop the frame or the socket.
 	if err := wire.CheckEncodable(&wire.Message{Header: out}); err != nil {
 		s.sendErr(msg, fmt.Errorf("kernel %q returned a result that cannot be sent: %w", msg.Header.Kernel, err))
-		return nil
+		return nil, nil
 	}
 	body := resp.Data
 	if lease != nil && len(resp.Data) > 0 && int64(len(resp.Data)) <= lease.Cap() {
@@ -544,7 +549,7 @@ func (s *muxSession) invokeStream(msg *wire.Message) []byte {
 		body = nil
 	}
 	s.reply(msg, wire.MsgResult, out, body)
-	return body
+	return body, out.Values
 }
 
 // sharesArray reports whether a and b lie in one backing array. Distinct
@@ -557,4 +562,12 @@ func sharesArray(a, b []byte) bool {
 	pa := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
 	pb := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
 	return pa < pb+uintptr(cap(b)) && pb < pa+uintptr(cap(a))
+}
+
+// sameMap reports whether a and b are the same non-nil map.
+func sameMap(a, b map[string]float64) bool {
+	if a == nil || b == nil {
+		return false
+	}
+	return *(*unsafe.Pointer)(unsafe.Pointer(&a)) == *(*unsafe.Pointer)(unsafe.Pointer(&b))
 }

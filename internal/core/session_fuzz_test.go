@@ -5,8 +5,11 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -33,7 +36,12 @@ import (
 //	                               8  an expired deadline
 //	                              16  an in-band body of 64·(next byte)
 //	                                  bytes
-//	                              32  modeled work of (next byte) ms
+//	                              32  modeled work of (next byte) ms,
+//	                                  as the params key "ms"
+//	                              64  (next byte)%4 params "k0".."k7"
+//	                                  with values from the bytes after
+//	                             128  the param "alias": the kernel
+//	                                  answers with its own params map
 //	2 CANCEL    [pick]           CANCEL of an earlier invoke's stream
 //	3 LIST
 //	4 STATS
@@ -41,11 +49,20 @@ import (
 //	6 CLOSE                      close the connection; the script ends
 //	7 SETTLE                     wait for every outstanding reply
 //
+// The kernel echoes its params: each key k as "echo.k" beside "done",
+// or, given "alias", the params map itself as its values, which the
+// session must not recycle before the reply is written.
+//
 // The oracle:
 //   - nothing panics;
 //   - no stream gets more terminal frames (MsgResult or MsgError) than
 //     invocations it carried, and every error carries one of the wire
 //     protocol's codes;
+//   - every result's values echo the params of one of its own stream's
+//     invocations, each invocation answered at most once, so a params
+//     map recycled while still in use, or decoded into across streams,
+//     shows; and no reply carries the key a race build leaves in a
+//     recycled params map;
 //   - a script that neither closes nor sends garbage gets exactly one
 //     terminal frame per invocation;
 //   - once the connection closes, the session's goroutines exit and the
@@ -70,6 +87,10 @@ func FuzzSession(f *testing.F) {
 		append(append([]byte{}, hello...), 1, 33, 1, 250, 1, 33, 2, 250, 5, 3, 'x', 'y', 'z'),
 		// A disconnect with streams in flight cancels them.
 		append(append([]byte{}, hello...), 1, 33, 1, 250, 1, 0, 6),
+		// Streams with params, one answered with its own params map,
+		// pipelined so that recycled maps are decoded into at once.
+		append(append([]byte{}, hello...), 1, 65, 1, 3, 0, 7, 1, 9, 2, 11, 1, 193, 2, 2, 3, 4, 5, 6,
+			1, 97, 3, 5, 2, 1, 40, 1, 64, 2, 6, 60, 7, 99, 1, 65, 1, 1, 7, 33, 7),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -142,13 +163,26 @@ func (paramKernel) Cost(req *kernels.Request) (kernels.Cost, error) {
 	// A Tesla P100 runs 8e11 work units per modeled second.
 	return kernels.Cost{Work: req.Params["ms"] * 8e8}, nil
 }
-func (paramKernel) Execute(*kernels.Request) (*kernels.Response, error) {
-	return &kernels.Response{Values: map[string]float64{"done": 1}}, nil
+func (paramKernel) Execute(req *kernels.Request) (*kernels.Response, error) {
+	if _, ok := req.Params["alias"]; ok {
+		return &kernels.Response{Values: req.Params}, nil
+	}
+	return &kernels.Response{Values: echoValues(req.Params)}, nil
+}
+
+// echoValues is what paramKernel answers to params without "alias".
+func echoValues(params map[string]float64) map[string]float64 {
+	values := map[string]float64{"done": 1}
+	for k, v := range params {
+		values["echo."+k] = v
+	}
+	return values
 }
 
 // scriptSent is what a script put on the wire.
 type scriptSent struct {
-	invokes map[uint64]int // invocations per stream ID
+	invokes map[uint64]int                  // invocations per stream ID
+	values  map[uint64][]map[string]float64 // the values each would answer
 	garbage bool
 	closed  bool
 }
@@ -156,7 +190,7 @@ type scriptSent struct {
 // playScript decodes script and writes its operations to conn, stopping
 // early when the connection fails.
 func playScript(t *testing.T, conn net.Conn, script []byte, rec *replyLog) scriptSent {
-	sent := scriptSent{invokes: make(map[uint64]int)}
+	sent := scriptSent{invokes: make(map[uint64]int), values: make(map[uint64][]map[string]float64)}
 	var streams []uint64 // stream of each invocation sent, for CANCEL
 	next := func() byte {
 		if len(script) == 0 {
@@ -191,12 +225,30 @@ func playScript(t *testing.T, conn net.Conn, script []byte, rec *replyLog) scrip
 			if flags&16 != 0 {
 				m.Body = bytes.Repeat([]byte{0xA5}, 64*int(next()))
 			}
+			params := make(map[string]float64)
 			if flags&32 != 0 {
-				m.Header.Params = map[string]float64{"ms": float64(next())}
+				params["ms"] = float64(next())
+			}
+			if flags&64 != 0 {
+				for n := next() % 4; n > 0; n-- {
+					params[fmt.Sprintf("k%d", next()%8)] = float64(next())
+				}
+			}
+			if flags&128 != 0 {
+				params["alias"] = 1
+			}
+			if len(params) > 0 {
+				m.Header.Params = params
 			}
 			if ok = write(m); ok {
-				sent.invokes[m.Header.StreamID]++
-				streams = append(streams, m.Header.StreamID)
+				id := m.Header.StreamID
+				sent.invokes[id]++
+				streams = append(streams, id)
+				want := echoValues(params)
+				if flags&128 != 0 {
+					want = params
+				}
+				sent.values[id] = append(sent.values[id], want)
 			}
 		case 2:
 			var id uint64
@@ -239,13 +291,15 @@ func playScript(t *testing.T, conn net.Conn, script []byte, rec *replyLog) scrip
 type replyLog struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
-	terminals map[uint64]int // MsgResult/MsgError frames per stream ID
-	uncoded   []string       // MsgError frames without a known code
+	terminals map[uint64]int                  // MsgResult/MsgError frames per stream ID
+	results   map[uint64][]map[string]float64 // MsgResult values per stream ID
+	uncoded   []string                        // MsgError frames without a known code
 	done      chan struct{}
 }
 
 func newReplyLog() *replyLog {
-	r := &replyLog{terminals: make(map[uint64]int), done: make(chan struct{})}
+	r := &replyLog{terminals: make(map[uint64]int), results: make(map[uint64][]map[string]float64),
+		done: make(chan struct{})}
 	r.cond = sync.NewCond(&r.mu)
 	return r
 }
@@ -262,6 +316,9 @@ func (r *replyLog) readAll(conn net.Conn) {
 		switch m.Type {
 		case wire.MsgResult, wire.MsgError:
 			r.terminals[m.Header.StreamID]++
+			if m.Type == wire.MsgResult {
+				r.results[m.Header.StreamID] = append(r.results[m.Header.StreamID], m.Header.Values)
+			}
 			if m.Type == wire.MsgError && !wireCodes[m.Header.Code] {
 				r.uncoded = append(r.uncoded, m.Header.Error)
 			}
@@ -317,7 +374,27 @@ func (r *replyLog) check(t *testing.T, sent scriptSent) {
 	if len(r.uncoded) > 0 {
 		t.Errorf("error frames without a known code: %q", r.uncoded)
 	}
+	for id, results := range r.results {
+		want := slices.Clone(sent.values[id])
+		for _, got := range results {
+			for k := range got {
+				if strings.Contains(k, recycledParam) {
+					t.Errorf("stream %d: result %v carries a recycled params map's sentinel", id, got)
+				}
+			}
+			i := slices.IndexFunc(want, func(w map[string]float64) bool { return maps.Equal(w, got) })
+			if i < 0 {
+				t.Errorf("stream %d: result %v echoes none of its invocations' params %v", id, got, sent.values[id])
+				continue
+			}
+			want = slices.Delete(want, i, i+1)
+		}
+	}
 }
+
+// recycledParam is the key a race build of the wire package leaves in a
+// recycled params map.
+const recycledParam = "wire: recycled"
 
 // wireCodes are the codes an error frame may carry.
 var wireCodes = map[string]bool{

@@ -310,20 +310,3 @@ func marshalStats(srv *Server) (json.RawMessage, error) {
 	}
 	return stats, nil
 }
-
-// invokeContext builds the invocation context from the request's wire
-// deadline. It returns an error when the deadline already passed, so
-// expired work is rejected before it reaches a runner.
-func invokeContext(msg *wire.Message) (context.Context, context.CancelFunc, error) {
-	if dl := msg.Header.DeadlineNanos; dl > 0 {
-		deadline := time.Unix(0, dl)
-		if !time.Now().Before(deadline) {
-			return nil, nil, fmt.Errorf("core: %w: deadline passed %v ago",
-				context.DeadlineExceeded, time.Since(deadline).Round(time.Microsecond))
-		}
-		ctx, cancel := context.WithDeadline(context.Background(), deadline)
-		return ctx, cancel, nil
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	return ctx, cancel, nil
-}

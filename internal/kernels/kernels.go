@@ -62,6 +62,11 @@ func (p Params) Clone() Params {
 // payload (delivered in-band over the wire or out-of-band via shared
 // memory).
 type Request struct {
+	// Params is valid until Execute returns: the server decodes a wire
+	// request's params into a map it reuses for later calls. A kernel
+	// that needs them afterwards copies them (Params.Clone). It may
+	// return Params itself as Response.Values; the server then keeps the
+	// map until the reply is written.
 	Params Params
 	// Data is valid until Execute returns, on both data paths: the server
 	// reuses an in-band body's buffer and a leased arena window for later
@@ -108,7 +113,8 @@ type Kernel interface {
 	// Cost models the device cost of a request at its full size.
 	Cost(req *Request) (Cost, error)
 	// Execute runs the computation (possibly size-capped) on the host.
-	// req.Data is valid only until it returns (see Request.Data).
+	// req.Params and req.Data are valid only until it returns (see
+	// Request).
 	Execute(req *Request) (*Response, error)
 }
 

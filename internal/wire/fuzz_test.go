@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
 	"reflect"
 	"testing"
 )
@@ -76,10 +77,10 @@ func seedFrames(t testing.TB) [][]byte {
 
 // FuzzRead throws arbitrary byte streams at the frame decoder: it must
 // never panic, and every frame it accepts, up to the first it rejects,
-// must re-encode and decode to the same message. Each decoded body is
-// then recycled and the stream decoded again, so the second pass reads
-// into buffers holding the first pass's bytes: it must decode the same
-// frames and stop at the same error.
+// must re-encode and decode to the same message. Each decoded body and
+// params map is then recycled and the stream decoded again, so the second
+// pass reads into buffers and maps holding the first pass's contents: it
+// must decode the same frames and stop at the same error.
 func FuzzRead(f *testing.F) {
 	for _, frame := range seedFrames(f) {
 		f.Add(frame)
@@ -123,9 +124,9 @@ func FuzzRead(f *testing.F) {
 	f.Add(stream)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// decode reads every frame of data, recycling each body and
-		// releasing each message once it has been checked and copied into
-		// the returned list.
+		// decode reads every frame of data, recycling each body and params
+		// map and releasing each message once it has been checked and
+		// copied into the returned list.
 		decode := func() ([]*Message, error) {
 			var got []*Message
 			rd := bytes.NewReader(data)
@@ -150,10 +151,13 @@ func FuzzRead(f *testing.F) {
 					t.Fatalf("round trip changed frame: %+v != %+v", again, msg)
 				}
 				Recycle(again.Body)
+				RecycleParams(again.Header.Params)
 				Release(again)
 				kept := *msg
 				kept.Body = bytes.Clone(msg.Body)
+				kept.Header.Params = maps.Clone(msg.Header.Params)
 				Recycle(msg.Body)
+				RecycleParams(msg.Header.Params)
 				Release(msg)
 				got = append(got, &kept)
 			}

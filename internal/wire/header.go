@@ -17,9 +17,11 @@ type Header struct {
 	// string to the deterministic "default" tenant so mixed-version
 	// clusters do not split accounting between "" and "default".
 	Tenant string `json:"tenant,omitempty"`
-	// Params are the invocation parameters.
+	// Params are the invocation parameters. Read decodes them into a map
+	// from the params pool, which RecycleParams refills.
 	Params map[string]float64 `json:"params,omitempty"`
-	// Values are the scalar results of an invocation.
+	// Values are the scalar results of an invocation, always decoded
+	// into a fresh map.
 	Values map[string]float64 `json:"values,omitempty"`
 	// Error is the failure description on MsgError.
 	Error string `json:"error,omitempty"`
@@ -277,11 +279,14 @@ func appendString(b []byte, s string) []byte {
 }
 
 // decodeHeader decodes the JSON header hdr into out, which must be zero.
-// It keeps no reference to hdr.
+// It keeps no reference to hdr. Params comes from the params pool when the
+// hand codec decodes it (see RecycleParams), and goes back there when the
+// hand codec declines the header.
 func decodeHeader(hdr []byte, out *Header) error {
 	if scanHeader(hdr, out) {
 		return nil
 	}
+	RecycleParams(out.Params)
 	*out = Header{}
 	return json.Unmarshal(hdr, out)
 }
@@ -307,16 +312,16 @@ func scanHeader(hdr []byte, h *Header) bool {
 		switch string(key) {
 		case "kernel":
 			bit = 1 << 0
-			h.Kernel, i, ok = readString(hdr, i)
+			h.Kernel, i, ok = readName(hdr, i)
 		case "tenant":
 			bit = 1 << 1
-			h.Tenant, i, ok = readString(hdr, i)
+			h.Tenant, i, ok = readName(hdr, i)
 		case "params":
 			bit = 1 << 2
-			h.Params, i, ok = readFloatMap(hdr, i)
+			h.Params, i, ok = readFloatMap(hdr, i, newParams())
 		case "values":
 			bit = 1 << 3
-			h.Values, i, ok = readFloatMap(hdr, i)
+			h.Values, i, ok = readFloatMap(hdr, i, make(map[string]float64))
 		case "error":
 			bit = 1 << 4
 			h.Error, i, ok = readString(hdr, i)
@@ -430,6 +435,21 @@ func readString(b []byte, i int) (string, int, bool) {
 	if !escaped {
 		return string(raw), next, ok
 	}
+	return unescapeString(raw), next, ok
+}
+
+// readName reads a string that names something headers repeat from frame
+// to frame (a kernel, a tenant, a float-map key) through the name table.
+func readName(b []byte, i int) (string, int, bool) {
+	raw, next, escaped, ok := scanString(b, i)
+	if !escaped {
+		return intern(raw), next, ok
+	}
+	return unescapeString(raw), next, ok
+}
+
+// unescapeString resolves the two-character escapes scanString accepted.
+func unescapeString(raw []byte) string {
 	s := make([]byte, 0, len(raw))
 	for j := 0; j < len(raw); j++ {
 		c := raw[j]
@@ -439,7 +459,7 @@ func readString(b []byte, i int) (string, int, bool) {
 		}
 		s = append(s, c)
 	}
-	return string(s), next, true
+	return string(s)
 }
 
 func readBool(b []byte, i int) (bool, int, bool) {
@@ -531,24 +551,25 @@ func readFloat(b []byte, i int) (float64, int, bool) {
 	return f, end, err == nil
 }
 
-// readFloatMap reads a flat object of numbers. A repeated key keeps its
-// last value, as in encoding/json.
-func readFloatMap(b []byte, i int) (map[string]float64, int, bool) {
+// readFloatMap reads a flat object of numbers into m, which must be
+// empty. A repeated key keeps its last value, as in encoding/json. It
+// returns m even when b holds no such object; decodeHeader then recycles
+// a params map along with the rest of the header it declines.
+func readFloatMap(b []byte, i int, m map[string]float64) (map[string]float64, int, bool) {
 	if i >= len(b) || b[i] != '{' {
-		return nil, i, false
+		return m, i, false
 	}
-	m := make(map[string]float64)
 	if i+1 < len(b) && b[i+1] == '}' {
 		return m, i + 2, true
 	}
 	for {
-		k, next, ok := readString(b, i+1)
+		k, next, ok := readName(b, i+1)
 		if !ok || next >= len(b) || b[next] != ':' {
-			return nil, i, false
+			return m, i, false
 		}
 		v, next, ok := readFloat(b, next+1)
 		if !ok || next >= len(b) {
-			return nil, i, false
+			return m, i, false
 		}
 		m[k] = v
 		switch b[next] {
@@ -557,7 +578,7 @@ func readFloatMap(b []byte, i int) (map[string]float64, int, bool) {
 		case '}':
 			return m, next + 1, true
 		default:
-			return nil, i, false
+			return m, i, false
 		}
 	}
 }

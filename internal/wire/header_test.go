@@ -343,14 +343,15 @@ func nullMuxFrames() []*Message {
 
 // TestHeaderAllocationBudgets: encoding a header-only frame into a reused
 // buffer allocates nothing, and decoding one allocates only what the
-// caller keeps, the header's strings and its map, when the message is
-// released: the invoke's kernel name, params map (two allocations) and
-// two keys; the result's values map (two), key and invocation ID.
+// caller keeps when the message is released: the invoke's params map (two
+// allocations, none when the previous one was recycled), the result's
+// values map (two) and invocation ID. Kernel names and map keys come from
+// the name table.
 func TestHeaderAllocationBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries under the race detector")
 	}
-	readAllocs := map[MsgType]float64{MsgInvoke: 5, MsgResult: 4}
+	readAllocs := map[MsgType]float64{MsgInvoke: 2, MsgResult: 3}
 	for _, msg := range nullMuxFrames() {
 		frame, err := Append(nil, msg)
 		if err != nil {
@@ -372,15 +373,26 @@ func TestHeaderAllocationBudgets(t *testing.T) {
 			t.Errorf("FrameSize of the null-mux %v frame: %v allocs, want 0", msg.Type, got)
 		}
 		var rd bytes.Reader
-		if got := testing.AllocsPerRun(100, func() {
+		read := func() *Message {
 			rd.Reset(frame)
 			m, err := Read(&rd)
 			if err != nil {
 				t.Fatal(err)
 			}
-			Release(m)
-		}); got != readAllocs[msg.Type] {
+			return m
+		}
+		if got := testing.AllocsPerRun(100, func() { Release(read()) }); got != readAllocs[msg.Type] {
 			t.Errorf("Read of the null-mux %v frame: %v allocs, want %v", msg.Type, got, readAllocs[msg.Type])
+		}
+		if msg.Type != MsgInvoke {
+			continue
+		}
+		if got := testing.AllocsPerRun(100, func() {
+			m := read()
+			RecycleParams(m.Header.Params)
+			Release(m)
+		}); got != 0 {
+			t.Errorf("Read of the null-mux invoke frame, params recycled: %v allocs, want 0", got)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // TestRaceBuildPoisonsPools: in a race build what the pools take back is
 // poisoned, so a stale reference reads values no frame carries, and a
-// message taken from the pool is zero again.
+// message or params map taken from the pool is zero again.
 func TestRaceBuildPoisonsPools(t *testing.T) {
 	body := make([]byte, bodyPoolMin)
 	for i := range body {
@@ -31,5 +31,14 @@ func TestRaceBuildPoisonsPools(t *testing.T) {
 	}
 	if got := NewMessage(); !reflect.DeepEqual(*got, Message{}) {
 		t.Errorf("NewMessage = %+v, want the zero message", *got)
+	}
+
+	params := map[string]float64{"op": 7, "work": 1}
+	RecycleParams(params)
+	if want := map[string]float64{recycledParam: recycledParamValue}; !reflect.DeepEqual(params, want) {
+		t.Errorf("recycled params map reads %v, want only the sentinel %v", params, want)
+	}
+	if got := newParams(); len(got) != 0 {
+		t.Errorf("params map from the pool = %v, want it empty", got)
 	}
 }

@@ -14,3 +14,10 @@ func scrubReleased(m *Message) { *m = Message{} }
 // scrubTaken leaves a message on its way out of the pool as it is:
 // scrubReleased already zeroed it.
 func scrubTaken(*Message) {}
+
+// scrubRecycledParams empties a params map on its way into the pool.
+func scrubRecycledParams(m map[string]float64) { clear(m) }
+
+// scrubTakenParams leaves a params map on its way out of the pool as it
+// is: scrubRecycledParams already emptied it.
+func scrubTakenParams(map[string]float64) {}

@@ -8,8 +8,8 @@ package wire
 const raceEnabled = true
 
 // Race builds poison what the pools take back, so that code still holding
-// a recycled body or a released message reads values no frame carries
-// instead of a plausible later one.
+// a recycled body, a recycled params map or a released message reads
+// values no frame carries instead of a plausible later one.
 
 // poisonByte fills every body Recycle pools.
 const poisonByte = 0xDB
@@ -35,3 +35,20 @@ func scrubReleased(m *Message) {
 
 // scrubTaken zeroes a message on its way out of the pool.
 func scrubTaken(m *Message) { *m = Message{} }
+
+// recycledParam is the one entry a recycled params map holds until the
+// pool hands it out again.
+const (
+	recycledParam      = "wire: recycled"
+	recycledParamValue = poisonByte
+)
+
+// scrubRecycledParams empties a params map on its way into the pool and
+// leaves the recycled sentinel in it.
+func scrubRecycledParams(m map[string]float64) {
+	clear(m)
+	m[recycledParam] = recycledParamValue
+}
+
+// scrubTakenParams empties a params map on its way out of the pool.
+func scrubTakenParams(m map[string]float64) { clear(m) }

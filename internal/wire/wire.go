@@ -50,14 +50,20 @@
 // puts the pooled buffer back and returns no body. A body of any other
 // length is read and dropped as if there were no pool.
 //
+// The map a frame's Header.Params decodes into comes from a pool too,
+// filled only by RecycleParams; the server gives an invoke's map back when
+// its stream ends. Header.Values is always a fresh map. Kernel and tenant
+// names and map keys decode through a bounded table of interned strings
+// (names.go), so a warm invocation's names allocate nothing.
+//
 // The Message Read returns comes from a pool as well. An owner that knows
 // a message's life has ended hands it back with Release, which zeroes the
 // struct and leaves what its fields point to alone: a Body, map or string
 // copied out beforehand stays valid, and a body goes back only through
 // Recycle. Releasing is an optimisation, never an obligation; a message
 // nobody releases is garbage-collected. NewMessage takes an empty one
-// from the same pool. A race build poisons what either pool takes back,
-// so a stale reference reads values no frame carries.
+// from the same pool. A race build poisons what the pools take back, so a
+// stale reference reads values no frame carries.
 //
 // Write never copies a body larger than inlineBodyMax: the frame's head
 // (everything before the body) is encoded into a pooled buffer and the
@@ -549,6 +555,35 @@ func Recycle(b []byte) {
 		poisonBody(b[:cap(b)])
 		bodyPools[i].Put(unsafe.Pointer(unsafe.SliceData(b)))
 	}
+}
+
+// maxPooledParams is the most entries a params map may hold and still go
+// back to the pool: a cleared map keeps its table, and invocations carry a
+// handful of params, so a map a hostile frame grew large is left to the GC.
+const maxPooledParams = 32
+
+// paramsPool holds the maps the hand codec decodes Header.Params into,
+// filled only by RecycleParams. Values maps are always fresh: a client
+// hands them to its caller, who owns them.
+var paramsPool = sync.Pool{New: func() any { return make(map[string]float64) }}
+
+// newParams returns an empty map from the params pool.
+func newParams() map[string]float64 {
+	m := paramsPool.Get().(map[string]float64)
+	scrubTakenParams(m)
+	return m
+}
+
+// RecycleParams gives the Params map of a message Read returned back to the
+// pool for a later Read to decode into. The caller must hold no other
+// reference to m once it calls RecycleParams. A nil map, or one with more
+// than maxPooledParams entries, is left alone.
+func RecycleParams(m map[string]float64) {
+	if m == nil || len(m) > maxPooledParams {
+		return
+	}
+	scrubRecycledParams(m)
+	paramsPool.Put(m)
 }
 
 // readSection reads exactly n bytes into a recycled buffer if n is a class

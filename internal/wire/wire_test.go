@@ -413,6 +413,48 @@ func TestReleasedMessageReusedClean(t *testing.T) {
 	}
 }
 
+// TestRecycledParamsReusedClean guards the params pool: a map Read decodes
+// into after an earlier one was recycled holds only its own frame's keys,
+// and a frame without params decodes to no map at all.
+func TestRecycledParamsReusedClean(t *testing.T) {
+	oneP(t)
+	var buf bytes.Buffer
+	for _, m := range []*Message{
+		{Version: VersionMux, Type: MsgInvoke, Header: Header{
+			Kernel: "probe", Params: map[string]float64{"op": 7, "work": 1, "secret": 3}, StreamID: 1}},
+		{Version: VersionMux, Type: MsgInvoke, Header: Header{Kernel: "probe", StreamID: 2}},
+		{Version: VersionMux, Type: MsgInvoke, Header: Header{
+			Kernel: "probe", Params: map[string]float64{"n": 5}, StreamID: 3}},
+	} {
+		if err := Write(&buf, m); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+	}
+	read := func() *Message {
+		t.Helper()
+		m, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		return m
+	}
+	first := read()
+	recycled := first.Header.Params
+	RecycleParams(recycled)
+	Release(first)
+
+	if none := read(); none.Header.Params != nil {
+		t.Errorf("frame without params decodes to Params %v, want nil", none.Header.Params)
+	}
+	other := read()
+	if want := map[string]float64{"n": 5}; !reflect.DeepEqual(other.Header.Params, want) {
+		t.Errorf("frame with other keys decodes to Params %v, want %v", other.Header.Params, want)
+	}
+	if !raceEnabled && reflect.ValueOf(other.Header.Params).UnsafePointer() != reflect.ValueOf(recycled).UnsafePointer() {
+		t.Error("Read did not decode into the recycled params map")
+	}
+}
+
 func BenchmarkWriteRead(b *testing.B) {
 	msg := &Message{
 		Type: MsgInvoke,
