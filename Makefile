@@ -21,9 +21,12 @@ race:
 # Flake hunt: the concurrent packages twenty times over under the race
 # detector. A test that passes once can still lose an interleaving most
 # of the time (the lease-revocation race merged at 65 % failure because
-# CI ran it once); any failure here is a bug, not noise.
+# CI ran it once); any failure here is a bug, not noise. The root
+# package's TestCluster* tests drive real platforms through the cluster
+# router (concurrent spread, failover, drain), so they run here too.
 flake:
 	$(GO) test -count=20 -race ./internal/wire ./internal/core ./internal/client ./internal/accel ./internal/cplane ./internal/shm ./internal/scenario
+	$(GO) test -count=20 -race -run '^TestCluster' .
 
 # Short fuzzing smoke run over the wire-protocol decoder, the
 # hand-written header codec (held to encoding/json's output) and the

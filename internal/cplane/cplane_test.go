@@ -394,6 +394,12 @@ func TestRouterBudgetBoundsRedispatches(t *testing.T) {
 	if budget.Spent() != 2 || budget.Exhausted() != 2 {
 		t.Errorf("budget Spent/Exhausted = %d/%d, want 2/2", budget.Spent(), budget.Exhausted())
 	}
+	// The pick that found the bucket empty gave its claim back.
+	for addr, n := range r.InFlight() {
+		if n != 0 {
+			t.Errorf("route %s holds %d in-flight claims after every call returned", addr, n)
+		}
+	}
 }
 
 // TestRouterSkipsDrainingNode: invocations keep succeeding across a
@@ -461,5 +467,283 @@ func TestControlHandlerRejectsGarbage(t *testing.T) {
 	}
 	if _, err := n.HandleControl([]byte(`{"type":"gossip"}`)); err == nil {
 		t.Error("gossip without payload accepted")
+	}
+}
+
+// newFakeCluster joins shedding fake peers with the given names (each
+// gossips that it serves mci) to an observer on a manual clock, waits
+// for every first beat, and returns the observer, a router over it, the
+// clock and the peers. SuspectAfter is 1, so one missed beat marks a
+// peer down.
+func newFakeCluster(t *testing.T, names ...string) (*cplane.Node, *cplane.Router, *vclock.Manual, []*fakePeer) {
+	t.Helper()
+	clock := vclock.NewManual(time.Unix(0, 0))
+	obs := cplane.NewNode(cplane.Config{Name: "router", Clock: clock, HeartbeatEvery: time.Second, SuspectAfter: 1})
+	t.Cleanup(obs.Close)
+	fakes := make([]*fakePeer, len(names))
+	for i, name := range names {
+		fakes[i] = newFakePeer(t, name)
+		fakes[i].shedding.Store(true)
+		obs.Join(fakes[i].addr())
+	}
+	for _, f := range fakes {
+		waitFor(t, "first beat to "+f.name, func() bool {
+			m, _ := peerRow(obs, f.addr())
+			return m.Alive && m.Beats == 1 && len(m.Kernels) == 1
+		})
+	}
+	r := cplane.NewRouter(cplane.RouterConfig{Node: obs})
+	t.Cleanup(r.Close)
+	return obs, r, clock, fakes
+}
+
+// stepBeat advances the manual clock one heartbeat and waits until every
+// given peer's beat has been counted.
+func stepBeat(t *testing.T, obs *cplane.Node, clock *vclock.Manual, fakes []*fakePeer) {
+	t.Helper()
+	before := make([]uint64, len(fakes))
+	for i, f := range fakes {
+		m, _ := peerRow(obs, f.addr())
+		before[i] = m.Beats
+	}
+	clock.Advance(time.Second)
+	for i, f := range fakes {
+		waitFor(t, "beat to "+f.name, func() bool {
+			m, _ := peerRow(obs, f.addr())
+			return m.Beats == before[i]+1
+		})
+	}
+}
+
+// TestPickFollowsMissAndReadmit: a missed beat that marks a member down
+// moves the pick off it, and a re-admission moves it back — both by the
+// member's next heartbeat and by an inbound one (Observe).
+func TestPickFollowsMissAndReadmit(t *testing.T) {
+	obs, r, clock, fakes := newFakeCluster(t, "a", "b")
+	a := fakes[0]
+	a.muted.Store(true)
+	stepBeat(t, obs, clock, fakes)
+	if got := r.PickNode("mci"); got != "b" {
+		t.Fatalf("pick after a missed its beat = %q, want b", got)
+	}
+	a.muted.Store(false)
+	stepBeat(t, obs, clock, fakes)
+	if got := r.PickNode("mci"); got != "a" {
+		t.Fatalf("pick after a answered again = %q, want a", got)
+	}
+
+	obs.ReportUnreachable(a.addr())
+	obs.Observe(&cplane.Gossip{Node: "a", Addr: a.addr(), Kernels: []string{"mci"}, Eligible: map[string]int{mciKind: 1}})
+	if got := r.PickNode("mci"); got != "a" {
+		t.Errorf("pick after a heartbeated the observer = %q, want a", got)
+	}
+}
+
+// TestRegisterRoutesBeforeNextBeat: a kernel registered through the
+// router is routable at once, before any heartbeat could have gossiped
+// it.
+func TestRegisterRoutesBeforeNextBeat(t *testing.T) {
+	a := newClusterNode(t, "node-a")
+	obs := cplane.NewNode(cplane.Config{Name: "router", Clock: vclock.NewManual(time.Unix(0, 0))})
+	t.Cleanup(obs.Close)
+	obs.Join(a.Addr())
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := obs.WaitMembers(ctx, 1); err != nil {
+		t.Fatalf("WaitMembers: %v", err)
+	}
+	r := cplane.NewRouter(cplane.RouterConfig{Node: obs})
+	t.Cleanup(r.Close)
+	if got := r.PickNode("mci"); got != "" {
+		t.Fatalf("mci routed to %s before it was registered", got)
+	}
+	if err := r.Register(ctx, "mci"); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	if _, err := r.Invoke(ctx, "mci", kaas.Params{"n": 1000}, nil); err != nil {
+		t.Fatalf("Invoke right after Register: %v", err)
+	}
+	if m, _ := peerRow(obs, a.Addr()); m.Beats != 1 {
+		t.Errorf("observer beat node-a %d times, want only the first beat", m.Beats)
+	}
+}
+
+// TestJoinListsPeerAtOnce: a joined peer has a row in the view before its
+// first heartbeat answers.
+func TestJoinListsPeerAtOnce(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		// Accept and never answer, holding the first beat open.
+		var conns []net.Conn
+		defer func() {
+			for _, c := range conns {
+				c.Close()
+			}
+		}()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns = append(conns, c)
+		}
+	}()
+	n := cplane.NewNode(cplane.Config{Name: "observer", HeartbeatTimeout: time.Minute})
+	t.Cleanup(n.Close)
+	n.Join(ln.Addr().String())
+	m, ok := peerRow(n, ln.Addr().String())
+	if !ok || m.Node != "?" || m.Alive {
+		t.Errorf("row right after Join = %+v (found %v), want an unnamed peer not yet alive", m, ok)
+	}
+}
+
+// TestRouterReleasesEveryClaim: however a call ends — success, a
+// retryable shed that fails over, a connection failure that fails over,
+// a cancelled context — every in-flight claim a pick took is given back.
+func TestRouterReleasesEveryClaim(t *testing.T) {
+	b := newClusterNode(t, "node-b")
+	c := newClusterNode(t, "node-c", b.Addr())
+	obs := cplane.NewNode(cplane.Config{Name: "router", Clock: vclock.NewManual(time.Unix(0, 0))})
+	t.Cleanup(obs.Close)
+	obs.Join(b.Addr())
+	obs.Join(c.Addr())
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := obs.WaitMembers(ctx, 2); err != nil {
+		t.Fatalf("WaitMembers: %v", err)
+	}
+	r := cplane.NewRouter(cplane.RouterConfig{Node: obs, Idempotent: true})
+	t.Cleanup(r.Close)
+	if err := r.Register(ctx, "mci"); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	invoke := func(ctx context.Context, what string, wantFailedOver uint64) {
+		t.Helper()
+		if _, err := r.Invoke(ctx, "mci", kaas.Params{"n": 1000}, nil); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := r.Stats().FailedOver; got != wantFailedOver {
+			t.Fatalf("after %s: FailedOver = %d, want %d", what, got, wantFailedOver)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		invoke(ctx, "success", 0)
+	}
+
+	// node-a-shed sorts first, so every call tries it first and fails
+	// over on its OVERLOADED.
+	shed := newFakePeer(t, "node-a-shed")
+	shed.shedding.Store(true)
+	obs.Join(shed.addr())
+	waitFor(t, "node-a-shed gossiping mci", func() bool {
+		m, _ := peerRow(obs, shed.addr())
+		return m.Alive && len(m.Kernels) == 1
+	})
+	invoke(ctx, "shed failover", 1)
+	b.Close()
+	invoke(ctx, "shed and dead-node failover", 2)
+
+	cancelled, cancelNow := context.WithCancel(ctx)
+	cancelNow()
+	if _, err := r.Invoke(cancelled, "mci", kaas.Params{"n": 1000}, nil); err == nil {
+		t.Fatal("cancelled call succeeded")
+	}
+
+	inflight := r.InFlight()
+	if len(inflight) != 3 {
+		t.Errorf("routes = %v, want one per member", inflight)
+	}
+	for addr, n := range inflight {
+		if n != 0 {
+			t.Errorf("route %s holds %d in-flight claims after every call returned", addr, n)
+		}
+	}
+}
+
+// nullKernel costs nothing and returns nothing, so a call's allocations
+// are the middleware's.
+type nullKernel struct{}
+
+func (nullKernel) Name() string          { return "null" }
+func (nullKernel) Kind() kaas.DeviceKind { return kaas.GPU }
+func (nullKernel) Cost(*kernels.Request) (kernels.Cost, error) {
+	return kernels.Cost{}, nil
+}
+func (nullKernel) Execute(*kernels.Request) (*kernels.Response, error) {
+	return &kernels.Response{}, nil
+}
+
+// TestRouterAddsNoAllocations: over a two-node loopback cluster, a warm
+// call through the router allocates exactly what the same call through a
+// direct client to the member it lands on does.
+func TestRouterAddsNoAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries under the race detector")
+	}
+	// Gossip beats once at join and then not for minutes of wall time,
+	// so no heartbeat allocates while calls are counted.
+	node := func(name string, peers ...string) *kaas.Platform {
+		p, err := kaas.New(
+			kaas.WithHostName(name),
+			kaas.WithAccelerators(kaas.TeslaP100),
+			kaas.WithTimeScale(2000),
+			kaas.WithListenAddr("127.0.0.1:0"),
+			kaas.WithClusterNode(name, peers...),
+			kaas.WithClusterHeartbeat(1e6*time.Second, 2),
+		)
+		if err != nil {
+			t.Fatalf("New %s: %v", name, err)
+		}
+		t.Cleanup(p.Close)
+		if err := p.Register(nullKernel{}); err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+		return p
+	}
+	a := node("node-a")
+	b := node("node-b", a.Addr())
+	obs := cplane.NewNode(cplane.Config{Name: "router", Clock: vclock.NewManual(time.Unix(0, 0))})
+	t.Cleanup(obs.Close)
+	obs.Join(a.Addr())
+	obs.Join(b.Addr())
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := obs.WaitMembers(ctx, 2); err != nil {
+		t.Fatalf("WaitMembers: %v", err)
+	}
+	r := cplane.NewRouter(cplane.RouterConfig{Node: obs})
+	t.Cleanup(r.Close)
+	direct := client.Dial(a.Addr())
+	t.Cleanup(direct.Close)
+
+	// One call at a time, so every routed call lands on node-a, which
+	// wins the name tiebreak.
+	routed := func() {
+		if _, err := r.Invoke(ctx, "null", nil, nil); err != nil {
+			t.Fatalf("routed call: %v", err)
+		}
+	}
+	plain := func() {
+		if _, err := direct.InvokeContext(ctx, "null", nil, nil); err != nil {
+			t.Fatalf("direct call: %v", err)
+		}
+	}
+	// Warm up: connections dialed, the runner booted, pools full.
+	for i := 0; i < 200; i++ {
+		routed()
+		plain()
+	}
+	viaRouter := testing.AllocsPerRun(200, routed)
+	viaClient := testing.AllocsPerRun(200, plain)
+	t.Logf("allocs per call: routed %v, direct %v", viaRouter, viaClient)
+	if viaRouter != viaClient {
+		t.Errorf("routed call %v allocs, direct call %v: the router adds %v", viaRouter, viaClient, viaRouter-viaClient)
+	}
+	if got := b.Stats().PerKernel["null"].Invocations; got != 0 {
+		t.Errorf("node-b served %d routed calls, want none", got)
 	}
 }

@@ -22,13 +22,17 @@
 package cplane
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kaas/internal/client"
@@ -182,6 +186,12 @@ type Node struct {
 	seq      uint64
 	lastShed uint64    // cumulative sheds at the previous summary
 	lastBeat time.Time // modeled time of the previous summary
+
+	// view is the peers' membership rows sorted by name (address as
+	// tiebreak). publishLocked rebuilds it under mu whenever a row field
+	// changes; a published slice and its rows are never written again,
+	// so Members and Router.pick read it without taking mu.
+	view atomic.Pointer[[]Member]
 }
 
 // peer is the node's private state for one remote member.
@@ -256,6 +266,7 @@ func (n *Node) admit(addr string) *peer {
 	}
 	p := &peer{addr: addr, name: "?", c: client.Dial(addr, n.cfg.DialOptions...)}
 	n.peers[addr] = p
+	n.publishLocked()
 	return p
 }
 
@@ -292,20 +303,23 @@ func (n *Node) beat(p *peer) {
 	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.HeartbeatTimeout)
 	body, err := p.c.ControlContext(ctx, payload)
 	cancel()
-	if err != nil {
-		n.miss(p, err)
-	} else {
-		var g Gossip
+	var g Gossip
+	if err == nil {
 		if derr := json.Unmarshal(body, &g); derr != nil {
-			n.miss(p, fmt.Errorf("decode gossip reply: %w", derr))
+			err = fmt.Errorf("decode gossip reply: %w", derr)
 		} else {
-			n.heard(p, &g)
 			n.adoptKernels(g.Kernels)
 			n.joinPeers(g.Peers)
 		}
 	}
 
 	n.mu.Lock()
+	var up, down bool
+	if err != nil {
+		down = n.missLocked(p)
+	} else {
+		up = n.heardLocked(p, &g)
+	}
 	if !n.closed {
 		p.timer = n.clock.AfterFunc(n.cfg.HeartbeatEvery, func() {
 			// AfterFunc callbacks share the clock's dispatcher goroutine;
@@ -315,33 +329,50 @@ func (n *Node) beat(p *peer) {
 	}
 	// beats increments only after the next timer is armed, so an
 	// observer that saw it tick knows one clock advance fires exactly
-	// one more beat.
+	// one more beat. One publish covers the outcome and the count.
 	p.beats++
+	n.publishLocked()
+	misses, name := p.misses, p.name
 	n.mu.Unlock()
+	if down {
+		n.log.Warn("peer down", "peer", name, "addr", p.addr, "misses", misses, "err", err)
+	}
+	if up {
+		n.log.Info("peer up", "peer", name, "addr", p.addr)
+	}
 }
 
-// miss records one failed heartbeat. The peer is marked down exactly
-// once, when the miss count crosses SuspectAfter — repeated misses on
-// an already-down peer cause no further transitions.
-func (n *Node) miss(p *peer, err error) {
-	n.mu.Lock()
+// missLocked records one failed heartbeat and reports whether it marked
+// the peer down. The peer is marked down exactly once, when the miss
+// count crosses SuspectAfter — repeated misses on an already-down peer
+// cause no further transitions. The caller holds n.mu and publishes.
+func (n *Node) missLocked(p *peer) bool {
 	p.misses++
 	down := p.alive && p.misses >= n.cfg.SuspectAfter
 	if down {
 		p.alive = false
 		p.downs++
 	}
-	misses, name := p.misses, p.name
+	return down
+}
+
+// heard records gossip from p received outside p's own heartbeat (p
+// heartbeated us) and publishes the changed row.
+func (n *Node) heard(p *peer, g *Gossip) {
+	n.mu.Lock()
+	up := n.heardLocked(p, g)
+	n.publishLocked()
+	name := p.name
 	n.mu.Unlock()
-	if down {
-		n.log.Warn("peer down", "peer", name, "addr", p.addr, "misses", misses, "err", err)
+	if up {
+		n.log.Info("peer up", "peer", name, "addr", p.addr)
 	}
 }
 
-// heard records a successful gossip exchange with p: the miss count
-// resets and a down peer is re-admitted exactly once.
-func (n *Node) heard(p *peer, g *Gossip) {
-	n.mu.Lock()
+// heardLocked records a successful gossip exchange with p and reports
+// whether it re-admitted the peer: the miss count resets and a down peer
+// is re-admitted exactly once. The caller holds n.mu and publishes.
+func (n *Node) heardLocked(p *peer, g *Gossip) bool {
 	if g.Node != "" {
 		p.name = g.Node
 	}
@@ -352,11 +383,7 @@ func (n *Node) heard(p *peer, g *Gossip) {
 		p.ups++
 	}
 	p.last = *g
-	name := p.name
-	n.mu.Unlock()
-	if up {
-		n.log.Info("peer up", "peer", name, "addr", p.addr)
-	}
+	return up
 }
 
 // ReportUnreachable marks the peer at addr down immediately — the
@@ -376,6 +403,7 @@ func (n *Node) ReportUnreachable(addr string) {
 			p.misses = n.cfg.SuspectAfter
 		}
 		name = p.name
+		n.publishLocked()
 	}
 	n.mu.Unlock()
 	if down {
@@ -437,8 +465,10 @@ func (n *Node) Observe(g *Gossip) {
 func (n *Node) noteKernel(addr, kernel string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if p := n.peers[addr]; p != nil && !containsString(p.last.Kernels, kernel) {
-		p.last.Kernels = append(p.last.Kernels, kernel)
+	if p := n.peers[addr]; p != nil && !slices.Contains(p.last.Kernels, kernel) {
+		// A new array: the published view holds the old one.
+		p.last.Kernels = append(slices.Clip(p.last.Kernels), kernel)
+		n.publishLocked()
 	}
 }
 
@@ -524,14 +554,29 @@ func (n *Node) localGossip() *Gossip {
 // Members returns the node's membership view: the local node first,
 // then peers sorted by name (address as tiebreak).
 func (n *Node) Members() []Member {
-	var members []Member
+	peers := n.peerView()
+	members := make([]Member, 0, len(peers)+1)
 	if self := n.selfMember(); self != nil {
 		members = append(members, *self)
 	}
-	n.mu.Lock()
-	remote := make([]Member, 0, len(n.peers))
+	return append(members, peers...)
+}
+
+// peerView returns the published peer rows. The caller must not write
+// to the slice or anything its rows point to.
+func (n *Node) peerView() []Member {
+	if v := n.view.Load(); v != nil {
+		return *v
+	}
+	return nil
+}
+
+// publishLocked rebuilds the peer view from the peer records. The
+// caller holds n.mu, so publishes are ordered with the row changes.
+func (n *Node) publishLocked() {
+	rows := make([]Member, 0, len(n.peers))
 	for _, p := range n.peers {
-		remote = append(remote, Member{
+		rows = append(rows, Member{
 			Node:         p.name,
 			Addr:         p.addr,
 			Alive:        p.alive,
@@ -547,14 +592,10 @@ func (n *Node) Members() []Member {
 			Beats:        p.beats,
 		})
 	}
-	n.mu.Unlock()
-	sort.Slice(remote, func(i, j int) bool {
-		if remote[i].Node != remote[j].Node {
-			return remote[i].Node < remote[j].Node
-		}
-		return remote[i].Addr < remote[j].Addr
+	slices.SortFunc(rows, func(a, b Member) int {
+		return cmp.Or(strings.Compare(a.Node, b.Node), strings.Compare(a.Addr, b.Addr))
 	})
-	return append(members, remote...)
+	n.view.Store(&rows)
 }
 
 // selfMember builds the local node's own membership row, or nil for
@@ -610,14 +651,12 @@ func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 // heartbeat round complete before offering load.
 func (n *Node) WaitMembers(ctx context.Context, want int) error {
 	for {
-		n.mu.Lock()
 		alive := 0
-		for _, p := range n.peers {
-			if p.alive {
+		for _, m := range n.peerView() {
+			if m.Alive {
 				alive++
 			}
 		}
-		n.mu.Unlock()
 		if alive >= want {
 			return nil
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -67,19 +68,22 @@ type Router struct {
 	unroutable      atomic.Uint64
 	tenantSkips     atomic.Uint64
 
-	mu       sync.Mutex
-	clients  map[string]*client.Client
-	inflight map[string]int
-	closed   bool
+	mu     sync.Mutex
+	routes map[string]*route // keyed by member address
+	closed bool
+}
+
+// route is the router's state for one member address: the shared client
+// it dispatches through and the router-local in-flight count the
+// least-loaded pick compares. inflight is guarded by Router.mu.
+type route struct {
+	c        *client.Client
+	inflight int
 }
 
 // NewRouter creates a router over the node's membership view.
 func NewRouter(cfg RouterConfig) *Router {
-	return &Router{
-		cfg:      cfg,
-		clients:  make(map[string]*client.Client),
-		inflight: make(map[string]int),
-	}
+	return &Router{cfg: cfg, routes: make(map[string]*route)}
 }
 
 // Close closes the router's member clients. The underlying Node is not
@@ -87,14 +91,11 @@ func NewRouter(cfg RouterConfig) *Router {
 func (r *Router) Close() {
 	r.mu.Lock()
 	r.closed = true
-	clients := make([]*client.Client, 0, len(r.clients))
-	for _, c := range r.clients {
-		clients = append(clients, c)
-	}
-	r.clients = make(map[string]*client.Client)
+	routes := r.routes
+	r.routes = make(map[string]*route)
 	r.mu.Unlock()
-	for _, c := range clients {
-		c.Close()
+	for _, rt := range routes {
+		rt.c.Close()
 	}
 }
 
@@ -121,7 +122,10 @@ func (r *Router) Register(ctx context.Context, kernel string) error {
 		if m.Addr == "" || !m.Alive {
 			continue
 		}
-		if err := r.clientFor(m.Addr).RegisterContext(ctx, kernel); err != nil {
+		r.mu.Lock()
+		c := r.routeLocked(m.Addr).c
+		r.mu.Unlock()
+		if err := c.RegisterContext(ctx, kernel); err != nil {
 			lastErr = fmt.Errorf("cplane: register %q on %s: %w", kernel, m.Node, err)
 			continue
 		}
@@ -152,8 +156,8 @@ func (r *Router) InvokeTenant(ctx context.Context, tenant, kernel string, params
 	tried := make(map[string]bool)
 	var lastErr error
 	for hop := 0; ; hop++ {
-		m, ok := r.pick(tenant, kernel, kind, tried)
-		if !ok {
+		m, rt := r.pick(tenant, kernel, kind, tried)
+		if rt == nil {
 			if lastErr != nil {
 				return nil, lastErr
 			}
@@ -164,13 +168,14 @@ func (r *Router) InvokeTenant(ctx context.Context, tenant, kernel string, params
 			r.dispatches.Add(1)
 		} else {
 			if r.cfg.Budget != nil && !r.cfg.Budget.Spend() {
+				r.release(rt)
 				r.budgetExhausted.Add(1)
 				return nil, lastErr
 			}
 			r.redispatches.Add(1)
 		}
 		tried[m.Addr] = true
-		res, err := r.dispatch(ctx, m.Addr, tenant, kernel, params, data)
+		res, err := r.dispatch(ctx, rt, tenant, kernel, params, data)
 		if err == nil {
 			if r.cfg.Budget != nil {
 				r.cfg.Budget.Credit()
@@ -193,13 +198,11 @@ func (r *Router) InvokeTenant(ctx context.Context, tenant, kernel string, params
 	}
 }
 
-// dispatch runs one attempt on the member at addr, tracking per-member
-// in-flight load for the least-loaded pick.
-func (r *Router) dispatch(ctx context.Context, addr, tenant, kernel string, params kernels.Params, data []byte) (*client.Result, error) {
-	c := r.clientFor(addr)
-	r.addInflight(addr, 1)
-	defer r.addInflight(addr, -1)
-	return c.InvokeTenantContext(ctx, tenant, kernel, params, data)
+// dispatch runs one attempt over a route pick claimed, releasing the
+// claim when the attempt ends.
+func (r *Router) dispatch(ctx context.Context, rt *route, tenant, kernel string, params kernels.Params, data []byte) (*client.Result, error) {
+	defer r.release(rt)
+	return rt.c.InvokeTenantContext(ctx, tenant, kernel, params, data)
 }
 
 // redispatchable decides whether a failed attempt may move to another
@@ -219,25 +222,35 @@ func (r *Router) redispatchable(err error) bool {
 
 // pick selects the untried member with the least router-local in-flight
 // load among those that are alive, not draining, serve the kernel, and
-// have an eligible device of its kind. Ties break by node name so
-// routing is deterministic. Members the invoking tenant has saturated
-// (per gossiped tenant health) are skipped on a first pass and only
-// reconsidered when no unsaturated candidate exists — a saturated
-// member would queue or shed the tenant's request, but it still beats
-// no member at all.
-func (r *Router) pick(tenant, kernel, kind string, tried map[string]bool) (Member, bool) {
-	members := r.cfg.Node.Members()
+// have an eligible device of its kind, and claims it: the chosen route's
+// in-flight count rises in the same lock section that compared the
+// loads, so concurrent picks over tied members spread out instead of all
+// taking the same winner. The caller releases the route (dispatch does).
+// Ties break by node name so routing is deterministic. Members the
+// invoking tenant has saturated (per gossiped tenant health) are skipped
+// on a first pass and only reconsidered when no unsaturated candidate
+// exists — a saturated member would queue or shed the tenant's request,
+// but it still beats no member at all. It returns a nil route when no
+// member qualifies; the returned member is read-only.
+func (r *Router) pick(tenant, kernel, kind string, tried map[string]bool) (*Member, *route) {
+	members := r.cfg.Node.peerView()
+	if self := r.cfg.Node.selfMember(); self != nil {
+		// A serving node routes to itself too. Observers, the usual
+		// router backing, have no self row and copy nothing.
+		members = append([]Member{*self}, members...)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	best := -1
 	bestLoad := 0
 	skippedSaturated := false
 	for pass := 0; pass < 2 && best == -1; pass++ {
-		for i, m := range members {
+		for i := range members {
+			m := &members[i]
 			if m.Addr == "" || tried[m.Addr] || !m.Alive || m.Draining {
 				continue
 			}
-			if !containsString(m.Kernels, kernel) {
+			if !slices.Contains(m.Kernels, kernel) {
 				continue
 			}
 			if kind != "" && m.Eligible[kind] == 0 {
@@ -247,7 +260,10 @@ func (r *Router) pick(tenant, kernel, kind string, tried map[string]bool) (Membe
 				skippedSaturated = true
 				continue
 			}
-			load := r.inflight[m.Addr]
+			load := 0
+			if rt := r.routes[m.Addr]; rt != nil {
+				load = rt.inflight
+			}
 			if best == -1 || load < bestLoad ||
 				(load == bestLoad && m.Node < members[best].Node) {
 				best, bestLoad = i, load
@@ -264,51 +280,48 @@ func (r *Router) pick(tenant, kernel, kind string, tried map[string]bool) (Membe
 		}
 	}
 	if best == -1 {
-		return Member{}, false
+		return nil, nil
 	}
-	return members[best], true
+	rt := r.routeLocked(members[best].Addr)
+	rt.inflight++
+	return &members[best], rt
 }
 
-// clientFor returns (creating on first use) the shared client for one
-// member address.
-func (r *Router) clientFor(addr string) *client.Client {
+// release gives back the in-flight claim pick took on rt.
+func (r *Router) release(rt *route) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.clients[addr]
-	if c == nil {
-		c = client.Dial(addr, r.cfg.DialOptions...)
-		if r.closed {
-			c.Close()
-		} else {
-			r.clients[addr] = c
-		}
-	}
-	return c
-}
-
-// addInflight adjusts the router-local in-flight count for addr.
-func (r *Router) addInflight(addr string, delta int) {
-	r.mu.Lock()
-	r.inflight[addr] += delta
+	rt.inflight--
 	r.mu.Unlock()
 }
+
+// routeLocked returns (creating on first use) the route to one member
+// address. After Close a new route's client is closed at once and not
+// kept, so calls through it fail. The caller holds r.mu.
+func (r *Router) routeLocked(addr string) *route {
+	rt := r.routes[addr]
+	if rt == nil {
+		rt = &route{c: client.Dial(addr, r.cfg.DialOptions...)}
+		if r.closed {
+			rt.c.Close()
+		} else {
+			r.routes[addr] = rt
+		}
+	}
+	return rt
+}
+
+// kernelKinds maps each library kernel's name to its device kind name,
+// built once on first use.
+var kernelKinds = sync.OnceValue(func() map[string]string {
+	kinds := make(map[string]string)
+	for _, k := range kernels.Suite() {
+		kinds[k.Name()] = k.Kind().String()
+	}
+	return kinds
+})
 
 // kindOf resolves a library kernel's device kind name, or "" for
 // kernels the library does not know (eligibility is then not checked).
 func kindOf(kernel string) string {
-	k, err := kernels.ByName(kernel)
-	if err != nil {
-		return ""
-	}
-	return k.Kind().String()
-}
-
-// containsString reports whether list contains s.
-func containsString(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
+	return kernelKinds()[kernel]
 }
