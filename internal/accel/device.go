@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -199,8 +200,11 @@ func (d *Device) open() (*Context, error) {
 	d.activeCtx++
 	d.coldStarts++
 	now := d.clock.Now()
+	// Built in a stack buffer and converted once: one allocation.
+	var idBuf [48]byte
+	id := strconv.AppendInt(append(append(idBuf[:0], d.id...), "/ctx-"...), int64(d.ctxCounter), 10)
 	c := &Context{
-		id:         fmt.Sprintf("%s/ctx-%d", d.id, d.ctxCounter),
+		id:         string(id),
 		device:     d,
 		acquiredAt: now,
 	}
@@ -209,9 +213,19 @@ func (d *Device) open() (*Context, error) {
 	return c, nil
 }
 
+// SlotsTaken returns how many of the device's context slots are taken
+// right now, counting a context from the moment its slot is claimed:
+// one still paying RuntimeInit counts, unlike in Stats().ActiveContexts.
+// It takes no lock, so a caller deciding whether the device is full can
+// ask it on every retry.
+func (d *Device) SlotsTaken() int { return len(d.slots) }
+
 // Stats is a point-in-time snapshot of device state.
 type Stats struct {
-	// ActiveContexts is the number of currently held contexts.
+	// ActiveContexts is the number of contexts handed out and not yet
+	// released. A context counts only once it has paid RuntimeInit, so
+	// while a cold start initializes its slot is taken but not counted
+	// here; SlotsTaken counts it from the moment the slot is claimed.
 	ActiveContexts int
 	// ColdStarts counts context creations (each paid RuntimeInit).
 	ColdStarts int

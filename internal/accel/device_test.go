@@ -154,6 +154,59 @@ func TestSlotsLimitConcurrentContexts(t *testing.T) {
 	}
 }
 
+// TestSlotTakenWhileRuntimeInit: a context's slot counts as taken from
+// the moment it is claimed, while RuntimeInit is still being paid, not
+// only once the context is handed out. A server deciding whether the
+// device is full must see an initializing context, or a second cold
+// start on a full device waits out the first one's init.
+func TestSlotTakenWhileRuntimeInit(t *testing.T) {
+	p := testProfile()
+	p.RuntimeInit = 5 * time.Second // 500ms of wall time at scale 10
+	d, err := NewDevice(vclock.Scaled(10), "t/gpu0", p)
+	if err != nil {
+		t.Fatalf("NewDevice: %v", err)
+	}
+	defer d.Close()
+
+	done := make(chan struct{})
+	var c *Context
+	go func() {
+		defer close(done)
+		var err error
+		if c, err = d.Acquire(context.Background()); err != nil {
+			t.Errorf("Acquire: %v", err)
+		}
+	}()
+	// Read the count, then check the Acquire is still in RuntimeInit:
+	// a count of 1 read before Acquire returned is an initializing slot.
+	for {
+		taken := d.SlotsTaken()
+		select {
+		case <-done:
+			if c != nil {
+				c.Release()
+			}
+			t.Fatal("Acquire returned before its slot was seen taken")
+		default:
+		}
+		if taken == 1 {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	<-done
+	if c == nil {
+		t.FailNow()
+	}
+	if got := d.SlotsTaken(); got != 1 {
+		t.Errorf("SlotsTaken with one context held = %d, want 1", got)
+	}
+	c.Release()
+	if got := d.SlotsTaken(); got != 0 {
+		t.Errorf("SlotsTaken after Release = %d, want 0", got)
+	}
+}
+
 func TestAcquireRespectsContextCancel(t *testing.T) {
 	p := testProfile()
 	p.Slots = 1

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -162,4 +163,74 @@ func TestWarmCallAllocationBudget(t *testing.T) {
 			t.Logf("allocs per call: %v one at a time, %v with %d at once", sequential, perRun/callers, callers)
 		})
 	}
+}
+
+// namedNull is nullKernel under a name of its own, so several kernels
+// can take turns on one device.
+type namedNull string
+
+func (k namedNull) Name() string   { return string(k) }
+func (namedNull) Kind() accel.Kind { return accel.GPU }
+func (namedNull) Cost(*kernels.Request) (kernels.Cost, error) {
+	return kernels.Cost{}, nil
+}
+func (namedNull) Execute(*kernels.Request) (*kernels.Response, error) {
+	return &kernels.Response{}, nil
+}
+
+// TestColdStartAllocationBudget pins what an in-process cold start that
+// evicts allocates, with the default (discarding) logger: three kernels
+// take turns on a one-slot null device, so every call boots a runner
+// after evicting the previous kernel's idle one. The budget is the
+// measured count; a log record built for a logger that discards it, or
+// an ID formatted through fmt, fails it.
+func TestColdStartAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the budget is measured without the race detector")
+	}
+	const budget = 12
+	clock := vclock.Scaled(1e6)
+	dev := nullProfile
+	dev.Slots = 1
+	host, err := accel.NewHost(clock, "node", accel.XeonE52698, dev)
+	if err != nil {
+		t.Fatalf("NewHost: %v", err)
+	}
+	t.Cleanup(host.Close)
+	srv, err := New(Config{Clock: clock, Host: host})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(srv.Close)
+	names := []string{"k0", "k1", "k2"}
+	for _, name := range names {
+		if err := srv.Register(namedNull(name)); err != nil {
+			t.Fatalf("Register %s: %v", name, err)
+		}
+	}
+	ctx := context.Background()
+	op := 0
+	call := func() {
+		name := names[op%len(names)]
+		op++
+		_, rep, err := srv.Invoke(ctx, name, nil)
+		if err != nil {
+			t.Fatalf("Invoke %s: %v", name, err)
+		}
+		if !rep.Cold {
+			t.Fatalf("Invoke %s was warm, want a cold start", name)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		call()
+	}
+	before := srv.Stats().Evictions
+	allocs := testing.AllocsPerRun(300, call)
+	if evicted := srv.Stats().Evictions - before; evicted < 300 {
+		t.Fatalf("%d evictions in 301 cold starts, want one each", evicted)
+	}
+	if allocs > budget {
+		t.Errorf("cold start: %v allocs per call, want <= %v", allocs, budget)
+	}
+	t.Logf("allocs per cold start: %v", allocs)
 }

@@ -108,7 +108,9 @@ func (s *Server) preWarm(e *entry) {
 	met := s.kernelMet(e)
 	met.preWarms.Inc()
 	inv := fmt.Sprintf("prewarm-%d", s.invSeq.Add(1))
-	s.cfg.Logger.Info("pre-warming runner", "inv", inv, "kernel", e.name, "runner", r.id)
+	if s.logsInfo() {
+		s.cfg.Logger.Info("pre-warming runner", "inv", inv, "kernel", e.name, "runner", r.id)
+	}
 	var b metrics.Breakdown
 	s.coldStart(s.baseCtx, inv, e, k, r, &b)
 	if r.startErr != nil {
@@ -145,7 +147,9 @@ func (s *Server) coldStart(ctx context.Context, inv string, e *entry, k kernels.
 	}
 	b.RuntimeInit += s.clock.Now().Sub(initStart)
 	r.dctx = dctx
-	s.cfg.Logger.Info("runner started", "inv", inv, "runner", r.id, "device", r.device.ID())
+	if s.logsInfo() {
+		s.cfg.Logger.Info("runner started", "inv", inv, "runner", r.id, "device", r.device.ID())
+	}
 
 	// JIT compilation against the artifact cache: a hit means some
 	// earlier runner on this host already compiled this kernel for this
@@ -221,7 +225,10 @@ func (s *Server) evictRetrySlice() time.Duration {
 
 // acquireSlot obtains a device context for a cold start, evicting idle
 // runners under slot pressure and retrying the eviction for as long as
-// the caller's context allows.
+// the caller's context allows. Pressure is read from the slots taken,
+// which count a context still paying RuntimeInit, so a second cold start
+// on a full device evicts and overlaps the first one's init instead of
+// seeing a free slot and waiting the init out.
 func (s *Server) acquireSlot(ctx context.Context, dev *accel.Device) (*accel.Context, error) {
 	dm := s.devMet[dev.ID()]
 	if dm != nil {
@@ -229,7 +236,7 @@ func (s *Server) acquireSlot(ctx context.Context, dev *accel.Device) (*accel.Con
 		defer dm.queueDepth.Dec()
 	}
 	for {
-		if st := dev.Stats(); st.ActiveContexts >= dev.Profile().Slots {
+		if dev.SlotsTaken() >= dev.Profile().Slots {
 			s.mu.Lock()
 			s.evictIdleRunnerLocked(dev)
 			s.mu.Unlock()
@@ -267,8 +274,10 @@ func (s *Server) evictIdleRunnerLocked(dev *accel.Device) bool {
 			if dm := s.devMet[dev.ID()]; dm != nil {
 				dm.evictions.Inc()
 			}
-			s.cfg.Logger.Info("runner evicted for slot pressure",
-				"runner", r.id, "device", dev.ID())
+			if s.logsInfo() {
+				s.cfg.Logger.Info("runner evicted for slot pressure",
+					"runner", r.id, "device", dev.ID())
+			}
 			return true
 		}
 	}

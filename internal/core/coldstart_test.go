@@ -314,6 +314,69 @@ func TestBlockedColdStartRechecksInModeledTime(t *testing.T) {
 	}
 }
 
+// TestColdStartsOverlapOnFullDevice: two cold starts on a device whose
+// slots all hold idle runners of other kernels each evict one runner and
+// pay RuntimeInit side by side. Slot pressure counts a context from the
+// moment its slot is taken; if it counted only contexts past
+// RuntimeInit, the second cold start would see a free slot while the
+// first was still initializing, evict nothing, and wait out the first's
+// init before paying its own — about twice the profile's RuntimeInit.
+func TestColdStartsOverlapOnFullDevice(t *testing.T) {
+	// Scale 10: an init is 40ms of wall time, so wall noise is small
+	// against the 1.5x bound and the serialized 2x is far above it.
+	clock := vclock.Scaled(10)
+	gpu := testGPUProfile()
+	gpu.Slots = 2
+	host, err := accel.NewHost(clock, "test", accel.XeonE52698, gpu)
+	if err != nil {
+		t.Fatalf("NewHost: %v", err)
+	}
+	t.Cleanup(host.Close)
+	s, err := New(Config{Clock: clock, Host: host})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(s.Close)
+	for _, name := range []string{"ka", "kb", "kc", "kd"} {
+		if err := s.Register(&fakeKernel{name: name, kind: accel.GPU, cost: stdCost()}); err != nil {
+			t.Fatalf("Register %s: %v", name, err)
+		}
+	}
+	// Idle runners of ka and kb take both slots.
+	for _, name := range []string{"ka", "kb"} {
+		if _, _, err := s.Invoke(context.Background(), name, nil); err != nil {
+			t.Fatalf("Invoke %s: %v", name, err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	reports := make([]*Report, 2)
+	errs := make([]error, 2)
+	for i, name := range []string{"kc", "kd"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, reports[i], errs[i] = s.Invoke(context.Background(), name, nil)
+		}()
+	}
+	wg.Wait()
+	limit := gpu.RuntimeInit * 3 / 2
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("cold start %d: %v", i, err)
+		}
+		if !reports[i].Cold {
+			t.Errorf("invocation %d was warm, want a cold start", i)
+		}
+		if got := reports[i].Breakdown.RuntimeInit; got >= limit {
+			t.Errorf("cold start %d paid RuntimeInit %v, want < %v (1.5x the profile's %v)", i, got, limit, gpu.RuntimeInit)
+		}
+	}
+	if got := s.Stats().Evictions; got != 2 {
+		t.Errorf("evictions = %d, want 2", got)
+	}
+}
+
 // TestFailoverKeepsSiblingClaimAccounting pins the failover bookkeeping
 // fix: when a device fails with several invocations in flight on one
 // runner, the first to observe the failure retires the runner, and the

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
 	"kaas/internal/accel"
 )
@@ -95,8 +95,10 @@ func (s *Server) setLastRunnerLocked(e *entry, picked *runner) {
 // the caller becomes its spawner.
 func (s *Server) newRunnerLocked(e *entry, dev *accel.Device) *runner {
 	s.runnerSeq++
+	// One allocation for the ID, as for an invocation's.
+	var idBuf [24]byte
 	r := &runner{
-		id:       fmt.Sprintf("runner-%d", s.runnerSeq),
+		id:       string(strconv.AppendInt(append(idBuf[:0], "runner-"...), int64(s.runnerSeq), 10)),
 		device:   dev,
 		ready:    make(chan struct{}),
 		inflight: 1,

@@ -413,6 +413,12 @@ func (s *Server) setArena(p *shm.ArenaPool) { s.arena.Store(p) }
 // logger when none was configured).
 func (s *Server) Logger() *slog.Logger { return s.cfg.Logger }
 
+// logsInfo reports whether an Info record would be kept. The cold path
+// asks it first, so a discarded record does not box its arguments.
+func (s *Server) logsInfo() bool {
+	return s.cfg.Logger.Enabled(context.Background(), slog.LevelInfo)
+}
+
 // Metrics returns the registry the server feeds.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 

@@ -61,12 +61,6 @@ func (f *DeviceFlapper) Repair() {
 	f.dev.Repair()
 }
 
-// Flap performs one full fail/repair cycle, leaving the device healthy.
-func (f *DeviceFlapper) Flap() {
-	f.Fail()
-	f.Repair()
-}
-
 // Down reports whether the device is currently failed.
 func (f *DeviceFlapper) Down() bool {
 	f.mu.Lock()
