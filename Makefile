@@ -15,8 +15,11 @@ vet:
 test:
 	$(GO) test ./...
 
+# The benchmark line puts the parallel warm path (64 callers on one
+# client, every owner's lock in play) under the race detector.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -run '^$$' -bench WarmInvokeParallel -benchtime 200x ./internal/core
 
 # Flake hunt: the concurrent packages twenty times over under the race
 # detector. A test that passes once can still lose an interleaving most

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"kaas/internal/metrics"
 )
 
 // DefaultTenant is the tenant identity assumed when a request carries no
@@ -26,51 +29,29 @@ func NormalizeTenant(t string) string {
 // tenant knob is set without an explicit StickinessBound.
 const defaultStickinessBound = 4
 
-// tenantState is the per-tenant slice of server state (guarded by
-// Server.mu except for the lazily built metrics).
+// tenantState is admission's per-tenant state (guarded by fairQueue.mu
+// except for the lazily built metrics).
 type tenantState struct {
 	name   string
 	weight float64
 	// inFlight counts admitted invocations of this tenant; queued counts
 	// invocations waiting in the tenant's flows. Both are written only by
-	// the fairQueue (addInFlightLocked, addQueuedLocked), which sets the
-	// exported gauges from them at the same site.
+	// addInFlightLocked and addQueuedLocked, which set the exported gauges
+	// from them at the same site.
 	inFlight int
 	queued   int
 	// met is created lazily on first use, for the same reason as
-	// entry.met (see Server.kernelMet).
+	// entry.met (see entry.metrics).
+	reg     *metrics.Registry
 	metOnce sync.Once
 	met     *tenantMetrics
 }
 
-// tenantLocked returns (creating on first use) the state for a tenant.
-func (s *Server) tenantLocked(name string) *tenantState {
-	t, ok := s.tenants[name]
-	if !ok {
-		w := s.cfg.TenantWeights[name]
-		if w <= 0 {
-			w = 1
-		}
-		t = &tenantState{name: name, weight: w}
-		s.tenants[name] = t
-	}
-	return t
-}
-
-// tenantMet returns the tenant's cached metric instances, creating them
-// on first use.
-func (s *Server) tenantMet(t *tenantState) *tenantMetrics {
-	t.metOnce.Do(func() { t.met = newTenantMetrics(s.reg, t.name) })
+// metrics returns the tenant's cached metric instances, creating them on
+// first use.
+func (t *tenantState) metrics() *tenantMetrics {
+	t.metOnce.Do(func() { t.met = newTenantMetrics(t.reg, t.name) })
 	return t.met
-}
-
-// shedObserved records one rejection against both the kernel's and the
-// tenant's shed counters and logs it.
-func (s *Server) shedObserved(e *entry, t *tenantState, reason string) {
-	s.kernelMet(e).shed(reason)
-	s.tenantMet(t).shed(reason)
-	s.cfg.Logger.Warn("invocation shed",
-		"kernel", e.name, "tenant", t.name, "reason", reason)
 }
 
 // fairWaiter is one invocation queued in a flow, waiting for the
@@ -81,7 +62,7 @@ type fairWaiter struct {
 	enqueuedAt    time.Time     // modeled enqueue time
 	waited        time.Duration // modeled queue wait, set at grant
 	grant         chan struct{} // closed on grant or flush
-	granted       bool          // guarded by Server.mu
+	granted       bool          // guarded by fairQueue.mu
 	err           error         // set before grant closes on a flush
 }
 
@@ -116,11 +97,14 @@ func (fl *flow) removeLocked(w *fairWaiter) bool {
 	return false
 }
 
-// fairQueue is the admission stage: every invocation passes admitLocked,
-// which sheds it, grants it an in-flight slot at once, or parks it in its
-// (tenant, kernel) flow for the dispatcher. It is also the one writer of
-// the in-flight and queued books (server, kernel and tenant level). All
-// state is guarded by Server.mu.
+// fairQueue is the admission stage: every invocation passes admit, which
+// sheds it, grants it an in-flight slot at once, or parks it in its
+// (tenant, kernel) flow for the dispatcher. It owns the tenants, the
+// flows, the in-flight and queued books (server, kernel and tenant
+// level), the kernels' wall-time averages and the drain and close
+// states, all guarded by mu. It may take a runner pool's lock (for the
+// stickiness check, the arrival predictor and the wait estimate), never
+// the other way round.
 //
 // Virtual time: each request is tagged start = max(V, flow.lastFinish)
 // and finish = start + cost/weight, where V is the system virtual time,
@@ -140,10 +124,18 @@ func (fl *flow) removeLocked(w *fairWaiter) bool {
 // grant is forced to follow strict virtual-finish order, so fairness
 // debt eventually overrides locality.
 type fairQueue struct {
+	*env
+	mu   sync.Mutex
+	idle *sync.Cond // broadcast when inFlight reaches 0 and on close
+	// closed and draining are written under mu; Invoke, Register, the
+	// reaper and the pre-warm boot read them without it.
+	closed, draining atomic.Bool
 	// waits records that a tenant knob is configured: only then does a
 	// request that finds the server-wide cap full have a flow worth
 	// waiting in; otherwise it is shed.
 	waits        bool
+	tenants      map[string]*tenantState
+	inFlight     int // admitted invocations server-wide
 	vtime        float64
 	flows        map[flowKey]*flow
 	order        []*flow // deterministic scan order (creation order)
@@ -151,8 +143,25 @@ type fairQueue struct {
 	stickyStreak int
 }
 
-func newFairQueue(waits bool) *fairQueue {
-	return &fairQueue{waits: waits, flows: make(map[flowKey]*flow)}
+func newFairQueue(v *env) *fairQueue {
+	f := &fairQueue{env: v, waits: v.cfg.tenantKnobSet(),
+		tenants: make(map[string]*tenantState), flows: make(map[flowKey]*flow)}
+	f.idle = sync.NewCond(&f.mu)
+	return f
+}
+
+// tenantLocked returns (creating on first use) the state for a tenant.
+func (f *fairQueue) tenantLocked(name string) *tenantState {
+	t, ok := f.tenants[name]
+	if !ok {
+		w := f.cfg.TenantWeights[name]
+		if w <= 0 {
+			w = 1
+		}
+		t = &tenantState{name: name, weight: w, reg: f.reg}
+		f.tenants[name] = t
+	}
+	return t
 }
 
 // flowLocked returns (creating on first use) the flow for a tenant and
@@ -178,28 +187,35 @@ func costLocked(e *entry) float64 {
 	return 1.0
 }
 
-// admitLocked is the one admission decision. It returns a shed-reason
-// label plus the typed rejection, or (nil, "", nil) when the invocation
-// was granted its in-flight slot on arrival, or the waiter it must await
-// when it was parked in its flow.
-func (f *fairQueue) admitLocked(s *Server, ctx context.Context, e *entry, t *tenantState) (*fairWaiter, string, error) {
-	if s.draining {
-		return nil, "draining", ErrDraining
+// admit is the one admission decision for an invocation of e by tenant.
+// Besides the tenant's state it returns a shed-reason label and the
+// typed rejection, or nothing when the invocation was granted its
+// in-flight slot on arrival, or the waiter it must await when it was
+// parked in its flow.
+func (f *fairQueue) admit(ctx context.Context, e *entry, tenant string) (*tenantState, *fairWaiter, string, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed.Load() {
+		return nil, nil, "", ErrServerClosed
 	}
-	cfg := &s.cfg
-	full := cfg.MaxInFlightTotal > 0 && s.inFlight >= cfg.MaxInFlightTotal
+	t := f.tenantLocked(tenant)
+	if f.draining.Load() {
+		return t, nil, "draining", ErrDraining
+	}
+	cfg := &f.cfg
+	full := cfg.MaxInFlightTotal > 0 && f.inFlight >= cfg.MaxInFlightTotal
 	if full && !f.waits {
-		return nil, "in_flight_cap", fmt.Errorf("%w: %d invocations in flight (cap %d)",
-			ErrOverloaded, s.inFlight, cfg.MaxInFlightTotal)
+		return t, nil, "in_flight_cap", fmt.Errorf("%w: %d invocations in flight (cap %d)",
+			ErrOverloaded, f.inFlight, cfg.MaxInFlightTotal)
 	}
 	// The kernel-level bound holds whoever the tenants are: fair queueing
 	// shares capacity between them, it does not grow the backlog one
 	// kernel may accumulate.
 	if cfg.MaxQueuePerKernel > 0 {
-		healthy := s.healthyCapacityLocked(e)
-		if e.inFlight >= healthy+cfg.MaxQueuePerKernel {
-			return nil, "queue_full", fmt.Errorf("%w: kernel %q has %d in flight (capacity %d + queue bound %d)",
-				ErrOverloaded, e.name, e.inFlight, healthy, cfg.MaxQueuePerKernel)
+		healthy := e.healthyCapacity()
+		if n := e.inFlight.Load(); n >= int64(healthy+cfg.MaxQueuePerKernel) {
+			return t, nil, "queue_full", fmt.Errorf("%w: kernel %q has %d in flight (capacity %d + queue bound %d)",
+				ErrOverloaded, e.name, n, healthy, cfg.MaxQueuePerKernel)
 		}
 	}
 	// Deadline-aware shedding: if the caller cannot possibly get an
@@ -209,8 +225,8 @@ func (f *fairQueue) admitLocked(s *Server, ctx context.Context, e *entry, t *ten
 	// affect servers running with unbounded admission.
 	if f.waits || cfg.MaxInFlightTotal > 0 || cfg.MaxQueuePerKernel > 0 {
 		if dl, ok := ctx.Deadline(); ok {
-			if est := s.estimateWaitLocked(e); est > 0 && time.Until(dl) < est {
-				return nil, "deadline", fmt.Errorf("%w: expected wait %v exceeds remaining deadline %v",
+			if est := f.estimateWaitLocked(e); est > 0 && time.Until(dl) < est {
+				return t, nil, "deadline", fmt.Errorf("%w: expected wait %v exceeds remaining deadline %v",
 					ErrOverloaded, est.Round(time.Millisecond),
 					time.Until(dl).Round(time.Millisecond))
 			}
@@ -222,11 +238,11 @@ func (f *fairQueue) admitLocked(s *Server, ctx context.Context, e *entry, t *ten
 	capT, bound := cfg.MaxInFlightPerTenant, cfg.MaxQueuePerTenant
 	capped := capT > 0 && t.inFlight >= capT
 	if capped && bound == 0 {
-		return nil, "tenant_in_flight_cap", fmt.Errorf("%w: tenant %q has %d invocations in flight (cap %d)",
+		return t, nil, "tenant_in_flight_cap", fmt.Errorf("%w: tenant %q has %d invocations in flight (cap %d)",
 			ErrOverloaded, t.name, t.inFlight, capT)
 	}
 	if bound > 0 && t.queued >= bound {
-		return nil, "tenant_queue_full", fmt.Errorf("%w: tenant %q has %d invocations queued (bound %d)",
+		return t, nil, "tenant_queue_full", fmt.Errorf("%w: tenant %q has %d invocations queued (bound %d)",
 			ErrOverloaded, t.name, t.queued, bound)
 	}
 
@@ -243,74 +259,82 @@ func (f *fairQueue) admitLocked(s *Server, ctx context.Context, e *entry, t *ten
 		// dispatchLocked would, without building a waiter for it.
 		f.vtime = start
 		f.stickyStreak = 0
-		f.grantLocked(s, fl)
-		return nil, "", nil
+		f.grantLocked(fl)
+		return t, nil, "", nil
 	}
 	w := &fairWaiter{fl: fl, start: start, finish: finish,
-		enqueuedAt: s.clock.Now(), grant: make(chan struct{})}
+		enqueuedAt: f.clock.Now(), grant: make(chan struct{})}
 	fl.queue = append(fl.queue, w)
-	f.addQueuedLocked(s, t, 1)
-	f.dispatchLocked(s)
-	return w, "", nil
+	f.addQueuedLocked(t, 1)
+	f.dispatchLocked()
+	return t, w, "", nil
 }
 
 // addInFlightLocked is the one writer of the three in-flight counts; it
 // sets the exported gauges from them on the spot.
-func (f *fairQueue) addInFlightLocked(s *Server, e *entry, t *tenantState, delta int) {
-	s.inFlight += delta
-	e.inFlight += delta
+func (f *fairQueue) addInFlightLocked(e *entry, t *tenantState, delta int) {
+	f.inFlight += delta
 	t.inFlight += delta
-	s.kernelMet(e).inFlight.Set(int64(e.inFlight))
-	s.tenantMet(t).inFlight.Set(int64(t.inFlight))
+	e.metrics().inFlight.Set(e.inFlight.Add(int64(delta)))
+	t.metrics().inFlight.Set(int64(t.inFlight))
 }
 
 // grantLocked takes one in-flight slot for an invocation of fl, which is
-// also the arrival the pre-warm estimator learns from.
-func (f *fairQueue) grantLocked(s *Server, fl *flow) {
-	f.addInFlightLocked(s, fl.entry, fl.tenant, 1)
-	s.observeArrivalLocked(fl.entry)
+// also the arrival the pre-warm predictor learns from (when there is
+// one to feed).
+func (f *fairQueue) grantLocked(fl *flow) {
+	f.addInFlightLocked(fl.entry, fl.tenant, 1)
+	if f.cfg.KeepAlive.PreWarmLead > 0 {
+		fl.entry.observeArrival()
+	}
 }
 
-// releaseLocked returns a finished invocation's in-flight slot and hands
-// it to the dispatcher.
-func (f *fairQueue) releaseLocked(s *Server, e *entry, t *tenantState) {
-	f.addInFlightLocked(s, e, t, -1)
-	f.dispatchLocked(s)
-	if s.inFlight == 0 {
-		s.cond.Broadcast() // wake Drain waiters
+// complete returns a finished invocation's in-flight slot and hands it to
+// the dispatcher, first folding its wall time (0 when it failed: no
+// history) into the kernel's moving averages.
+func (f *fairQueue) complete(e *entry, t *tenantState, cold bool, wall time.Duration) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if wall > 0 {
+		observeWallTimeLocked(e, cold, wall)
+	}
+	f.addInFlightLocked(e, t, -1)
+	f.dispatchLocked()
+	if f.inFlight == 0 {
+		f.idle.Broadcast() // wake Drain waiters
 	}
 }
 
 // addQueuedLocked is the one writer of the queued counts.
-func (f *fairQueue) addQueuedLocked(s *Server, t *tenantState, delta int) {
+func (f *fairQueue) addQueuedLocked(t *tenantState, delta int) {
 	f.queued += delta
 	t.queued += delta
-	s.tenantMet(t).queued.Set(int64(t.queued))
+	t.metrics().queued.Set(int64(t.queued))
 }
 
 // dispatchLocked grants queued requests while in-flight capacity is
 // free, choosing flows by (sticky-bounded) virtual finish order.
-func (f *fairQueue) dispatchLocked(s *Server) {
+func (f *fairQueue) dispatchLocked() {
 	for f.queued > 0 {
-		if s.closed || s.draining {
+		if f.closed.Load() || f.draining.Load() {
 			return
 		}
-		if s.cfg.MaxInFlightTotal > 0 && s.inFlight >= s.cfg.MaxInFlightTotal {
+		if f.cfg.MaxInFlightTotal > 0 && f.inFlight >= f.cfg.MaxInFlightTotal {
 			return
 		}
-		fl := f.pickLocked(s)
+		fl := f.pickLocked()
 		if fl == nil {
 			return
 		}
 		w := fl.queue[0]
 		fl.queue = fl.queue[1:]
-		f.addQueuedLocked(s, fl.tenant, -1)
+		f.addQueuedLocked(fl.tenant, -1)
 		if w.start > f.vtime {
 			f.vtime = w.start
 		}
 		w.granted = true
-		w.waited = s.clock.Now().Sub(w.enqueuedAt)
-		f.grantLocked(s, fl)
+		w.waited = f.clock.Now().Sub(w.enqueuedAt)
+		f.grantLocked(fl)
 		close(w.grant)
 	}
 }
@@ -321,9 +345,9 @@ func (f *fairQueue) dispatchLocked(s *Server) {
 // allows bypassing strict order in its favor. Ties break by flow
 // creation order, keeping dispatch deterministic under the modeled
 // clock.
-func (f *fairQueue) pickLocked(s *Server) *flow {
+func (f *fairQueue) pickLocked() *flow {
 	var strict, sticky *flow
-	capT := s.cfg.MaxInFlightPerTenant
+	capT := f.cfg.MaxInFlightPerTenant
 	for _, fl := range f.order {
 		if len(fl.queue) == 0 {
 			continue
@@ -334,15 +358,14 @@ func (f *fairQueue) pickLocked(s *Server) *flow {
 		if strict == nil || fl.queue[0].finish < strict.queue[0].finish {
 			strict = fl
 		}
-		if s.warmFreeRunnerLocked(fl.entry) &&
-			(sticky == nil || fl.queue[0].finish < sticky.queue[0].finish) {
+		if (sticky == nil || fl.queue[0].finish < sticky.queue[0].finish) && fl.entry.warmFree() {
 			sticky = fl
 		}
 	}
 	if strict == nil {
 		return nil
 	}
-	if bound := s.cfg.StickinessBound; bound > 0 && sticky != nil && sticky != strict {
+	if bound := f.cfg.StickinessBound; bound > 0 && sticky != nil && sticky != strict {
 		if f.stickyStreak < bound {
 			f.stickyStreak++
 			return sticky
@@ -352,38 +375,19 @@ func (f *fairQueue) pickLocked(s *Server) *flow {
 	return strict
 }
 
-// warmFreeRunnerLocked reports whether the kernel holds a started,
-// healthy runner with in-flight headroom — the warm state sticky
-// dispatch steers toward.
-func (s *Server) warmFreeRunnerLocked(e *entry) bool {
-	for _, r := range e.runners {
-		if r.removed || r.draining || r.inflight >= s.cfg.MaxInFlightPerRunner {
-			continue
-		}
-		select {
-		case <-r.ready:
-			if r.startErr == nil {
-				return true
-			}
-		default:
-		}
-	}
-	return false
-}
-
 // flushLocked rejects every queued waiter with err. Drain and Close call
 // it so waiters — which are not yet in flight and would otherwise never
 // be granted — unblock promptly. A non-empty reason charges each flush
 // as a shed, matching what a fresh arrival gets for the same error:
 // "draining" for ErrDraining, nothing for ErrServerClosed.
-func (f *fairQueue) flushLocked(s *Server, reason string, err error) {
+func (f *fairQueue) flushLocked(reason string, err error) {
 	for _, fl := range f.order {
 		for _, w := range fl.queue {
-			f.addQueuedLocked(s, fl.tenant, -1)
+			f.addQueuedLocked(fl.tenant, -1)
 			w.err = err
 			if reason != "" {
-				s.kernelMet(fl.entry).shed(reason)
-				s.tenantMet(fl.tenant).shed(reason)
+				fl.entry.metrics().shed(reason)
+				fl.tenant.metrics().shed(reason)
 			}
 			close(w.grant)
 		}
@@ -392,47 +396,70 @@ func (f *fairQueue) flushLocked(s *Server, reason string, err error) {
 }
 
 // await blocks until the waiter is granted, flushed, or its context
-// ends. A nil return means the invocation was admitted and its in-flight
+// ends. A nil error means the invocation was admitted and its in-flight
 // accounting is live; any error means it was not. A deadline that
 // expires while queued is shed as "deadline", charged to the tenant; a
 // cancelled caller (e.g. a dropped connection) is only withdrawn.
-func (w *fairWaiter) await(ctx context.Context, s *Server) error {
+func (f *fairQueue) await(ctx context.Context, w *fairWaiter) (reason string, err error) {
 	select {
 	case <-w.grant:
-		return w.err
+		return "", w.err
 	case <-ctx.Done():
 	}
-	s.mu.Lock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if w.granted {
 		// The grant raced the expiry: the slot is held, so proceed as
 		// admitted and let the serving path surface the context error.
-		s.mu.Unlock()
-		return nil
+		return "", nil
 	}
 	if !w.fl.removeLocked(w) {
 		// Already flushed by drain/close; its typed error stands.
-		s.mu.Unlock()
-		return w.err
+		return "", w.err
 	}
-	s.fair.addQueuedLocked(s, w.fl.tenant, -1)
-	s.mu.Unlock()
+	f.addQueuedLocked(w.fl.tenant, -1)
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		s.shedObserved(w.fl.entry, w.fl.tenant, "deadline")
+		return "deadline", ctx.Err()
 	}
-	return ctx.Err()
+	return "", ctx.Err()
 }
 
-// healthyCapacityLocked estimates how many invocations of e the placement
-// layer can serve concurrently: eligible devices of the kind times the
-// per-device runner cap times the per-runner in-flight threshold.
-func (s *Server) healthyCapacityLocked(e *entry) int {
-	eligible := 0
-	for _, d := range s.cfg.Host.DevicesByKind(e.kernel.Kind()) {
-		if s.deviceEligibleLocked(d) {
-			eligible++
-		}
+// drain stops admission: arrivals from now on get ErrDraining, and every
+// queued waiter is rejected at once, since once draining it would never
+// be granted. It returns the invocations in flight, and false when the
+// queue was closed already.
+func (f *fairQueue) drain() (int, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed.Load() {
+		return 0, false
 	}
-	return eligible * s.cfg.MaxRunnersPerDevice * s.cfg.MaxInFlightPerRunner
+	f.draining.Store(true)
+	f.flushLocked("draining", ErrDraining)
+	return f.inFlight, true
+}
+
+// waitIdle blocks until nothing is in flight or the queue is closed.
+func (f *fairQueue) waitIdle() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for f.inFlight > 0 && !f.closed.Load() {
+		f.idle.Wait()
+	}
+}
+
+// close ends admission for good: arrivals and queued waiters get
+// ErrServerClosed. It reports false when the queue was closed already.
+func (f *fairQueue) close() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed.Load() {
+		return false
+	}
+	f.closed.Store(true)
+	f.flushLocked("", ErrServerClosed)
+	f.idle.Broadcast() // wake any Drain waiter
+	return true
 }
 
 // estimateWaitLocked predicts (in wall time) how long a new invocation of
@@ -440,20 +467,41 @@ func (s *Server) healthyCapacityLocked(e *entry) int {
 // cold start when no runner exists yet, plus queueing behind the
 // invocations already in flight. Returns 0 when there is no history to
 // estimate from (admission then defers to the queue bounds alone).
-func (s *Server) estimateWaitLocked(e *entry) time.Duration {
-	capacity := s.healthyCapacityLocked(e)
+func (f *fairQueue) estimateWaitLocked(e *entry) time.Duration {
+	capacity := e.healthyCapacity()
 	if capacity <= 0 {
 		return 0
 	}
 	var est float64
-	if len(e.runners) == 0 {
+	if e.runnerCount() == 0 {
 		est += e.ewmaColdWall
 	}
 	if e.ewmaWall > 0 {
 		// Number of completion "waves" ahead of this request, including
 		// its own service time.
-		waves := float64(e.inFlight)/float64(capacity) + 1
+		waves := float64(e.inFlight.Load())/float64(capacity) + 1
 		est += waves * e.ewmaWall
 	}
 	return time.Duration(est)
+}
+
+// ewmaAlpha weights the most recent observation in the moving averages
+// (wall time for admission, idle gaps for the pre-warm predictor).
+const ewmaAlpha = 0.5
+
+// ewma folds v into the moving average avg (0 = no history yet).
+func ewma(avg, v float64) float64 {
+	if avg == 0 {
+		return v
+	}
+	return ewmaAlpha*v + (1-ewmaAlpha)*avg
+}
+
+// observeWallTimeLocked folds one completed invocation's wall-clock
+// duration into the kernel's moving averages.
+func observeWallTimeLocked(e *entry, cold bool, d time.Duration) {
+	e.ewmaWall = ewma(e.ewmaWall, float64(d))
+	if cold {
+		e.ewmaColdWall = ewma(e.ewmaColdWall, float64(d))
+	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // admitFixture arranges admission state on one server with one kernel
-// "k" by driving the queue's own writers under s.mu, so each row of
+// "k" by driving the admission stage's own methods, so each row of
 // TestAdmissionDecision probes an exact state instead of a racy
 // approximation of it.
 type admitFixture struct {
@@ -26,22 +26,30 @@ func newAdmitFixture(t *testing.T, mutate func(*Config)) *admitFixture {
 	return &admitFixture{t: t, s: s, host: host}
 }
 
+func (a *admitFixture) entry() *entry { return (*a.s.table.Load())["k"] }
+
+// tenant returns admission's state for a tenant, creating it.
+func (a *admitFixture) tenant(name string) *tenantState {
+	a.s.adm.mu.Lock()
+	defer a.s.adm.mu.Unlock()
+	return a.s.adm.tenantLocked(name)
+}
+
 // occupy takes n in-flight slots for tenant without running anything.
 func (a *admitFixture) occupy(tenant string, n int) {
-	a.s.mu.Lock()
-	defer a.s.mu.Unlock()
-	fl := a.s.fair.flowLocked(a.s.tenantLocked(tenant), a.s.entries["k"])
+	f := a.s.adm
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	fl := f.flowLocked(f.tenantLocked(tenant), a.entry())
 	for i := 0; i < n; i++ {
-		a.s.fair.grantLocked(a.s, fl)
+		f.grantLocked(fl)
 	}
 }
 
 // vacate returns n slots taken by occupy (or by a parked waiter's grant).
 func (a *admitFixture) vacate(tenant string, n int) {
-	a.s.mu.Lock()
-	defer a.s.mu.Unlock()
 	for i := 0; i < n; i++ {
-		a.s.fair.releaseLocked(a.s, a.s.entries["k"], a.s.tenantLocked(tenant))
+		a.s.adm.complete(a.entry(), a.tenant(tenant), false, 0)
 	}
 }
 
@@ -49,12 +57,10 @@ func (a *admitFixture) vacate(tenant string, n int) {
 // or grants one instead.
 func (a *admitFixture) park(tenant string, n int) []*fairWaiter {
 	a.t.Helper()
-	a.s.mu.Lock()
-	defer a.s.mu.Unlock()
 	var ws []*fairWaiter
 	for i := 0; i < n; i++ {
-		w, reason, err := a.s.fair.admitLocked(a.s, context.Background(), a.s.entries["k"], a.s.tenantLocked(tenant))
-		if err != nil || w == nil || w.granted {
+		_, w, reason, err := a.s.adm.admit(context.Background(), a.entry(), tenant)
+		if err != nil || w == nil || a.isGranted(w) {
 			a.t.Fatalf("park(%s): waiter=%v reason=%q err=%v, want a queued waiter", tenant, w, reason, err)
 		}
 		ws = append(ws, w)
@@ -63,24 +69,21 @@ func (a *admitFixture) park(tenant string, n int) []*fairWaiter {
 }
 
 func (a *admitFixture) queued(tenant string) int {
-	a.s.mu.Lock()
-	defer a.s.mu.Unlock()
-	return a.s.tenantLocked(tenant).queued
+	a.s.adm.mu.Lock()
+	defer a.s.adm.mu.Unlock()
+	return a.s.adm.tenantLocked(tenant).queued
 }
 
 func (a *admitFixture) isGranted(w *fairWaiter) bool {
-	a.s.mu.Lock()
-	defer a.s.mu.Unlock()
+	a.s.adm.mu.Lock()
+	defer a.s.adm.mu.Unlock()
 	return w.granted
 }
 
 // sheds returns the kernel's and the tenant's shed count under reason,
 // and their totals across every reason.
 func (a *admitFixture) sheds(tenant, reason string) (kernel, ten, kernelAll, tenAll uint64) {
-	a.s.mu.Lock()
-	e, ts := a.s.entries["k"], a.s.tenantLocked(tenant)
-	a.s.mu.Unlock()
-	km, tm := a.s.kernelMet(e), a.s.tenantMet(ts)
+	km, tm := a.entry().metrics(), a.tenant(tenant).metrics()
 	if reason != "" {
 		kernel, ten = km.sheds[reason].Value(), tm.sheds[reason].Value()
 	}
@@ -96,9 +99,9 @@ func (a *admitFixture) sheds(tenant, reason string) (kernel, ten, kernelAll, ten
 func TestAdmissionDecision(t *testing.T) {
 	const probeTenant = "a"
 	history := func(a *admitFixture) {
-		a.s.mu.Lock()
-		a.s.entries["k"].ewmaWall = float64(10 * time.Second)
-		a.s.mu.Unlock()
+		a.s.adm.mu.Lock()
+		a.entry().ewmaWall = float64(10 * time.Second)
+		a.s.adm.mu.Unlock()
 	}
 	timeout := func(d time.Duration) func() (context.Context, context.CancelFunc) {
 		return func() (context.Context, context.CancelFunc) {
@@ -313,20 +316,20 @@ func TestAdmissionDecision(t *testing.T) {
 			if tc.cleanup != nil {
 				tc.cleanup(a)
 			}
-			a.s.mu.Lock()
-			e := a.s.entries["k"]
-			if tc.wantErr != nil && a.s.runnerSeq != 0 {
-				t.Errorf("a rejected request created %d runner(s)", a.s.runnerSeq)
+			if n := a.s.runnerSeq.Load(); tc.wantErr != nil && n != 0 {
+				t.Errorf("a rejected request created %d runner(s)", n)
 			}
-			if a.s.inFlight != 0 || e.inFlight != 0 {
-				t.Errorf("in-flight residue: server %d, kernel %d", a.s.inFlight, e.inFlight)
+			f := a.s.adm
+			f.mu.Lock()
+			if n := a.entry().inFlight.Load(); f.inFlight != 0 || n != 0 {
+				t.Errorf("in-flight residue: server %d, kernel %d", f.inFlight, n)
 			}
-			for name, ts := range a.s.tenants {
+			for name, ts := range f.tenants {
 				if ts.inFlight != 0 || ts.queued != 0 {
 					t.Errorf("tenant %s residue: inFlight=%d queued=%d", name, ts.inFlight, ts.queued)
 				}
 			}
-			a.s.mu.Unlock()
+			f.mu.Unlock()
 		})
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"kaas/internal/accel"
@@ -36,7 +37,7 @@ func (nullKernel) Execute(*kernels.Request) (*kernels.Response, error) {
 
 // startNullTCP serves k over loopback TCP on one null device, with the
 // model scaled so far down that a call's wall time is the middleware's.
-func startNullTCP(t *testing.T, k kernels.Kernel) *TCPServer {
+func startNullTCP(t testing.TB, k kernels.Kernel) *TCPServer {
 	t.Helper()
 	clock := vclock.Scaled(1e6)
 	host, err := accel.NewHost(clock, "node", accel.XeonE52698, nullProfile)
@@ -165,6 +166,39 @@ func TestWarmCallAllocationBudget(t *testing.T) {
 	}
 }
 
+// BenchmarkWarmInvokeParallel is the warm path under contention: 64
+// callers share one default client and invoke sumKernel on a null
+// device, so the time per call is the middleware's and a lock that
+// serializes callers shows as contended wait. Run it with
+// -cpu 2 -mutexprofile to see which lock sites the callers wait on.
+func BenchmarkWarmInvokeParallel(b *testing.B) {
+	const callers = 64
+	tcp := startNullTCP(b, sumKernel{})
+	cl := client.Dial(tcp.Addr())
+	defer cl.Close()
+	if _, err := cl.Invoke("sum", kernels.Params{"op": 0, "work": 0}, nil); err != nil {
+		b.Fatalf("warm-up call: %v", err)
+	}
+	b.SetParallelism((callers + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0))
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		p := kernels.Params{}
+		for op := 1; pb.Next(); op++ {
+			p["op"], p["work"] = float64(op), 0
+			res, err := cl.Invoke("sum", p, nil)
+			if err != nil {
+				b.Errorf("call: %v", err)
+				return
+			}
+			if res.Values["sum"] != float64(op+1) {
+				b.Errorf("op %d: values %v", op, res.Values)
+				return
+			}
+		}
+	})
+}
+
 // namedNull is nullKernel under a name of its own, so several kernels
 // can take turns on one device.
 type namedNull string
@@ -188,7 +222,7 @@ func TestColdStartAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the budget is measured without the race detector")
 	}
-	const budget = 12
+	const budget = 10
 	clock := vclock.Scaled(1e6)
 	dev := nullProfile
 	dev.Slots = 1

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"kaas/internal/metrics"
@@ -66,11 +65,8 @@ type batcher struct {
 	mu      sync.Mutex
 	pending map[batchKey]*pendingBatch
 
-	dispatches atomic.Uint64 // device dispatches issued
-	batched    atomic.Uint64 // invocations carried by those dispatches
-
-	dispatchC *metrics.Counter
-	batchedC  *metrics.Counter
+	dispatchC *metrics.Counter // device dispatches issued
+	batchedC  *metrics.Counter // invocations carried by those dispatches
 	sizes     map[string]*metrics.Counter
 }
 
@@ -190,8 +186,6 @@ func (b *batcher) lead(p *pendingBatch) {
 		return // every member withdrew before the window closed
 	}
 	d, err := p.ex.ExecBatch(b.baseCtx, works)
-	b.dispatches.Add(1)
-	b.batched.Add(uint64(len(live)))
 	b.dispatchC.Inc()
 	b.batchedC.Add(uint64(len(live)))
 	if c := b.sizes[sizeBucket(len(live))]; c != nil {

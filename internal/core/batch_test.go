@@ -147,9 +147,9 @@ func TestBatchWindowExpiryDispatchesPartial(t *testing.T) {
 	if len(got) != 1 || len(got[0]) != 3 {
 		t.Fatalf("dispatches = %v, want one batch of 3", got)
 	}
-	if b.dispatches.Load() != 1 || b.batched.Load() != 3 {
+	if b.dispatchC.Value() != 1 || b.batchedC.Value() != 3 {
 		t.Fatalf("counters = %d dispatches / %d batched, want 1/3",
-			b.dispatches.Load(), b.batched.Load())
+			b.dispatchC.Value(), b.batchedC.Value())
 	}
 }
 
@@ -228,8 +228,8 @@ func TestBatchAllMembersCancelledSkipsDispatch(t *testing.T) {
 	if got := ex.dispatched(); len(got) != 0 {
 		t.Fatalf("dispatches = %v, want none (all members withdrew)", got)
 	}
-	if b.dispatches.Load() != 0 {
-		t.Fatalf("dispatch counter = %d, want 0", b.dispatches.Load())
+	if b.dispatchC.Value() != 0 {
+		t.Fatalf("dispatch counter = %d, want 0", b.dispatchC.Value())
 	}
 }
 

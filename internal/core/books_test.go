@@ -17,25 +17,27 @@ import (
 // with every other at one instant (the caller holds s.mu): the server
 // total against the per-kernel and per-tenant sums, the queue's total
 // against the per-tenant queued sum and the flows' actual lengths, and
-// each exported gauge against the count it is set from.
-func checkBooksLocked(s *Server) error {
+// each exported gauge against the count it is set from. The caller holds
+// the admission stage's lock.
+func checkBooksLocked(f *fairQueue, table map[string]*entry) error {
 	var kernelSum, tenantSum, queuedSum, flowSum int
-	for name, e := range s.entries {
-		kernelSum += e.inFlight
-		if e.inFlight < 0 {
-			return fmt.Errorf("kernel %s: in flight %d", name, e.inFlight)
+	for name, e := range table {
+		n := e.inFlight.Load()
+		kernelSum += int(n)
+		if n < 0 {
+			return fmt.Errorf("kernel %s: in flight %d", name, n)
 		}
-		if g := s.kernelMet(e).inFlight.Value(); g != int64(e.inFlight) {
-			return fmt.Errorf("kernel %s: gauge %d, count %d", name, g, e.inFlight)
+		if g := e.metrics().inFlight.Value(); g != n {
+			return fmt.Errorf("kernel %s: gauge %d, count %d", name, g, n)
 		}
 	}
-	for name, ts := range s.tenants {
+	for name, ts := range f.tenants {
 		tenantSum += ts.inFlight
 		queuedSum += ts.queued
 		if ts.inFlight < 0 || ts.queued < 0 {
 			return fmt.Errorf("tenant %s: in flight %d, queued %d", name, ts.inFlight, ts.queued)
 		}
-		tm := s.tenantMet(ts)
+		tm := ts.metrics()
 		if g := tm.inFlight.Value(); g != int64(ts.inFlight) {
 			return fmt.Errorf("tenant %s: in-flight gauge %d, count %d", name, g, ts.inFlight)
 		}
@@ -43,14 +45,14 @@ func checkBooksLocked(s *Server) error {
 			return fmt.Errorf("tenant %s: queued gauge %d, count %d", name, g, ts.queued)
 		}
 	}
-	for _, fl := range s.fair.order {
+	for _, fl := range f.order {
 		flowSum += len(fl.queue)
 	}
-	if s.inFlight != kernelSum || s.inFlight != tenantSum {
-		return fmt.Errorf("in flight: server %d, kernels %d, tenants %d", s.inFlight, kernelSum, tenantSum)
+	if f.inFlight != kernelSum || f.inFlight != tenantSum {
+		return fmt.Errorf("in flight: server %d, kernels %d, tenants %d", f.inFlight, kernelSum, tenantSum)
 	}
-	if s.fair.queued != queuedSum || s.fair.queued != flowSum {
-		return fmt.Errorf("queued: queue %d, tenants %d, flows %d", s.fair.queued, queuedSum, flowSum)
+	if f.queued != queuedSum || f.queued != flowSum {
+		return fmt.Errorf("queued: queue %d, tenants %d, flows %d", f.queued, queuedSum, flowSum)
 	}
 	return nil
 }
@@ -104,9 +106,9 @@ func TestBooksBalanceUnderStorm(t *testing.T) {
 				return
 			default:
 			}
-			s.mu.Lock()
-			err := checkBooksLocked(s)
-			s.mu.Unlock()
+			s.adm.mu.Lock()
+			err := checkBooksLocked(s.adm, *s.table.Load())
+			s.adm.mu.Unlock()
 			if err != nil {
 				t.Errorf("books out of balance mid-storm: %v", err)
 				return
@@ -164,23 +166,23 @@ func TestBooksBalanceUnderStorm(t *testing.T) {
 	if st.Shed == 0 {
 		t.Error("the storm shed nothing: the caps were never reached")
 	}
-	s.mu.Lock()
-	for name, e := range s.entries {
+	for name, e := range *s.table.Load() {
+		e.mu.Lock()
 		for _, r := range e.runners {
 			if r.inflight != 0 {
 				t.Errorf("kernel %s runner %s still holds %d claim(s) with no caller left", name, r.id, r.inflight)
 			}
 		}
+		e.mu.Unlock()
 	}
-	s.mu.Unlock()
 
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	s.mu.Lock()
-	err := checkBooksLocked(s)
-	inFlight, queued := s.inFlight, s.fair.queued
-	s.mu.Unlock()
+	s.adm.mu.Lock()
+	err := checkBooksLocked(s.adm, *s.table.Load())
+	inFlight, queued := s.adm.inFlight, s.adm.queued
+	s.adm.mu.Unlock()
 	if err != nil || inFlight != 0 || queued != 0 {
 		t.Errorf("after drain: in flight %d, queued %d, balance error %v", inFlight, queued, err)
 	}

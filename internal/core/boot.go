@@ -12,75 +12,13 @@ import (
 	"kaas/internal/metrics"
 )
 
-// observeArrivalLocked folds one admitted invocation into the kernel's
-// arrival-rate estimator. Gaps shorter than the keepalive window update
-// the in-period EWMA; longer gaps are the idle periods whose length the
-// pre-warm predictor learns. Real demand also cancels any pending
-// speculative boot — the arrival itself will warm the pool.
-func (s *Server) observeArrivalLocked(e *entry) {
-	now := s.clock.Now()
-	if !e.lastArrival.IsZero() {
-		gap := float64(now.Sub(e.lastArrival))
-		if idle := s.cfg.KeepAlive.Idle; idle > 0 && gap >= float64(idle) {
-			if e.ewmaIdleGap == 0 {
-				e.ewmaIdleGap = gap
-			} else {
-				e.ewmaIdleGap = ewmaAlpha*gap + (1-ewmaAlpha)*e.ewmaIdleGap
-			}
-		} else if gap > 0 {
-			if e.ewmaGap == 0 {
-				e.ewmaGap = gap
-			} else {
-				e.ewmaGap = ewmaAlpha*gap + (1-ewmaAlpha)*e.ewmaGap
-			}
-		}
-	}
-	e.lastArrival = now
-	if e.prewarm != nil {
-		e.prewarm.Stop()
-		e.prewarm = nil
-	}
-}
-
-// schedulePreWarmLocked arms a speculative runner boot for a kernel that
-// just scaled to zero. The predicted next arrival is the last real
-// arrival plus the learned idle-gap EWMA; the boot fires PreWarmLead
-// ahead of it so the runner is warm when the busy period resumes. No
-// prediction is made until at least one full idle gap has been observed
-// (the first night is always paid cold), and a kernel is pre-warmed at
-// most once per real arrival so a speculative runner that found no
-// demand is not re-booted in a warm/reap loop that would burn the very
-// device-seconds scale-to-zero exists to save.
-func (s *Server) schedulePreWarmLocked(e *entry) {
-	if s.cfg.KeepAlive.PreWarmLead <= 0 || s.draining || s.closed {
-		return
-	}
-	if e.ewmaIdleGap == 0 || !e.prewarmedAt.Before(e.lastArrival) {
-		return
-	}
-	eta := e.lastArrival.Add(time.Duration(e.ewmaIdleGap)).Sub(s.clock.Now()) - s.cfg.KeepAlive.PreWarmLead
-	if eta < 0 {
-		// The predicted arrival is already past: the estimator has no
-		// basis for a boot now being useful, so stay scaled to zero.
-		return
-	}
-	if e.prewarm != nil {
-		e.prewarm.Stop()
-	}
-	e.prewarm = s.clock.AfterFunc(eta, func() {
-		// Cold starts sleep modeled time; hand off so the clock's
-		// dispatcher is not blocked. The Add is ordered against Close's
-		// closed flag under the lock, so a timer that beats its Stop can
-		// never race the Close-side Wait at a zero counter.
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		s.prewarmWG.Add(1)
-		s.mu.Unlock()
-		go s.preWarm(e)
-	})
+// startPreWarm hands a due pre-warm boot for e to its own goroutine, so
+// the clock's dispatcher that fired it is not blocked by the cold start.
+// The pool's timer calls it under the pool's lock, before the pool can
+// close, so the Add never races Close's Wait at a zero counter.
+func (s *Server) startPreWarm(e *entry) {
+	s.prewarmWG.Add(1)
+	go s.preWarm(e)
 }
 
 // preWarm speculatively boots one runner for a scaled-to-zero kernel.
@@ -89,37 +27,32 @@ func (s *Server) schedulePreWarmLocked(e *entry) {
 // never materializes the regular keepalive reaper retires it.
 func (s *Server) preWarm(e *entry) {
 	defer s.prewarmWG.Done()
-	s.mu.Lock()
-	e.prewarm = nil
-	if s.closed || s.draining || len(e.runners) > 0 {
-		s.mu.Unlock()
+	if s.adm.draining.Load() {
 		return
 	}
-	k := e.kernel
-	dev := s.placeLocked(e)
-	if dev == nil {
-		s.mu.Unlock()
+	r := e.claimPreWarm()
+	if r == nil {
 		return
 	}
-	r := s.newRunnerLocked(e, dev)
-	e.prewarmedAt = s.clock.Now()
-	s.mu.Unlock()
-
-	met := s.kernelMet(e)
-	met.preWarms.Inc()
+	e.metrics().preWarms.Inc()
 	inv := fmt.Sprintf("prewarm-%d", s.invSeq.Add(1))
 	if s.logsInfo() {
 		s.cfg.Logger.Info("pre-warming runner", "inv", inv, "kernel", e.name, "runner", r.id)
 	}
 	var b metrics.Breakdown
-	s.coldStart(s.baseCtx, inv, e, k, r, &b)
+	s.coldStart(s.baseCtx, inv, e, r, &b)
 	if r.startErr != nil {
-		s.removeRunner(e, r)
+		e.fail(r)
 		s.recordDeviceOutcome(r.device.ID(), r.startErr)
 		return
 	}
-	s.releaseRunner(e, r)
+	e.release(r)
 }
+
+// setupRequest is the request a cold start prices kernel setup with.
+// Kernels must not modify a request in Cost, so every cold start shares
+// it read-only.
+var setupRequest kernels.Request
 
 // coldStart brings a new runner up: spawn the host process, create the
 // device context (RuntimeInit), and run kernel setup work. The caller's
@@ -129,8 +62,9 @@ func (s *Server) preWarm(e *entry) {
 // free context slot, an idle runner of another kernel is evicted first so
 // single-slot devices (FPGAs) can serve multiple registered kernels
 // without deadlocking.
-func (s *Server) coldStart(ctx context.Context, inv string, e *entry, k kernels.Kernel, r *runner, b *metrics.Breakdown) {
+func (s *Server) coldStart(ctx context.Context, inv string, e *entry, r *runner, b *metrics.Breakdown) {
 	defer close(r.ready)
+	k := e.kernel
 
 	if err := ctx.Err(); err != nil {
 		r.startErr = err
@@ -159,7 +93,7 @@ func (s *Server) coldStart(ctx context.Context, inv string, e *entry, k kernels.
 	if c := s.cfg.Artifacts; c != nil {
 		compile, size := kernels.CompileProfile(k)
 		key := artifact.KeyFor(k.Name(), k.Kind().String(), compile.String())
-		met := s.kernelMet(e)
+		met := e.metrics()
 		if c.Lookup(key) != nil {
 			r.cached = true
 			met.cacheHits.Inc()
@@ -179,7 +113,7 @@ func (s *Server) coldStart(ctx context.Context, inv string, e *entry, k kernels.
 
 	// Kernel setup (weight loading, transpilation): a fixed modeled
 	// duration independent of the device's compute rate.
-	cost, err := k.Cost(&kernels.Request{Params: kernels.Params{}})
+	cost, err := k.Cost(&setupRequest)
 	if err == nil && cost.SetupTime > 0 {
 		s.clock.Sleep(cost.SetupTime)
 		b.Setup += cost.SetupTime
@@ -188,7 +122,7 @@ func (s *Server) coldStart(ctx context.Context, inv string, e *entry, k kernels.
 	// The runner is up: this — not runner creation — is when a cold
 	// start is charged, so an aborted boot whose waiter respawned is one
 	// cold start, not two.
-	s.kernelMet(e).coldStarts.Inc()
+	e.metrics().coldStarts.Inc()
 }
 
 // evictRetrySlice bounds how long a blocked cold start waits on a
@@ -237,9 +171,7 @@ func (s *Server) acquireSlot(ctx context.Context, dev *accel.Device) (*accel.Con
 	}
 	for {
 		if dev.SlotsTaken() >= dev.Profile().Slots {
-			s.mu.Lock()
-			s.evictIdleRunnerLocked(dev)
-			s.mu.Unlock()
+			s.evictIdleRunner(dev)
 		}
 		dctx, err := dev.AcquireWithin(ctx, s.evictRetrySlice())
 		if err == nil {
@@ -255,31 +187,22 @@ func (s *Server) acquireSlot(ctx context.Context, dev *accel.Device) (*accel.Con
 	}
 }
 
-// evictIdleRunnerLocked releases one started, idle runner on the given
-// device (any kernel) to free a context slot. It reports whether a runner
-// was evicted.
-func (s *Server) evictIdleRunnerLocked(dev *accel.Device) bool {
-	for _, e := range s.entries {
-		for _, r := range e.runners {
-			if r.removed || r.device != dev || r.inflight != 0 {
-				continue
-			}
-			select {
-			case <-r.ready:
-			default:
-				continue // still starting
-			}
-			r.inflight++ // balance the decrement in removeRunnerLocked
-			s.removeRunnerLocked(e, r)
-			if dm := s.devMet[dev.ID()]; dm != nil {
-				dm.evictions.Inc()
-			}
-			if s.logsInfo() {
-				s.cfg.Logger.Info("runner evicted for slot pressure",
-					"runner", r.id, "device", dev.ID())
-			}
-			return true
+// evictIdleRunner releases one started, idle runner on the device, of
+// any kernel, to free a context slot. It takes each pool's lock alone,
+// one pool at a time.
+func (s *Server) evictIdleRunner(dev *accel.Device) {
+	for _, e := range *s.table.Load() {
+		r := e.evictIdle(dev)
+		if r == nil {
+			continue
 		}
+		if dm := s.devMet[dev.ID()]; dm != nil {
+			dm.evictions.Inc()
+		}
+		if s.logsInfo() {
+			s.cfg.Logger.Info("runner evicted for slot pressure",
+				"runner", r.id, "device", dev.ID())
+		}
+		return
 	}
-	return false
 }

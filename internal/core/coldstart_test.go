@@ -244,7 +244,7 @@ func TestEvictRetrySliceScalesWithClock(t *testing.T) {
 		{"manual", vclock.NewManual(time.Unix(0, 0)), evictRetrySliceFloor},
 	}
 	for _, tc := range cases {
-		s := &Server{clock: tc.clock}
+		s := &Server{env: &env{clock: tc.clock}}
 		if got := s.evictRetrySlice(); got != tc.want {
 			t.Errorf("%s: evictRetrySlice() = %v, want %v", tc.name, got, tc.want)
 		}
@@ -418,13 +418,14 @@ func TestFailoverKeepsSiblingClaimAccounting(t *testing.T) {
 		arrived <- struct{}{}
 		<-release
 	}
-	s.mu.Lock()
-	if n := len(s.entries["k"].runners); n != 1 {
-		s.mu.Unlock()
+	e := (*s.table.Load())["k"]
+	e.mu.Lock()
+	if n := len(e.runners); n != 1 {
+		e.mu.Unlock()
 		t.Fatalf("runners = %d after warm-up, want 1", n)
 	}
-	r0 := s.entries["k"].runners[0]
-	s.mu.Unlock()
+	r0 := e.runners[0]
+	e.mu.Unlock()
 
 	// Two invocations in flight on the same runner, both held at the
 	// execute hook; fail the device under them, then let them proceed
@@ -455,9 +456,9 @@ func TestFailoverKeepsSiblingClaimAccounting(t *testing.T) {
 			t.Errorf("invoke %d err = %v, want ErrDeviceFailed", i, err)
 		}
 	}
-	s.mu.Lock()
+	e.mu.Lock()
 	removed, inflight := r0.removed, r0.inflight
-	s.mu.Unlock()
+	e.mu.Unlock()
 	if !removed {
 		t.Error("failed runner was not retired")
 	}

@@ -9,44 +9,54 @@ import (
 
 	"kaas/internal/accel"
 	"kaas/internal/kernels"
+	"kaas/internal/vclock"
 )
 
-// fairTestHarness pins the server at saturation and steps the dispatcher
-// one grant at a time, so the WFQ properties below are checked against
-// the exact grant order instead of a racy approximation. All mutation
-// happens under s.mu, the same discipline the production paths follow.
+// fairTestHarness builds the admission stage on its own — no Server,
+// one runner pool per kernel on one test GPU — pins it at saturation and
+// steps the dispatcher one grant at a time, so the WFQ properties below
+// are checked against the exact grant order instead of a racy
+// approximation of it. All mutation happens under the queue's lock, the
+// same discipline the production paths follow.
 type fairTestHarness struct {
-	s       *Server
+	f       *fairQueue
+	entries map[string]*entry
 	waiters []*fairWaiter
 	granted map[*fairWaiter]bool
 }
 
-func newFairHarness(s *Server) *fairTestHarness {
-	return &fairTestHarness{s: s, granted: make(map[*fairWaiter]bool)}
+func newFairHarness(t *testing.T, cfg Config, kernelNames ...string) *fairTestHarness {
+	t.Helper()
+	cfg.Clock = vclock.Scaled(5000)
+	v := testEnv(cfg)
+	dev, err := accel.NewDevice(cfg.Clock, "gpu0", testGPUProfile())
+	if err != nil {
+		t.Fatalf("NewDevice: %v", err)
+	}
+	t.Cleanup(dev.Close)
+	h := &fairTestHarness{f: newFairQueue(v), entries: make(map[string]*entry), granted: make(map[*fairWaiter]bool)}
+	for _, name := range kernelNames {
+		k := &fakeKernel{name: name, kind: accel.GPU, cost: stdCost()}
+		h.entries[name] = newEntry(v, k, []*accel.Device{dev})
+	}
+	return h
 }
 
-// saturate pins the server's global in-flight count at its cap so
+// saturate pins the queue's global in-flight count at its cap so
 // enqueued waiters queue instead of dispatching immediately.
 func (h *fairTestHarness) saturate() {
-	h.s.mu.Lock()
-	defer h.s.mu.Unlock()
-	h.s.inFlight = h.s.cfg.MaxInFlightTotal
+	h.f.mu.Lock()
+	defer h.f.mu.Unlock()
+	h.f.inFlight = h.f.cfg.MaxInFlightTotal
 }
 
 // enqueue queues one waiter for (tenant, kernel), failing the test on a
 // shed.
 func (h *fairTestHarness) enqueue(t *testing.T, tenant, kernel string) {
 	t.Helper()
-	h.s.mu.Lock()
-	defer h.s.mu.Unlock()
-	e, ok := h.s.entries[kernel]
-	if !ok {
-		t.Fatalf("kernel %q not registered", kernel)
-	}
-	ts := h.s.tenantLocked(tenant)
-	w, reason, err := h.s.fair.admitLocked(h.s, context.Background(), e, ts)
-	if err != nil {
-		t.Fatalf("admitLocked(%s/%s) shed %q: %v", tenant, kernel, reason, err)
+	_, w, reason, err := h.f.admit(context.Background(), h.entries[kernel], tenant)
+	if err != nil || w == nil {
+		t.Fatalf("admit(%s/%s) = waiter %v, shed %q: %v; want a queued waiter", tenant, kernel, w, reason, err)
 	}
 	h.waiters = append(h.waiters, w)
 }
@@ -54,17 +64,17 @@ func (h *fairTestHarness) enqueue(t *testing.T, tenant, kernel string) {
 // step frees one in-flight slot, runs the dispatcher, and returns the
 // tenant granted by that step ("" when nothing was dispatchable).
 func (h *fairTestHarness) step() string {
-	h.s.mu.Lock()
-	defer h.s.mu.Unlock()
-	h.s.inFlight--
-	h.s.fair.dispatchLocked(h.s)
+	h.f.mu.Lock()
+	defer h.f.mu.Unlock()
+	h.f.inFlight--
+	h.f.dispatchLocked()
 	for _, w := range h.waiters {
 		if w.granted && !h.granted[w] {
 			h.granted[w] = true
 			return w.fl.tenant.name
 		}
 	}
-	h.s.inFlight++ // nothing granted: restore the pinned saturation
+	h.f.inFlight++ // nothing granted: restore the pinned saturation
 	return ""
 }
 
@@ -79,12 +89,10 @@ func registerFake(t *testing.T, s *Server, name string) {
 // TestFairQueueWeightedShares drains a saturated two-tenant backlog and
 // requires the grant split to converge to the configured 3:1 weights.
 func TestFairQueueWeightedShares(t *testing.T) {
-	s, _, _ := newTestServer(t, 1, func(c *Config) {
-		c.TenantWeights = map[string]float64{"heavy": 3, "light": 1}
-		c.MaxInFlightTotal = 4
-	})
-	registerFake(t, s, "k")
-	h := newFairHarness(s)
+	h := newFairHarness(t, Config{
+		TenantWeights:    map[string]float64{"heavy": 3, "light": 1},
+		MaxInFlightTotal: 4,
+	}, "k")
 	h.saturate()
 	for i := 0; i < 200; i++ {
 		h.enqueue(t, "heavy", "k")
@@ -104,12 +112,10 @@ func TestFairQueueWeightedShares(t *testing.T) {
 // the thin flow's waiters to still be granted near their virtual-time
 // slots — a backlogged heavy tenant must not starve a light one.
 func TestFairQueueNoStarvation(t *testing.T) {
-	s, _, _ := newTestServer(t, 1, func(c *Config) {
-		c.TenantWeights = map[string]float64{"heavy": 10, "light": 1}
-		c.MaxInFlightTotal = 4
-	})
-	registerFake(t, s, "k")
-	h := newFairHarness(s)
+	h := newFairHarness(t, Config{
+		TenantWeights:    map[string]float64{"heavy": 10, "light": 1},
+		MaxInFlightTotal: 4,
+	}, "k")
 	h.saturate()
 	for i := 0; i < 200; i++ {
 		h.enqueue(t, "heavy", "k")
@@ -141,27 +147,28 @@ func TestFairQueueNoStarvation(t *testing.T) {
 // for at most StickinessBound consecutive grants before strict finish
 // order takes back over.
 func TestFairQueueStickinessBounded(t *testing.T) {
-	s, _, _ := newTestServer(t, 1, func(c *Config) {
+	h := newFairHarness(t, Config{
 		// The cold tenant's 10x weight makes the cold flow the strict
 		// choice at every step, so every warm grant is a sticky bypass.
-		c.TenantWeights = map[string]float64{"cold-t": 10, "warm-t": 1}
-		c.MaxInFlightTotal = 4
-		c.StickinessBound = 3
-	})
-	registerFake(t, s, "warm")
-	registerFake(t, s, "cold")
-	// One real invocation boots a runner for "warm", giving its flow the
+		TenantWeights:    map[string]float64{"cold-t": 10, "warm-t": 1},
+		MaxInFlightTotal: 4,
+		StickinessBound:  3,
+	}, "warm", "cold")
+	// A booted, idle runner gives the "warm" kernel's flow the
 	// warm-free-runner state sticky dispatch steers toward.
-	if _, _, err := s.Invoke(context.Background(), "warm", nil); err != nil {
-		t.Fatalf("warm-up Invoke: %v", err)
+	warm := h.entries["warm"]
+	r, spawner, err := warm.claim()
+	if err != nil || !spawner {
+		t.Fatalf("claim = spawner %v, %v; want a new runner", spawner, err)
 	}
+	close(r.ready)
+	warm.release(r)
 	// Pin the warm kernel's observed cost high so its finish tags always
 	// trail the cold flow's: every warm grant is then provably a sticky
 	// bypass, never a strict-order win.
-	s.mu.Lock()
-	s.entries["warm"].ewmaWall = float64(10 * time.Second)
-	s.mu.Unlock()
-	h := newFairHarness(s)
+	h.f.mu.Lock()
+	warm.ewmaWall = float64(10 * time.Second)
+	h.f.mu.Unlock()
 	h.saturate()
 	for i := 0; i < 20; i++ {
 		h.enqueue(t, "cold-t", "cold")
@@ -203,12 +210,10 @@ func TestFairQueueStickinessBounded(t *testing.T) {
 // modeled clock, with no map-iteration or timing nondeterminism.
 func TestFairQueueDeterministicOrder(t *testing.T) {
 	run := func() []string {
-		s, _, _ := newTestServer(t, 1, func(c *Config) {
-			c.TenantWeights = map[string]float64{"a": 2, "b": 1, "c": 1}
-			c.MaxInFlightTotal = 2
-		})
-		registerFake(t, s, "k")
-		h := newFairHarness(s)
+		h := newFairHarness(t, Config{
+			TenantWeights:    map[string]float64{"a": 2, "b": 1, "c": 1},
+			MaxInFlightTotal: 2,
+		}, "k")
 		h.saturate()
 		for i := 0; i < 30; i++ {
 			h.enqueue(t, "a", "k")

@@ -55,19 +55,13 @@ type Health struct {
 
 // Health returns the server's current routing-oriented health summary.
 func (s *Server) Health() Health {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h := Health{
-		Draining: s.draining,
-		Closed:   s.closed,
-		InFlight: s.inFlight,
-		Kinds:    make(map[string]KindHealth),
-	}
+	h := Health{Kinds: make(map[string]KindHealth)}
+	s.adm.health(&h)
 	for _, d := range s.cfg.Host.Devices() {
 		kind := d.Kind().String()
 		kh := h.Kinds[kind]
 		kh.Devices++
-		if s.deviceEligibleLocked(d) {
+		if s.eligible(d) {
 			kh.Eligible++
 		}
 		if s.breakers != nil && s.breakers.State(d.ID()) == breaker.Open {
@@ -75,18 +69,27 @@ func (s *Server) Health() Health {
 		}
 		h.Kinds[kind] = kh
 	}
-	h.Kernels = make([]string, 0, len(s.entries))
-	for name, e := range s.entries {
+	table := *s.table.Load()
+	h.Kernels = make([]string, 0, len(table))
+	for name, e := range table {
 		h.Kernels = append(h.Kernels, name)
-		h.Shed += s.kernelMet(e).shedTotal()
+		h.Shed += e.metrics().shedTotal()
 	}
 	sort.Strings(h.Kernels)
-	for name, t := range s.tenants {
+	return h
+}
+
+// health fills admission's part of a Health summary in one section.
+func (f *fairQueue) health(h *Health) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	h.Draining, h.Closed, h.InFlight = f.draining.Load(), f.closed.Load(), f.inFlight
+	for name, t := range f.tenants {
 		th := TenantHealth{
 			InFlight: t.inFlight,
 			Queued:   t.queued,
-			Saturated: (s.cfg.MaxInFlightPerTenant > 0 && t.inFlight >= s.cfg.MaxInFlightPerTenant) ||
-				(s.cfg.MaxQueuePerTenant > 0 && t.queued >= s.cfg.MaxQueuePerTenant),
+			Saturated: (f.cfg.MaxInFlightPerTenant > 0 && t.inFlight >= f.cfg.MaxInFlightPerTenant) ||
+				(f.cfg.MaxQueuePerTenant > 0 && t.queued >= f.cfg.MaxQueuePerTenant),
 		}
 		if th.InFlight == 0 && th.Queued == 0 && !th.Saturated {
 			continue
@@ -96,5 +99,4 @@ func (s *Server) Health() Health {
 		}
 		h.Tenants[name] = th
 	}
-	return h
 }

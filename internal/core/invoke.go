@@ -36,43 +36,37 @@ func (s *Server) recordDeviceOutcome(dev string, err error) {
 // with an error wrapping accel.ErrDeviceFailed. The retries' modeled time
 // accumulates into the returned report.
 //
-// A warm invocation takes Server.mu three times: admit, place (the
-// runner selection in invokeOnce) and complete.
+// A warm invocation passes each owner twice: admission admits and
+// completes it, its kernel's runner pool claims and releases a runner.
 func (s *Server) Invoke(ctx context.Context, name string, req *kernels.Request) (*kernels.Response, *Report, error) {
 	wallStart := time.Now()
 	tenant := DefaultTenant
 	if req != nil {
 		tenant = NormalizeTenant(req.Tenant)
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.adm.closed.Load() {
 		return nil, nil, ErrServerClosed
 	}
-	e, ok := s.entries[name]
-	if !ok {
-		s.mu.Unlock()
+	e := (*s.table.Load())[name]
+	if e == nil {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownKernel, name)
 	}
-	t := s.tenantLocked(tenant)
-	kind := e.kernel.Kind()
-	w, reason, err := s.fair.admitLocked(s, ctx, e, t)
-	s.mu.Unlock()
-	if err != nil {
-		s.shedObserved(e, t, reason)
-		return nil, nil, err
-	}
+	t, w, reason, err := s.adm.admit(ctx, e, tenant)
 	var queued time.Duration
-	if w != nil {
+	if err == nil && w != nil {
 		// Not dispatchable on arrival: wait in the flow for a grant.
-		if err := w.await(ctx, s); err != nil {
-			return nil, nil, err
-		}
+		reason, err = s.adm.await(ctx, w)
 		queued = w.waited
 	}
+	if err != nil {
+		if reason != "" {
+			s.shedObserved(e, t, reason)
+		}
+		return nil, nil, err
+	}
 
-	met := s.kernelMet(e)
-	tm := s.tenantMet(t)
+	met := e.metrics()
+	tm := t.metrics()
 	met.invocations.Inc()
 	tm.admitted.Inc()
 
@@ -89,11 +83,16 @@ func (s *Server) Invoke(ctx context.Context, name string, req *kernels.Request) 
 	// the completed invocation's wall time (0 on failure: no history).
 	var held *runner
 	var wall time.Duration
-	defer func() { s.complete(e, t, held, report.Cold, wall) }()
+	defer func() {
+		if held != nil {
+			e.release(held)
+		}
+		s.adm.complete(e, t, report.Cold, wall)
+	}()
 
 	// One attempt per device of the kind on top of the first, so a
 	// flapping device cannot keep an invocation bouncing forever.
-	maxAttempts := 1 + len(s.cfg.Host.DevicesByKind(kind))
+	maxAttempts := 1 + len(e.devs)
 
 	var resp *kernels.Response
 	for attempt := 1; ; attempt++ {
@@ -135,79 +134,36 @@ func (s *Server) Invoke(ctx context.Context, name string, req *kernels.Request) 
 	return resp, report, nil
 }
 
-// complete is the last stage of an admitted invocation, one lock section:
-// it releases the runner claim a successful attempt still holds, folds the
-// wall time into the kernel's moving averages, and returns the in-flight
-// slot, which runs the dispatcher.
-func (s *Server) complete(e *entry, t *tenantState, r *runner, cold bool, wall time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r != nil {
-		s.releaseRunnerLocked(e, r)
-	}
-	if wall > 0 {
-		observeWallTimeLocked(e, cold, wall)
-	}
-	s.fair.releaseLocked(s, e, t)
-}
-
-// ewmaAlpha weights the most recent observation in the wall-time moving
-// averages behind deadline-aware admission.
-const ewmaAlpha = 0.5
-
-// observeWallTimeLocked folds one completed invocation's wall-clock
-// duration into the kernel's moving averages.
-func observeWallTimeLocked(e *entry, cold bool, d time.Duration) {
-	v := float64(d)
-	if e.ewmaWall == 0 {
-		e.ewmaWall = v
-	} else {
-		e.ewmaWall = ewmaAlpha*v + (1-ewmaAlpha)*e.ewmaWall
-	}
-	if cold {
-		if e.ewmaColdWall == 0 {
-			e.ewmaColdWall = v
-		} else {
-			e.ewmaColdWall = ewmaAlpha*v + (1-ewmaAlpha)*e.ewmaColdWall
-		}
-	}
+// shedObserved records one rejection against both the kernel's and the
+// tenant's shed counters and logs it.
+func (s *Server) shedObserved(e *entry, t *tenantState, reason string) {
+	e.metrics().shed(reason)
+	t.metrics().shed(reason)
+	s.cfg.Logger.Warn("invocation shed",
+		"kernel", e.name, "tenant", t.name, "reason", reason)
 }
 
 // invokeOnce performs one placement attempt of an invocation,
 // accumulating modeled time into the report. On success the claim on the
-// serving runner is still held and returned, for Server.complete to
-// release in the same lock section that returns the in-flight slot; every
-// failure path has already released (or consumed) it.
+// serving runner is still held and returned, for Invoke to release just
+// before it returns the in-flight slot; every failure path has already
+// released (or consumed) it.
 func (s *Server) invokeOnce(ctx context.Context, e *entry, t *tenantState, req *kernels.Request, report *Report) (*kernels.Response, *runner, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, nil, ErrServerClosed
-	}
 	// Dispatch-time capacity recheck: admission compared the kernel's
 	// backlog against healthy capacity when the invocation arrived, but a
 	// breaker can open (or every device of the kind fail) while it sat
 	// queued. Re-reading the capacity here keeps a mid-queue breaker open
 	// from piling admitted work onto a kernel with zero eligible devices;
 	// the shed is typed and charged like any other admission rejection.
-	if s.cfg.MaxQueuePerKernel > 0 && s.healthyCapacityLocked(e) == 0 {
-		s.mu.Unlock()
+	if s.cfg.MaxQueuePerKernel > 0 && e.healthyCapacity() == 0 {
 		s.shedObserved(e, t, "capacity_lost")
 		return nil, nil, fmt.Errorf("%w: kernel %q lost every eligible %s device after admission",
 			ErrOverloaded, e.name, e.kernel.Kind())
 	}
-	// Snapshot the implementation: ReplaceKernel may swap e.kernel while
-	// this invocation is in flight.
-	k := e.kernel
-	r, spawner := s.selectRunnerLocked(e)
-	s.mu.Unlock()
-	if r == nil {
-		// Every device of the kind is excluded by an open breaker; there
-		// is nowhere to even queue this invocation.
-		return nil, nil, fmt.Errorf("%w: every %s device's breaker is open for %q",
-			ErrUnavailable, k.Kind(), e.name)
+	r, spawner, err := e.claim()
+	if err != nil {
+		return nil, nil, err
 	}
-
 	report.Runner = r.id
 
 	// Modeled request routing cost.
@@ -216,29 +172,29 @@ func (s *Server) invokeOnce(ctx context.Context, e *entry, t *tenantState, req *
 
 	if spawner {
 		report.Cold = true
-		s.coldStart(ctx, report.InvocationID, e, k, r, &report.Breakdown)
+		s.coldStart(ctx, report.InvocationID, e, r, &report.Breakdown)
 		report.CachedCold = r.cached
 	} else {
 		// Wait for the runner to finish starting if necessary. A warm
 		// runner is taken without asking ctx for Done, which would make a
 		// stream's done channel.
 		waitStart := s.clock.Now()
-		s.kernelMet(e).queueDepth.Inc()
+		e.metrics().queueDepth.Inc()
 		if !runnerStarted(r) {
 			select {
 			case <-r.ready:
 			case <-ctx.Done():
-				s.kernelMet(e).queueDepth.Dec()
-				s.releaseRunner(e, r)
+				e.metrics().queueDepth.Dec()
+				e.release(r)
 				return nil, nil, ctx.Err()
 			}
 		}
-		s.kernelMet(e).queueDepth.Dec()
+		e.metrics().queueDepth.Dec()
 		report.Breakdown.Queue += s.clock.Now().Sub(waitStart)
 	}
 	if r.startErr != nil {
 		err := r.startErr
-		s.removeRunner(e, r)
+		e.fail(r)
 		if spawner {
 			// Only the spawner reports the cold-start outcome to the
 			// breaker: one failed start is one piece of evidence, no
@@ -254,7 +210,7 @@ func (s *Server) invokeOnce(ctx context.Context, e *entry, t *tenantState, req *
 		return nil, nil, fmt.Errorf("core: runner start: %w", err)
 	}
 
-	resp, err := s.serve(ctx, k, r, req, report)
+	resp, err := s.serve(ctx, e.kernel, r, req, report)
 	s.recordDeviceOutcome(r.device.ID(), err)
 	if err != nil {
 		if errors.Is(err, accel.ErrDeviceFailed) {
@@ -264,9 +220,9 @@ func (s *Server) invokeOnce(ctx context.Context, e *entry, t *tenantState, req *
 			s.cfg.Logger.Warn("device failure, failing over",
 				"inv", report.InvocationID, "kernel", report.Kernel,
 				"runner", r.id, "device", r.device.ID())
-			s.removeRunner(e, r)
+			e.fail(r)
 		} else {
-			s.releaseRunner(e, r)
+			e.release(r)
 		}
 		return nil, nil, err
 	}
@@ -330,23 +286,4 @@ func (s *Server) serve(ctx context.Context, k kernels.Kernel, r *runner, req *ke
 	}
 	report.Breakdown.CopyOut += copyOut
 	return resp, nil
-}
-
-// releaseRunner gives up one claim on a runner outside the completion
-// section (failed attempts, pre-warm boots).
-func (s *Server) releaseRunner(e *entry, r *runner) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.releaseRunnerLocked(e, r)
-}
-
-// releaseRunnerLocked decrements a runner's in-flight count, finishing a
-// drain when the runner was replaced mid-flight.
-func (s *Server) releaseRunnerLocked(e *entry, r *runner) {
-	r.inflight--
-	r.lastUsed = s.clock.Now()
-	if r.draining && r.inflight == 0 && !r.removed && runnerStarted(r) {
-		r.inflight++ // balance the decrement in removeRunnerLocked
-		s.removeRunnerLocked(e, r)
-	}
 }

@@ -59,8 +59,8 @@ type muxSession struct {
 	// session finishes.
 	work chan *wire.Message
 
-	mu      sync.Mutex
-	streams map[uint64]*stream
+	streamsMu sync.Mutex // guards streams
+	streams   map[uint64]*stream
 
 	wg sync.WaitGroup
 }
@@ -177,11 +177,11 @@ func (s *muxSession) streamWorker(msg *wire.Message) {
 // workers and flushes and stops the writer.
 func (s *muxSession) finish(cancelStreams bool) {
 	if cancelStreams {
-		s.mu.Lock()
+		s.streamsMu.Lock()
 		for _, st := range s.streams {
 			st.cancel(context.Canceled)
 		}
-		s.mu.Unlock()
+		s.streamsMu.Unlock()
 	}
 	s.wg.Wait()
 	close(s.work)
@@ -300,17 +300,17 @@ func (s *muxSession) sendErr(req *wire.Message, err error) {
 
 // addStream registers a stream for MsgCancel lookup.
 func (s *muxSession) addStream(id uint64, st *stream) {
-	s.mu.Lock()
+	s.streamsMu.Lock()
 	s.streams[id] = st
-	s.mu.Unlock()
+	s.streamsMu.Unlock()
 }
 
 // endStream forgets a completed stream and cancels its context, so a
 // kernel that kept it sees the call over.
 func (s *muxSession) endStream(id uint64, st *stream) {
-	s.mu.Lock()
+	s.streamsMu.Lock()
 	delete(s.streams, id)
-	s.mu.Unlock()
+	s.streamsMu.Unlock()
 	st.cancel(context.Canceled)
 }
 
@@ -318,9 +318,9 @@ func (s *muxSession) endStream(id uint64, st *stream) {
 // running. Unknown streams (already completed, or never seen) are
 // ignored — the cancel raced with the reply.
 func (s *muxSession) cancelStream(id uint64) {
-	s.mu.Lock()
+	s.streamsMu.Lock()
 	st := s.streams[id]
-	s.mu.Unlock()
+	s.streamsMu.Unlock()
 	if st != nil {
 		st.cancel(context.Canceled)
 	}

@@ -259,13 +259,11 @@ func TestOverbookRotationSpreadsLoad(t *testing.T) {
 		t.Fatalf("Register: %v", err)
 	}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.entries["k"]
+	e := (*s.table.Load())["k"]
 	// Saturate: three spawner picks place one runner per device, each at
 	// the in-flight cap.
 	for i := 0; i < 3; i++ {
-		if _, spawner := s.selectRunnerLocked(e); !spawner {
+		if _, spawner, _ := e.claim(); !spawner {
 			t.Fatalf("pick %d reused a runner, want a new one per device", i)
 		}
 	}
@@ -274,12 +272,14 @@ func TestOverbookRotationSpreadsLoad(t *testing.T) {
 	// point decides who gets the work.
 	counts := make(map[string]int)
 	for i := 0; i < 6; i++ {
-		r, spawner := s.selectRunnerLocked(e)
-		if spawner {
-			t.Fatalf("overbook pick %d created a runner on a full host", i)
+		r, spawner, err := e.claim()
+		if err != nil || spawner {
+			t.Fatalf("overbook pick %d = spawner %v, %v; want an existing runner", i, spawner, err)
 		}
 		counts[r.id]++
+		e.mu.Lock()
 		r.inflight--
+		e.mu.Unlock()
 	}
 	if len(counts) != 3 {
 		t.Fatalf("overbooking used %d runners, want all 3: %v", len(counts), counts)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -191,26 +192,37 @@ func (c Config) tenantKnobSet() bool {
 		c.MaxQueuePerTenant > 0 || c.StickinessBound > 0
 }
 
-// Server is the KaaS control plane for one host.
+// env is the read-only context every owner of server state shares: the
+// configuration with its defaults applied, the clock, the registry, the
+// breakers and the per-device metrics, plus the host-wide runner
+// sequence. New builds one; a runner pool or the admission stage can be
+// built on one alone.
+type env struct {
+	cfg       Config
+	clock     vclock.Clock
+	reg       *metrics.Registry
+	devMet    map[string]*deviceMetrics
+	breakers  *breaker.Set // nil when breakers are disabled
+	runnerSeq atomic.Int64
+}
+
+// Server is the KaaS control plane for one host. Its state has three
+// owners, each behind its own lock (DESIGN.md §7, Owners and lock
+// order): the kernel table, the admission stage (adm) and one runner
+// pool per kernel (entry).
 type Server struct {
-	cfg      Config
-	clock    vclock.Clock
-	reg      *metrics.Registry
-	devMet   map[string]*deviceMetrics // immutable after New
-	invSeq   atomic.Uint64
-	breakers *breaker.Set // nil when breakers are disabled
-	batcher  *batcher     // nil when micro-batching is disabled
-	dpMet    *dataPlaneMetrics
+	*env
+	invSeq  atomic.Uint64
+	batcher *batcher // nil when micro-batching is disabled
+	dpMet   *dataPlaneMetrics
 
 	// arena is the tensor arena pool published by the TCP layer (via
 	// WithArenaPool) so Stats and WriteMetrics can report lease
 	// accounting; nil when the out-of-band data plane is off.
 	arena atomic.Pointer[shm.ArenaPool]
 
-	// hookMu guards breakerHooks; hooks run on the breaker transition
-	// path without Server.mu held.
-	hookMu       sync.Mutex
-	breakerHooks []func(device string, from, to breaker.State)
+	// breakerHooks is republished whole by each OnBreakerTransition.
+	breakerHooks atomic.Pointer[[]func(device string, from, to breaker.State)]
 
 	// baseCtx bounds background work (pre-warm boots); cancel fires on
 	// Close so speculative cold starts never outlive the server.
@@ -218,80 +230,53 @@ type Server struct {
 	cancel    context.CancelFunc
 	prewarmWG sync.WaitGroup
 
-	mu        sync.Mutex
-	cond      *sync.Cond // broadcast when inFlight reaches 0 (and on Close)
-	entries   map[string]*entry
-	tenants   map[string]*tenantState
-	fair      *fairQueue // the admission stage; sole writer of the in-flight books
-	libInit   map[accel.Kind]bool
-	runnersOn map[string]int // device ID -> runner count
-	runnerSeq int
-	inFlight  int // admitted invocations server-wide (written by fair)
-	draining  bool
-	closed    bool
-	reapTimer vclock.Timer
+	adm       *fairQueue
+	reapTimer atomic.Pointer[vclock.Timer] // the pending sweep (see scheduleReap)
+
+	// The kernel table: regMu is taken only by Register and Close;
+	// table is the published map, replaced whole by Register, so a
+	// call looks its kernel up without a lock.
+	regMu   sync.Mutex
+	table   atomic.Pointer[map[string]*entry]
+	libInit map[accel.Kind]bool // guarded by regMu
 }
 
-// entry is the per-kernel state.
-type entry struct {
-	name   string
-	kernel kernels.Kernel
-	// met is created lazily on first use (see Server.kernelMet):
-	// registration sits on the modeled-time critical path, and building
-	// the ~two dozen metric series for a kernel is wall-clock work that
-	// would inflate the scaled clock.
-	metOnce    sync.Once
-	met        *kernelMetrics
-	runners    []*runner
-	rrNext     int
-	lastRunner int
-	// runnersOn counts this kernel's runners per device; the per-device
-	// runner cap is per kernel, so kernels place independently (device
-	// slots still bound total contexts).
-	runnersOn map[string]int
-	// inFlight counts admitted invocations of this kernel (guarded by
-	// Server.mu, written by the fairQueue); admission control bounds it.
-	inFlight int
-	// ewmaWall and ewmaColdWall track exponentially weighted moving
-	// averages of wall-clock invocation time (warm path and cold path,
-	// in nanoseconds), feeding the deadline-aware admission estimate.
-	// Wall time is used because client deadlines are wall-clock.
-	ewmaWall     float64
-	ewmaColdWall float64
-	// Arrival-rate estimator state behind the predictive pre-warm pool
-	// (guarded by Server.mu, all in modeled time). ewmaGap averages the
-	// inter-arrival gaps of a busy period; ewmaIdleGap averages only the
-	// gaps that exceeded the keepalive window — the "overnight" silences
-	// whose end pre-warming tries to beat. lastArrival anchors the next
-	// prediction, prewarmedAt stops a reaped speculative runner from
-	// being re-booted until real demand returns, and prewarm is the
-	// pending boot timer (nil when none).
-	ewmaGap     float64
-	ewmaIdleGap float64
-	lastArrival time.Time
-	prewarmedAt time.Time
-	prewarm     vclock.Timer
-}
-
-// runner is a task runner holding a warm device context.
-type runner struct {
-	id     string
-	device *accel.Device
-	dctx   *accel.Context
-
-	ready    chan struct{} // closed when cold start completes
-	startErr error
-	// cached records that the cold start hit the artifact cache and
-	// skipped compilation. Written before ready closes, read after.
-	cached bool
-
-	// guarded by Server.mu
-	inflight int
-	lastUsed time.Time
-	removed  bool
-	// draining runners finish in-flight work and are then released
-	// (set by ReplaceKernel).
-	draining bool
+// withDefaults fills every unset knob with its default.
+func (c Config) withDefaults() Config {
+	if c.MaxInFlightPerRunner <= 0 {
+		c.MaxInFlightPerRunner = 4
+	}
+	if c.MaxRunnersPerDevice <= 0 {
+		c.MaxRunnersPerDevice = 1
+	}
+	if c.Placement == 0 {
+		c.Placement = PlaceLeastLoaded
+	}
+	if c.RunnerSpawnCost == 0 {
+		c.RunnerSpawnCost = 30 * time.Millisecond
+	}
+	if c.RoutingOverhead == 0 {
+		c.RoutingOverhead = 2 * time.Millisecond
+	}
+	if c.Logger == nil {
+		c.Logger = slog.New(discardHandler{})
+	}
+	if c.Metrics == nil {
+		c.Metrics = metrics.NewRegistry()
+	}
+	if c.KeepAlive.SweepEvery <= 0 {
+		c.KeepAlive.SweepEvery = c.KeepAlive.Idle / 2
+	}
+	if c.KeepAlive.SweepEvery <= 0 {
+		c.KeepAlive.SweepEvery = c.KeepAlive.Idle
+	}
+	if c.tenantKnobSet() && c.StickinessBound == 0 {
+		c.StickinessBound = defaultStickinessBound
+	}
+	if c.BatchWindow > 0 && c.BatchMax <= 1 {
+		c.BatchMax = 8
+	}
+	return c
 }
 
 // New creates a server.
@@ -302,56 +287,16 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Host == nil {
 		return nil, fmt.Errorf("core: config needs a host")
 	}
-	if cfg.MaxInFlightPerRunner <= 0 {
-		cfg.MaxInFlightPerRunner = 4
-	}
-	if cfg.MaxRunnersPerDevice <= 0 {
-		cfg.MaxRunnersPerDevice = 1
-	}
-	if cfg.Placement == 0 {
-		cfg.Placement = PlaceLeastLoaded
-	}
-	if cfg.RunnerSpawnCost == 0 {
-		cfg.RunnerSpawnCost = 30 * time.Millisecond
-	}
-	if cfg.RoutingOverhead == 0 {
-		cfg.RoutingOverhead = 2 * time.Millisecond
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = slog.New(discardHandler{})
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
-	if cfg.KeepAlive.SweepEvery <= 0 {
-		cfg.KeepAlive.SweepEvery = cfg.KeepAlive.Idle / 2
-	}
-	if cfg.KeepAlive.SweepEvery <= 0 {
-		cfg.KeepAlive.SweepEvery = cfg.KeepAlive.Idle
-	}
-	if cfg.tenantKnobSet() && cfg.StickinessBound == 0 {
-		cfg.StickinessBound = defaultStickinessBound
-	}
+	cfg = cfg.withDefaults()
 	registerHelp(cfg.Metrics)
 	s := &Server{
-		cfg:       cfg,
-		clock:     cfg.Clock,
-		reg:       cfg.Metrics,
-		devMet:    make(map[string]*deviceMetrics),
-		entries:   make(map[string]*entry),
-		tenants:   make(map[string]*tenantState),
-		fair:      newFairQueue(cfg.tenantKnobSet()),
-		libInit:   make(map[accel.Kind]bool),
-		runnersOn: make(map[string]int),
+		env:     &env{cfg: cfg, clock: cfg.Clock, reg: cfg.Metrics, devMet: make(map[string]*deviceMetrics)},
+		libInit: make(map[accel.Kind]bool),
 	}
-	s.cond = sync.NewCond(&s.mu)
+	s.table.Store(&map[string]*entry{})
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.dpMet = newDataPlaneMetrics(s.reg)
 	if cfg.BatchWindow > 0 {
-		if cfg.BatchMax <= 1 {
-			cfg.BatchMax = 8
-			s.cfg.BatchMax = 8
-		}
 		s.batcher = newBatcher(cfg.Clock, cfg.BatchWindow, cfg.BatchMax, s.baseCtx, s.reg)
 	}
 	for _, d := range append(cfg.Host.Devices(), cfg.Host.CPU()) {
@@ -365,18 +310,15 @@ func New(cfg Config) (*Server, error) {
 			OnTransition: s.onBreakerTransition,
 		})
 	}
+	s.adm = newFairQueue(s.env)
 	if cfg.KeepAlive.Idle > 0 {
-		// Under the lock: the reaper may fire, and reschedule, at once.
-		s.mu.Lock()
-		s.scheduleReapLocked()
-		s.mu.Unlock()
+		s.scheduleReap()
 	}
 	return s, nil
 }
 
 // onBreakerTransition feeds breaker state changes into metrics and the
-// log. It runs with the breaker unlocked; it must not take Server.mu
-// (breakers are consulted under it).
+// log. It runs with the breaker unlocked and takes no lock of its own.
 func (s *Server) onBreakerTransition(dev string, from, to breaker.State) {
 	if dm := s.devMet[dev]; dm != nil {
 		dm.breakerState.Set(int64(to))
@@ -386,11 +328,10 @@ func (s *Server) onBreakerTransition(dev string, from, to breaker.State) {
 	}
 	s.cfg.Logger.Warn("breaker transition",
 		"device", dev, "from", from.String(), "to", to.String())
-	s.hookMu.Lock()
-	hooks := s.breakerHooks // append-only: a snapshot is safe to iterate
-	s.hookMu.Unlock()
-	for _, fn := range hooks {
-		fn(dev, from, to)
+	if hooks := s.breakerHooks.Load(); hooks != nil {
+		for _, fn := range *hooks {
+			fn(dev, from, to)
+		}
 	}
 }
 
@@ -400,9 +341,17 @@ func (s *Server) onBreakerTransition(dev string, from, to breaker.State) {
 // quick. The TCP layer uses it to revoke arena leases when a device
 // breaker opens.
 func (s *Server) OnBreakerTransition(fn func(device string, from, to breaker.State)) {
-	s.hookMu.Lock()
-	s.breakerHooks = append(s.breakerHooks, fn)
-	s.hookMu.Unlock()
+	for {
+		old := s.breakerHooks.Load()
+		var hooks []func(device string, from, to breaker.State)
+		if old != nil {
+			hooks = append(hooks, *old...)
+		}
+		hooks = append(hooks, fn)
+		if s.breakerHooks.CompareAndSwap(old, &hooks) {
+			return
+		}
+	}
 }
 
 // setArena publishes the tensor arena pool backing the out-of-band data
@@ -431,58 +380,40 @@ func (s *Server) Register(k kernels.Kernel) error {
 		return fmt.Errorf("core: nil kernel")
 	}
 	kind := k.Kind()
-	if len(s.cfg.Host.DevicesByKind(kind)) == 0 {
+	devs := s.cfg.Host.DevicesByKind(kind)
+	if len(devs) == 0 {
 		return fmt.Errorf("%w: %s for kernel %q", ErrNoDevice, kind, k.Name())
 	}
 
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	s.regMu.Lock()
+	if s.adm.closed.Load() {
+		s.regMu.Unlock()
 		return ErrServerClosed
 	}
-	if _, ok := s.entries[k.Name()]; ok {
-		s.mu.Unlock()
+	old := *s.table.Load()
+	if _, ok := old[k.Name()]; ok {
+		s.regMu.Unlock()
 		return fmt.Errorf("%w: %q", ErrAlreadyRegistered, k.Name())
 	}
+	table := maps.Clone(old)
+	table[k.Name()] = newEntry(s.env, k, devs)
+	s.table.Store(&table)
 	needLibInit := !s.libInit[kind]
 	s.libInit[kind] = true
-	s.entries[k.Name()] = &entry{
-		name:      k.Name(),
-		kernel:    k,
-		runnersOn: make(map[string]int),
-	}
-	s.mu.Unlock()
+	s.regMu.Unlock()
 
 	if needLibInit {
-		s.clock.Sleep(s.libraryInitCost(kind))
+		s.clock.Sleep(devs[0].Profile().LibraryInit)
 	}
 	s.cfg.Logger.Info("kernel registered", "kernel", k.Name(), "kind", kind.String())
 	return nil
 }
 
-// libraryInitCost reads the library-init cost from the kind's device
-// profile.
-func (s *Server) libraryInitCost(kind accel.Kind) time.Duration {
-	devs := s.cfg.Host.DevicesByKind(kind)
-	if len(devs) == 0 {
-		return 0
-	}
-	return devs[0].Profile().LibraryInit
-}
-
-// kernelMet returns the entry's cached metric instances, creating them on
-// first use.
-func (s *Server) kernelMet(e *entry) *kernelMetrics {
-	e.metOnce.Do(func() { e.met = newKernelMetrics(s.reg, e.name) })
-	return e.met
-}
-
 // Kernels returns the registered kernel names.
 func (s *Server) Kernels() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.entries))
-	for name := range s.entries {
+	table := *s.table.Load()
+	names := make([]string, 0, len(table))
+	for name := range table {
 		names = append(names, name)
 	}
 	return names

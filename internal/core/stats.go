@@ -199,19 +199,17 @@ type Stats struct {
 	ArtifactCache *artifact.Stats
 }
 
-// Stats returns current server statistics.
+// Stats returns current server statistics. It reads admission's books
+// in one section, so Stats().InFlight, Σ PerKernel.InFlight and Σ
+// PerTenant.InFlight agree, and then each runner pool in turn.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	table := *s.table.Load()
 	st := Stats{
-		Kernels:          len(s.entries),
-		InFlight:         s.inFlight,
-		Draining:         s.draining,
-		RunnersPerDevice: make(map[string]int, len(s.runnersOn)),
-		PerKernel:        make(map[string]KernelStats, len(s.entries)),
+		Kernels:          len(table),
+		RunnersPerDevice: make(map[string]int),
+		PerKernel:        make(map[string]KernelStats, len(table)),
 		PerDevice:        make(map[string]DeviceStats),
-		PerTenant:        make(map[string]TenantStats, len(s.tenants)),
-		FairQueueing:     s.fair.waits,
+		FairQueueing:     s.adm.waits,
 		Batching:         s.batcher != nil,
 	}
 	st.DataPlane = DataPlaneStats{
@@ -220,8 +218,8 @@ func (s *Server) Stats() Stats {
 		InBandBytes:    s.dpMet.inbandBytes.Value(),
 	}
 	if b := s.batcher; b != nil {
-		st.DataPlane.BatchDispatches = b.dispatches.Load()
-		st.DataPlane.BatchedInvocations = b.batched.Load()
+		st.DataPlane.BatchDispatches = b.dispatchC.Value()
+		st.DataPlane.BatchedInvocations = b.batchedC.Value()
 	}
 	if p := s.arena.Load(); p != nil {
 		as := p.Stats()
@@ -232,20 +230,9 @@ func (s *Server) Stats() Stats {
 		st.DataPlane.LeaseBytesGranted = as.Granted
 		st.DataPlane.ArenaCapacity = as.Capacity
 	}
-	for name, t := range s.tenants {
-		tm := s.tenantMet(t)
-		st.PerTenant[name] = TenantStats{
-			Weight:   t.weight,
-			Admitted: tm.admitted.Value(),
-			Shed:     tm.shedTotal(),
-			InFlight: t.inFlight,
-			Queued:   t.queued,
-			Latency:  summarize(tm.latency),
-		}
-	}
-	for name, e := range s.entries {
-		st.Runners += len(e.runners)
-		met := s.kernelMet(e)
+	s.adm.stats(&st, table)
+	for name, e := range table {
+		met := e.metrics()
 		ks := KernelStats{
 			Invocations:      met.invocations.Value(),
 			ColdStarts:       met.coldStarts.Value(),
@@ -255,9 +242,9 @@ func (s *Server) Stats() Stats {
 			Failovers:        met.failovers.Value(),
 			Errors:           met.errors.Value(),
 			Shed:             met.shedTotal(),
-			InFlight:         int64(e.inFlight),
+			InFlight:         st.PerKernel[name].InFlight,
 			QueueDepth:       met.queueDepth.Value(),
-			Runners:          len(e.runners),
+			Runners:          e.runnerCount(),
 			Warm:             summarize(met.latWarm),
 			Cold:             summarize(met.latCold),
 			CachedCold:       summarize(met.latCachedCold),
@@ -265,23 +252,18 @@ func (s *Server) Stats() Stats {
 			PhasesCold:       phaseTotals(met.phaseCold),
 			PhasesCachedCold: phaseTotals(met.phaseCachedCold),
 		}
+		st.Runners += ks.Runners
 		st.ColdStarts += int(ks.ColdStarts)
 		st.PreWarms += int(ks.PreWarms)
 		st.Failovers += ks.Failovers
 		st.Shed += ks.Shed
 		st.PerKernel[name] = ks
 	}
-	for id, n := range s.runnersOn {
-		if n > 0 {
-			st.RunnersPerDevice[id] = n
-		}
-	}
 	for _, d := range append(s.cfg.Host.Devices(), s.cfg.Host.CPU()) {
 		ds := d.Stats()
 		dm := s.devMet[d.ID()]
 		dev := DeviceStats{
 			Kind:           d.Kind().String(),
-			Runners:        s.runnersOn[d.ID()],
 			ActiveContexts: ds.ActiveContexts,
 			Slots:          d.Profile().Slots,
 			MemoryUsed:     ds.MemoryUsed,
@@ -292,9 +274,13 @@ func (s *Server) Stats() Stats {
 			Utilization:    d.Utilization(),
 		}
 		if dm != nil {
+			dev.Runners = int(dm.runners.Value())
 			dev.QueueDepth = dm.queueDepth.Value()
 			dev.Evictions = dm.evictions.Value()
 			dev.Reaps = dm.reaps.Value()
+		}
+		if dev.Runners > 0 {
+			st.RunnersPerDevice[d.ID()] = dev.Runners
 		}
 		if s.breakers != nil {
 			dev.BreakerState = s.breakers.State(d.ID()).String()
@@ -311,6 +297,30 @@ func (s *Server) Stats() Stats {
 		st.ArtifactCache = &cs
 	}
 	return st
+}
+
+// stats fills admission's part of a Stats snapshot in one section: the
+// in-flight books at every level, the drain state and the tenants.
+func (f *fairQueue) stats(st *Stats, table map[string]*entry) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	st.InFlight = f.inFlight
+	st.Draining = f.draining.Load()
+	for name, e := range table {
+		st.PerKernel[name] = KernelStats{InFlight: e.inFlight.Load()}
+	}
+	st.PerTenant = make(map[string]TenantStats, len(f.tenants))
+	for name, t := range f.tenants {
+		tm := t.metrics()
+		st.PerTenant[name] = TenantStats{
+			Weight:   t.weight,
+			Admitted: tm.admitted.Value(),
+			Shed:     tm.shedTotal(),
+			InFlight: t.inFlight,
+			Queued:   t.queued,
+			Latency:  summarize(tm.latency),
+		}
+	}
 }
 
 // phaseTotals snapshots a phase accumulator map into durations, dropping

@@ -125,8 +125,8 @@ func TestStreamContextOutlivesCall(t *testing.T) {
 	}
 	conn, sess := startSession(t, srv)
 	streamOf := func(id uint64) *stream {
-		sess.mu.Lock()
-		defer sess.mu.Unlock()
+		sess.streamsMu.Lock()
+		defer sess.streamsMu.Unlock()
 		return sess.streams[id]
 	}
 
@@ -203,9 +203,9 @@ func TestAdmissionSeesWireDeadline(t *testing.T) {
 	if err := srv.Register(nullKernel{}); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	srv.mu.Lock()
-	srv.entries["null"].ewmaWall = float64(10 * time.Second)
-	srv.mu.Unlock()
+	srv.adm.mu.Lock()
+	(*srv.table.Load())["null"].ewmaWall = float64(10 * time.Second)
+	srv.adm.mu.Unlock()
 
 	conn, _ := startSession(t, srv)
 	for _, tc := range []struct {

@@ -54,9 +54,7 @@ func TestBreakerOpensOnFlappingDeviceAndRecovers(t *testing.T) {
 	}
 
 	dev0Busy := func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.runnersOn[dev0.ID()] > 0
+		return s.Stats().PerDevice[dev0.ID()].Runners > 0
 	}
 
 	// Hook modes: chaos fails dev0 whenever an invocation is running on
@@ -130,12 +128,13 @@ func TestBreakerOpensOnFlappingDeviceAndRecovers(t *testing.T) {
 	if got := st.PerDevice[dev0.ID()].Runners; got != 0 {
 		t.Errorf("dev0 has %d runners while its breaker is open, want 0", got)
 	}
-	s.mu.Lock()
-	if d := s.leastLoadedDeviceLocked(s.entries["k"]); d != nil && d.ID() == dev0.ID() {
-		s.mu.Unlock()
+	e := (*s.table.Load())["k"]
+	e.mu.Lock()
+	d := e.leastLoadedDeviceLocked()
+	e.mu.Unlock()
+	if d != nil && d.ID() == dev0.ID() {
 		t.Fatal("last-resort placement returned the breaker-open device")
 	}
-	s.mu.Unlock()
 
 	// Phase C: past the open timeout the breaker admits one half-open
 	// probe. Pin dev1's only runner with a blocked invocation so the next

@@ -110,7 +110,9 @@ type Kernel interface {
 	Name() string
 	// Kind is the accelerator kind the kernel targets.
 	Kind() accel.Kind
-	// Cost models the device cost of a request at its full size.
+	// Cost models the device cost of a request at its full size. It
+	// must not modify req: the server prices every cold start's setup
+	// with one shared, read-only request.
 	Cost(req *Request) (Cost, error)
 	// Execute runs the computation (possibly size-capped) on the host.
 	// req.Params and req.Data are valid only until it returns (see

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"kaas/internal/vclock"
@@ -83,7 +84,7 @@ type Engine struct {
 	queue      []*job
 	lastUpdate time.Time
 	timer      vclock.Timer
-	closed     bool
+	closed     atomic.Bool // written under mu; zero work reads it without
 
 	// accounting
 	busy     time.Duration // total modeled time with >=1 active job
@@ -159,19 +160,21 @@ func (e *Engine) Run(ctx context.Context, work float64) (time.Duration, error) {
 	if work < 0 {
 		return 0, fmt.Errorf("psched: negative work %v", work)
 	}
+	if work <= workEpsilon {
+		// Zero-cost job: complete immediately, before the lock, without
+		// perturbing state — unless the engine is closed.
+		if e.closed.Load() {
+			return 0, ErrEngineClosed
+		}
+		return 0, nil
+	}
 	e.mu.Lock()
-	if e.closed {
+	if e.closed.Load() {
 		e.mu.Unlock()
 		return 0, ErrEngineClosed
 	}
 	now := e.clock.Now()
 	e.advanceLocked(now)
-	if work <= workEpsilon {
-		// Zero-cost job: complete immediately without perturbing state,
-		// and before a job is built for it.
-		e.mu.Unlock()
-		return 0, nil
-	}
 	j := &job{
 		work:      work,
 		remaining: work,
@@ -187,7 +190,7 @@ func (e *Engine) Run(ctx context.Context, work float64) (time.Duration, error) {
 	case <-j.done:
 		e.mu.Lock()
 		elapsed := j.finished.Sub(j.enqueued)
-		closed := e.closed && j.finished.IsZero()
+		closed := e.closed.Load() && j.finished.IsZero()
 		e.mu.Unlock()
 		if closed {
 			return 0, ErrEngineClosed
@@ -204,11 +207,11 @@ func (e *Engine) Run(ctx context.Context, work float64) (time.Duration, error) {
 func (e *Engine) Close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
+	if e.closed.Load() {
 		return
 	}
 	e.advanceLocked(e.clock.Now())
-	e.closed = true
+	e.closed.Store(true)
 	if e.timer != nil {
 		e.timer.Stop()
 		e.timer = nil
@@ -227,7 +230,7 @@ func (e *Engine) Close() {
 func (e *Engine) cancel(j *job) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
+	if e.closed.Load() {
 		return
 	}
 	now := e.clock.Now()
@@ -353,7 +356,7 @@ func (e *Engine) rescheduleLocked(now time.Time) {
 		e.timer.Stop()
 		e.timer = nil
 	}
-	if len(e.active) == 0 || e.closed {
+	if len(e.active) == 0 || e.closed.Load() {
 		return
 	}
 	minRemaining := e.active[0].remaining
@@ -380,7 +383,7 @@ func (e *Engine) rescheduleLocked(now time.Time) {
 func (e *Engine) onTimer() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
+	if e.closed.Load() {
 		return
 	}
 	now := e.clock.Now()

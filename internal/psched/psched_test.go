@@ -263,9 +263,11 @@ func TestCloseReleasesWaiters(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Run did not return after Close")
 	}
-	// Submitting after close fails fast.
-	if _, err := e.Run(context.Background(), 1); !errors.Is(err, ErrEngineClosed) {
-		t.Errorf("Run after close = %v, want ErrEngineClosed", err)
+	// Submitting after close fails fast, zero work included.
+	for _, work := range []float64{1, 0} {
+		if _, err := e.Run(context.Background(), work); !errors.Is(err, ErrEngineClosed) {
+			t.Errorf("Run(%v) after close = %v, want ErrEngineClosed", work, err)
+		}
 	}
 	e.Close() // idempotent
 }
