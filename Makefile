@@ -7,8 +7,12 @@ all: build
 build:
 	$(GO) build ./...
 
+# The scaled clock parks on a timerfd on Linux; the other GOOS lines keep
+# its portable fallback (internal/vclock/park_other.go) compiling.
 vet:
 	$(GO) vet ./...
+	GOOS=darwin $(GO) vet ./internal/vclock
+	GOOS=windows $(GO) vet ./internal/vclock
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; fi
 

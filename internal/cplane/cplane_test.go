@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -207,6 +209,46 @@ func TestReportUnreachableSingleTransition(t *testing.T) {
 	waitFor(t, "re-admission", func() bool { return row().Beats == before+1 })
 	if m := row(); !m.Alive || m.Ups != 2 || m.Downs != 1 {
 		t.Fatalf("after heartbeat resumes: alive=%v ups=%d downs=%d, want alive 2/1", m.Alive, m.Ups, m.Downs)
+	}
+}
+
+// TestWaitMembersWakesOnPublish: a WaitMembers call returns as soon as a
+// publish makes enough peers alive, not on a polling tick. The median
+// over 100 waits, each ended by an inbound gossip that re-admits the
+// peer, stays well under the 1 ms a wall-clock poll would cost.
+func TestWaitMembersWakesOnPublish(t *testing.T) {
+	fake := newFakePeer(t, "peer")
+	n := cplane.NewNode(cplane.Config{Name: "observer", Clock: vclock.NewManual(time.Unix(0, 0))})
+	t.Cleanup(n.Close)
+	n.Join(fake.addr())
+	waitFor(t, "admission", func() bool {
+		m, _ := peerRow(n, fake.addr())
+		return m.Alive && m.Beats >= 1
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	gossip := &cplane.Gossip{Node: "peer", Addr: fake.addr()}
+	const waits = 100
+	lat := make([]time.Duration, 0, waits)
+	for i := 0; i < waits; i++ {
+		n.ReportUnreachable(fake.addr())
+		done := make(chan time.Time, 1)
+		go func() {
+			if err := n.WaitMembers(ctx, 1); err != nil {
+				t.Error(err)
+			}
+			done <- time.Now()
+		}()
+		for !n.Waiting() {
+			runtime.Gosched()
+		}
+		start := time.Now()
+		n.Observe(gossip)
+		lat = append(lat, (<-done).Sub(start))
+	}
+	slices.Sort(lat)
+	if med := lat[waits/2]; med >= 300*time.Microsecond {
+		t.Errorf("median wait after the publish = %v, want < 300µs (p90 %v)", med, lat[waits*9/10])
 	}
 }
 

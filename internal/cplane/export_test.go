@@ -21,3 +21,11 @@ func (r *Router) PickNode(kernel string) string {
 	r.release(rt)
 	return m.Node
 }
+
+// Waiting reports whether a WaitMembers call is waiting for the next
+// publish of the view.
+func (n *Node) Waiting() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.published != nil
+}

@@ -192,6 +192,9 @@ type Node struct {
 	// changes; a published slice and its rows are never written again,
 	// so Members and Router.pick read it without taking mu.
 	view atomic.Pointer[[]Member]
+	// published, when WaitMembers has made it, is closed and cleared by
+	// the next publishLocked.
+	published chan struct{}
 }
 
 // peer is the node's private state for one remote member.
@@ -596,6 +599,10 @@ func (n *Node) publishLocked() {
 		return cmp.Or(strings.Compare(a.Node, b.Node), strings.Compare(a.Addr, b.Addr))
 	})
 	n.view.Store(&rows)
+	if n.published != nil {
+		close(n.published)
+		n.published = nil
+	}
 }
 
 // selfMember builds the local node's own membership row, or nil for
@@ -648,9 +655,16 @@ func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // WaitMembers blocks until at least want peers are alive in the node's
 // membership view or ctx expires. Harnesses use it to let the first
-// heartbeat round complete before offering load.
+// heartbeat round complete before offering load. It wakes on each
+// publish of the view, not on a timer.
 func (n *Node) WaitMembers(ctx context.Context, want int) error {
 	for {
+		n.mu.Lock()
+		if n.published == nil {
+			n.published = make(chan struct{})
+		}
+		published := n.published
+		n.mu.Unlock()
 		alive := 0
 		for _, m := range n.peerView() {
 			if m.Alive {
@@ -663,7 +677,7 @@ func (n *Node) WaitMembers(ctx context.Context, want int) error {
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("cplane: %d of %d peers alive: %w", alive, want, ctx.Err())
-		case <-time.After(time.Millisecond):
+		case <-published:
 		}
 	}
 }

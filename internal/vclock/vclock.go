@@ -13,7 +13,6 @@
 package vclock
 
 import (
-	"runtime"
 	"sync"
 	"time"
 )
@@ -71,9 +70,9 @@ func Scaled(scale float64) Clock {
 		scale = 1
 	}
 	return &scaledClock{
-		scale: scale,
-		epoch: time.Now(),
-		wake:  make(chan struct{}, 1),
+		scale:        scale,
+		epoch:        time.Now(),
+		dispatchWait: newDispatchWait(),
 	}
 }
 
@@ -82,14 +81,14 @@ type scaledClock struct {
 	epoch time.Time
 
 	// Pending AfterFunc timers, dispatched by a single goroutine per
-	// clock: one spinner watching the earliest deadline costs far less
-	// than a spinning goroutine per timer, which matters under load —
-	// the scheduling engines re-arm a timer on every job arrival and
+	// clock: one waiter on the earliest deadline costs far less than a
+	// waiting goroutine per timer, which matters under load — the
+	// scheduling engines re-arm a timer on every job arrival and
 	// completion.
-	mu      sync.Mutex
-	timers  timerHeap
-	wake    chan struct{}
-	running bool
+	mu           sync.Mutex
+	timers       timerHeap
+	running      bool
+	dispatchWait // how the dispatcher waits and is woken; guarded by mu
 }
 
 var _ Clock = (*scaledClock)(nil)
@@ -99,14 +98,6 @@ func (c *scaledClock) Now() time.Time {
 	return c.epoch.Add(time.Duration(float64(wall) * c.scale))
 }
 
-// spinThreshold is the wall-time window near a deadline within which the
-// scaled clock spins instead of sleeping. time.Sleep routinely overshoots
-// by a millisecond or more (measured up to ~4 ms on loaded single-core
-// hosts); at high scale factors that overshoot would inflate modeled
-// durations by whole seconds, so precision matters more than the brief
-// busy-wait costs.
-const spinThreshold = 2 * time.Millisecond
-
 func (c *scaledClock) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
@@ -115,28 +106,16 @@ func (c *scaledClock) Sleep(d time.Duration) {
 	sleepUntil(deadline)
 }
 
-// sleepUntil sleeps coarsely to near the wall deadline, then spins.
-func sleepUntil(deadline time.Time) {
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return
-		}
-		if remaining > spinThreshold {
-			time.Sleep(remaining - spinThreshold)
-			continue
-		}
-		runtime.Gosched()
-	}
-}
-
 // AfterFunc registers the callback on the clock's timer wheel. All of a
-// clock's pending timers share one dispatcher goroutine that sleeps
-// coarsely and spins across the last stretch before the earliest
-// deadline, so callbacks fire within microseconds of their wall
-// deadline at the cost of a single spinner, however many timers are
-// pending. Callbacks run sequentially on the dispatcher goroutine (never
-// on the caller's), so they must not block for long.
+// clock's pending timers share one dispatcher goroutine that waits toward
+// the earliest deadline the way Sleep does: on Linux it parks on a timerfd
+// until a short tail before the deadline and spins only that tail, so
+// callbacks fire within microseconds of their wall deadline without the
+// dispatcher holding the CPU while it waits; elsewhere it sleeps on a
+// runtime timer and spins the last 2 ms. A new earliest timer, or Stop of
+// the earliest, cuts the dispatcher's wait short. Callbacks run
+// sequentially on the dispatcher goroutine (never on the caller's), so
+// they must not block for long.
 func (c *scaledClock) AfterFunc(d time.Duration, f func()) Timer {
 	t := &wheelTimer{
 		c:        c,
@@ -145,21 +124,15 @@ func (c *scaledClock) AfterFunc(d time.Duration, f func()) Timer {
 	}
 	c.mu.Lock()
 	c.timers.push(t)
-	first := c.timers[0] == t
 	if !c.running {
 		c.running = true
 		go c.dispatch()
-		first = false
+	} else if c.timers[0] == t {
+		// A new earliest deadline: the dispatcher must not oversleep
+		// past it.
+		c.wakeLocked(t.deadline)
 	}
 	c.mu.Unlock()
-	if first {
-		// A new earliest deadline: poke the dispatcher out of its sleep
-		// so it does not oversleep past it.
-		select {
-		case c.wake <- struct{}{}:
-		default:
-		}
-	}
 	return t
 }
 
@@ -195,23 +168,7 @@ func (c *scaledClock) dispatch() {
 			c.mu.Unlock()
 			return
 		}
-		next := c.timers[0].deadline
-		c.mu.Unlock()
-
-		if remaining := time.Until(next); remaining > spinThreshold {
-			timer := time.NewTimer(remaining - spinThreshold)
-			select {
-			case <-timer.C:
-			case <-c.wake:
-				timer.Stop()
-			}
-		} else {
-			select {
-			case <-c.wake:
-			default:
-				runtime.Gosched()
-			}
-		}
+		c.waitLocked(c.timers[0].deadline)
 	}
 }
 
@@ -230,23 +187,19 @@ type wheelTimer struct {
 func (t *wheelTimer) Stop() bool {
 	c := t.c
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if t.stopped || t.fired {
-		c.mu.Unlock()
 		return false
 	}
 	// Marked only: the dispatcher discards stopped entries when they
 	// surface at the top of the heap.
 	t.stopped = true
-	head := len(c.timers) > 0 && c.timers[0] == t
-	c.mu.Unlock()
-	if head {
-		// The dispatcher is sleeping toward this timer's deadline; wake
-		// it so it re-reads the heap (and can exit if nothing is left)
-		// instead of holding its goroutine until the stale deadline.
-		select {
-		case c.wake <- struct{}{}:
-		default:
-		}
+	if c.timers[0] == t {
+		// The dispatcher is waiting toward this timer's deadline; wake
+		// it at once so it re-reads the heap (and can exit if nothing
+		// is left) instead of holding its goroutine until the stale
+		// deadline.
+		c.wakeLocked(time.Time{})
 	}
 	return true
 }

@@ -94,6 +94,81 @@ func TestScaledClockAfterFunc(t *testing.T) {
 	}
 }
 
+// TestScaledSleepNeverEarly: a Sleep returns no sooner than its wall
+// deadline, whether it only spins (shorter than the spin window), parks
+// and then spins, or shares pooled parkers with other sleepers.
+func TestScaledSleepNeverEarly(t *testing.T) {
+	c := Scaled(1000).(*scaledClock)
+	walls := []time.Duration{
+		time.Microsecond, 20 * time.Microsecond, spinThreshold - time.Microsecond,
+		spinThreshold + time.Microsecond, 200 * time.Microsecond, time.Millisecond,
+		spinThreshold + 500*time.Microsecond,
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				for _, wall := range walls {
+					d := time.Duration(float64(wall) * c.scale)
+					start := time.Now()
+					c.Sleep(d)
+					if got, want := time.Since(start), c.toWall(d); got < want {
+						t.Errorf("Sleep(%v) returned after %v of wall, before its %v deadline", d, got, want)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestScaledSleepAllocatesNothing: neither a wait shorter than the spin
+// window nor one long enough to park allocates.
+func TestScaledSleepAllocatesNothing(t *testing.T) {
+	c := Scaled(1)
+	for _, d := range []time.Duration{10 * time.Microsecond, 300 * time.Microsecond} {
+		if allocs := testing.AllocsPerRun(20, func() { c.Sleep(d) }); allocs != 0 {
+			t.Errorf("Sleep(%v): %v allocs, want 0", d, allocs)
+		}
+	}
+}
+
+// TestScaledAfterFuncAllocations: registering and stopping a timer costs
+// one allocation (its wheelTimer), whether it becomes the earliest one,
+// which wakes the waiting dispatcher, or not.
+func TestScaledAfterFuncAllocations(t *testing.T) {
+	c := Scaled(1).(*scaledClock)
+	head := c.AfterFunc(time.Hour, func() {})
+	f := func() {}
+	for _, d := range []time.Duration{time.Minute, 2 * time.Hour} {
+		if allocs := testing.AllocsPerRun(100, func() { c.AfterFunc(d, f).Stop() }); allocs > 1 {
+			t.Errorf("AfterFunc(%v) and Stop: %v allocs, want <= 1", d, allocs)
+		}
+	}
+	head.Stop()
+	waitDispatcherExit(t, c)
+}
+
+// waitDispatcherExit waits until c's dispatcher has run out of timers.
+func waitDispatcherExit(t *testing.T, c *scaledClock) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for {
+		c.mu.Lock()
+		running := c.running
+		c.mu.Unlock()
+		if !running {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("dispatcher still running 1s after its last timer was stopped")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 func TestScaledClockDefaultsOnBadScale(t *testing.T) {
 	c := Scaled(-5)
 	if c.Scale() != 1 {
