@@ -20,10 +20,11 @@ test:
 	$(GO) test ./...
 
 # The benchmark line puts the parallel warm path (64 callers on one
-# client, every owner's lock in play) under the race detector.
+# client, every owner's lock in play) under the race detector; -cpu 1,4
+# runs it in parallel, through both writer queues, on any runner.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -run '^$$' -bench WarmInvokeParallel -benchtime 200x ./internal/core
+	$(GO) test -race -run '^$$' -bench WarmInvokeParallel -benchtime 200x -cpu 1,4 ./internal/core
 
 # Flake hunt: the concurrent packages twenty times over under the race
 # detector. A test that passes once can still lose an interleaving most

@@ -253,7 +253,6 @@ func (c *Client) roundTrip(ctx context.Context, msg *wire.Message) (*wire.Messag
 				break
 			}
 			c.metrics.retries.Add(1)
-			msg = resendCopy(msg)
 		}
 		reply, err := c.attempt(ctx, msg)
 		if err == nil {
@@ -328,7 +327,7 @@ func (c *Client) attempt(ctx context.Context, msg *wire.Message) (*wire.Message,
 			return nil, err
 		}
 		c.metrics.attempts.Add(1)
-		reply, err = mc.send(ctx, resendCopy(msg))
+		reply, err = mc.send(ctx, msg)
 	}
 	if err != nil {
 		return nil, err
@@ -337,15 +336,6 @@ func (c *Client) attempt(ctx context.Context, msg *wire.Message) (*wire.Message,
 		return nil, rerr
 	}
 	return reply, nil
-}
-
-// resendCopy returns the message to send after a failed send of msg. The
-// failed connection's writer may still be encoding msg from its queue
-// while the next connection stamps its own version and stream ID, so the
-// resend goes out as a shallow copy (header maps and body are only read).
-func resendCopy(msg *wire.Message) *wire.Message {
-	cp := *msg
-	return &cp
 }
 
 // ctxCause reports the context error behind a failed handshake I/O
@@ -438,11 +428,12 @@ func (c *Client) InvokeContext(ctx context.Context, kernel string, params kernel
 // identity, overriding any WithTenant default. Cluster routers use it to
 // share one client per server address across many tenants.
 func (c *Client) InvokeTenantContext(ctx context.Context, tenant, kernel string, params kernels.Params, data []byte) (*Result, error) {
-	reply, err := c.roundTrip(ctx, &wire.Message{
-		Type:   wire.MsgInvoke,
-		Header: wire.Header{Kernel: kernel, Params: params, Tenant: tenant},
-		Body:   data,
-	})
+	// The request struct never leaves this goroutine (the writer queue
+	// carries copies), so it goes back to the pool however the call ends.
+	msg := wire.NewMessage()
+	msg.Type, msg.Header, msg.Body = wire.MsgInvoke, wire.Header{Kernel: kernel, Params: params, Tenant: tenant}, data
+	reply, err := c.roundTrip(ctx, msg)
+	wire.Release(msg)
 	if err != nil {
 		return nil, err
 	}

@@ -157,13 +157,17 @@ func (m *muxConn) invokeLeased(ctx context.Context, msg *wire.Message) (reply *w
 		}
 	}
 
+	// The leased frame is a pooled copy: msg keeps its body for an
+	// in-band resend.
 	n := copy(cl.l.Bytes(), msg.Body)
-	lm := *msg
+	lm := wire.NewMessage()
+	*lm = *msg
 	lm.Body = nil
 	lm.Header.LeaseID = cl.l.ID()
 	lm.Header.LeaseLen = int64(n)
 
-	reply, err = m.roundTrip(ctx, &lm)
+	reply, err = m.roundTrip(ctx, lm)
+	wire.Release(lm)
 	if err != nil {
 		if ctx.Err() != nil {
 			// The call was abandoned, and its frame may have reached the

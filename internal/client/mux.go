@@ -245,7 +245,8 @@ func (m *muxConn) readLoop() {
 // flight, coalescing queued bursts into one write. A frame whose body
 // wire.AppendSplit leaves in the caller's slice ends its batch: the small
 // frames queued before it, its head and its body leave in that order in
-// one vectored write.
+// one vectored write. Every queued message is the writer's own (enqueue
+// queues a copy), released as soon as it is encoded.
 func (m *muxConn) writeLoop() {
 	buf := make([]byte, 0, 16<<10)
 	for {
@@ -258,6 +259,7 @@ func (m *muxConn) writeLoop() {
 		var body []byte
 		var err error
 		buf, body, err = wire.AppendSplit(buf[:0], msg)
+		wire.Release(msg)
 		// Coalesce the backlog into one write. When the queue momentarily
 		// empties, yield once before flushing: callers blocked on the
 		// scheduler get a chance to append their frames to this batch,
@@ -268,6 +270,7 @@ func (m *muxConn) writeLoop() {
 			select {
 			case next := <-m.writeCh:
 				buf, body, err = wire.AppendSplit(buf, next)
+				wire.Release(next)
 			default:
 				if !yielded {
 					yielded = true
@@ -295,7 +298,10 @@ func (m *muxConn) writeLoop() {
 // enqueue hands one frame to the transport: inline on the socket when
 // the caller is alone on the connection (lowest latency), otherwise
 // through the coalescing writer (fewest syscalls). Reports whether the
-// frame went through the writer queue.
+// frame went through the writer queue. Either way msg itself is free once
+// enqueue returns: the queue carries a pooled copy of the struct, which
+// the writer releases once encoded. What the copy's fields point to (the
+// body, the params map) the writer reads until the frame is encoded.
 func (m *muxConn) enqueue(ctx context.Context, msg *wire.Message) (queued bool, err error) {
 	if m.inflight.Load() <= 1 && m.wmu.TryLock() {
 		werr := wire.Write(m.conn, msg)
@@ -306,12 +312,16 @@ func (m *muxConn) enqueue(ctx context.Context, msg *wire.Message) (queued bool, 
 		}
 		return false, nil
 	}
+	cp := wire.NewMessage()
+	*cp = *msg
 	select {
-	case m.writeCh <- msg:
+	case m.writeCh <- cp:
 		return true, nil
 	case <-m.dead:
+		wire.Release(cp)
 		return false, m.failure()
 	case <-ctx.Done():
+		wire.Release(cp)
 		return false, ctx.Err()
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 	"kaas/internal/accel"
 	"kaas/internal/client"
 	"kaas/internal/kernels"
+	"kaas/internal/shm"
 	"kaas/internal/vclock"
 )
 
@@ -37,7 +39,7 @@ func (nullKernel) Execute(*kernels.Request) (*kernels.Response, error) {
 
 // startNullTCP serves k over loopback TCP on one null device, with the
 // model scaled so far down that a call's wall time is the middleware's.
-func startNullTCP(t testing.TB, k kernels.Kernel) *TCPServer {
+func startNullTCP(t testing.TB, k kernels.Kernel, opts ...TCPOption) *TCPServer {
 	t.Helper()
 	clock := vclock.Scaled(1e6)
 	host, err := accel.NewHost(clock, "node", accel.XeonE52698, nullProfile)
@@ -53,7 +55,7 @@ func startNullTCP(t testing.TB, k kernels.Kernel) *TCPServer {
 	if err := srv.Register(k); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	tcp, err := ServeTCP(srv, "127.0.0.1:0")
+	tcp, err := ServeTCP(srv, "127.0.0.1:0", opts...)
 	if err != nil {
 		t.Fatalf("ServeTCP: %v", err)
 	}
@@ -74,15 +76,36 @@ func (sumKernel) Execute(req *kernels.Request) (*kernels.Response, error) {
 	return &kernels.Response{Values: map[string]float64{"sum": req.Params["op"] + 1}}, nil
 }
 
-// TestWarmCallAllocationBudget pins what a warm header-only call
-// allocates in client and server together, over a default client: one
-// call at a time (every frame written inline) and eight at once (frames
-// through both writer queues). Each row's budget is its measured count,
-// so one more allocation on the hot path fails it, even on only some of
-// the eight calls; AllocsPerRun rounds down, so an occasional allocation
-// (a pool emptied by GC) does not. The "params" row is shaped like the
-// benchmark's null-mux call: two params in, a fresh one-value map back,
-// which the client hands to its caller.
+// sumDataKernel answers like the benchmark's probe kernel on a payload
+// call: one value from a param and the payload, in a fresh map, and a
+// fresh copy of the payload.
+type sumDataKernel struct{}
+
+func (sumDataKernel) Name() string     { return "sumdata" }
+func (sumDataKernel) Kind() accel.Kind { return accel.GPU }
+func (sumDataKernel) Cost(*kernels.Request) (kernels.Cost, error) {
+	return kernels.Cost{}, nil
+}
+func (sumDataKernel) Execute(req *kernels.Request) (*kernels.Response, error) {
+	out := make([]byte, len(req.Data))
+	copy(out, req.Data)
+	return &kernels.Response{
+		Values: map[string]float64{"sum": req.Params["op"] + float64(req.Data[0])},
+		Data:   out,
+	}, nil
+}
+
+// TestWarmCallAllocationBudget pins what a warm call allocates in client
+// and server together: one call at a time (every frame written inline)
+// and eight at once (frames through both writer queues). Each row's
+// budget is its measured count, so one more allocation on the hot path
+// fails it, even on only some of the eight calls; AllocsPerRun rounds
+// down, so an occasional allocation (a pool emptied by GC) does not.
+// The "params" row is shaped like the benchmark's null-mux call: two
+// params in, a fresh one-value map back, which the client hands to its
+// caller. The "leased" row is shaped like payload-oob: the same call
+// with a 4 KiB body moved through an arena lease, and a 4 KiB result the
+// client copies out of the window.
 func TestWarmCallAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries under the race detector")
@@ -91,35 +114,66 @@ func TestWarmCallAllocationBudget(t *testing.T) {
 		name   string
 		kernel kernels.Kernel
 		params bool
+		body   int // payload bytes, sent by lease
 		budget float64
 	}{
-		{"no params", nullKernel{}, false, 8},
-		{"params", sumKernel{}, true, 11},
+		{"no params", nullKernel{}, false, 0, 6},
+		{"params", sumKernel{}, true, 0, 9},
+		{"leased", sumDataKernel{}, true, 4 << 10, 11},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			tcp := startNullTCP(t, row.kernel)
-			cl := client.Dial(tcp.Addr())
+			var srvOpts []TCPOption
+			var opts []client.Option
+			if row.body > 0 {
+				arena := shm.NewArenaPool(1 << 20)
+				srvOpts, opts = []TCPOption{WithArenaPool(arena)}, []client.Option{client.WithArena(arena)}
+			}
+			tcp := startNullTCP(t, row.kernel, srvOpts...)
+			cl := client.Dial(tcp.Addr(), opts...)
 			defer cl.Close()
 			name := row.kernel.Name()
-			// call reuses its caller's params map, as the benchmark's
-			// callers do: the client encodes it before the call returns.
-			call := func(p kernels.Params, op int) error {
+			// call reuses its caller's params map and payload, as the
+			// benchmark's callers do: the client is done with both when the
+			// call returns.
+			type caller struct {
+				p    kernels.Params
+				data []byte
+			}
+			newCaller := func() *caller {
+				c := &caller{p: kernels.Params{}}
+				if row.body > 0 {
+					c.data = make([]byte, row.body)
+				}
+				return c
+			}
+			call := func(c *caller, op int) error {
 				if !row.params {
 					_, err := cl.Invoke(name, nil, nil)
 					return err
 				}
-				p["op"], p["work"] = float64(op), 0
-				res, err := cl.Invoke(name, p, nil)
-				if err == nil && res.Values["sum"] != float64(op+1) {
+				c.p["op"], c.p["work"] = float64(op), 0
+				want := float64(op + 1)
+				if c.data != nil {
+					c.data[0], c.data[len(c.data)-1] = 1, byte(op)
+				}
+				res, err := cl.Invoke(name, c.p, c.data)
+				if err != nil {
+					return err
+				}
+				if res.Values["sum"] != want {
 					return fmt.Errorf("op %d: values %v", op, res.Values)
 				}
-				return err
+				if !bytes.Equal(res.Data, c.data) {
+					return fmt.Errorf("op %d: %d result bytes, not the %d sent", op, len(res.Data), len(c.data))
+				}
+				return nil
 			}
-			p := kernels.Params{}
-			// Warm up: both connections dialed, the runner booted, pools full.
+			seq := newCaller()
+			// Warm up: both connections dialed, the runner booted, pools
+			// full, leases granted.
 			for i := 0; i < 200; i++ {
-				if err := call(p, i); err != nil {
+				if err := call(seq, i); err != nil {
 					t.Fatalf("warm-up call: %v", err)
 				}
 			}
@@ -127,7 +181,7 @@ func TestWarmCallAllocationBudget(t *testing.T) {
 			op := 0
 			sequential := testing.AllocsPerRun(200, func() {
 				op++
-				if err := call(p, op); err != nil {
+				if err := call(seq, op); err != nil {
 					t.Fatalf("call: %v", err)
 				}
 			})
@@ -141,9 +195,9 @@ func TestWarmCallAllocationBudget(t *testing.T) {
 			defer close(start)
 			for i := 0; i < callers; i++ {
 				go func() {
-					p := kernels.Params{}
+					c := newCaller()
 					for op := range start {
-						done <- call(p, op)
+						done <- call(c, op)
 					}
 				}()
 			}

@@ -39,17 +39,30 @@ func (s *Server) recordDeviceOutcome(dev string, err error) {
 // A warm invocation passes each owner twice: admission admits and
 // completes it, its kernel's runner pool claims and releases a runner.
 func (s *Server) Invoke(ctx context.Context, name string, req *kernels.Request) (*kernels.Response, *Report, error) {
+	report := new(Report)
+	resp, err := s.invoke(ctx, name, req, report)
+	if err != nil {
+		return nil, nil, err
+	}
+	return resp, report, nil
+}
+
+// invoke is Invoke filling a report its caller owns, so the wire path
+// can keep it off the heap. On success the report describes this
+// invocation alone; on failure its contents are unspecified. Nothing
+// keeps a pointer to the report once invoke returns.
+func (s *Server) invoke(ctx context.Context, name string, req *kernels.Request, report *Report) (*kernels.Response, error) {
 	wallStart := time.Now()
 	tenant := DefaultTenant
 	if req != nil {
 		tenant = NormalizeTenant(req.Tenant)
 	}
 	if s.adm.closed.Load() {
-		return nil, nil, ErrServerClosed
+		return nil, ErrServerClosed
 	}
 	e := (*s.table.Load())[name]
 	if e == nil {
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownKernel, name)
+		return nil, fmt.Errorf("%w: %q", ErrUnknownKernel, name)
 	}
 	t, w, reason, err := s.adm.admit(ctx, e, tenant)
 	var queued time.Duration
@@ -62,7 +75,7 @@ func (s *Server) Invoke(ctx context.Context, name string, req *kernels.Request) 
 		if reason != "" {
 			s.shedObserved(e, t, reason)
 		}
-		return nil, nil, err
+		return nil, err
 	}
 
 	met := e.metrics()
@@ -74,11 +87,11 @@ func (s *Server) Invoke(ctx context.Context, name string, req *kernels.Request) 
 	// allocation, where concatenating a formatted number costs two.
 	var idBuf [24]byte
 	id := strconv.AppendUint(append(idBuf[:0], "inv-"...), s.invSeq.Add(1), 10)
-	report := &Report{
+	*report = Report{
 		InvocationID: string(id),
 		Kernel:       name,
 	}
-	report.Breakdown.Queue += queued
+	report.Breakdown.Queue = queued
 	// held is the runner claim a successful attempt hands back; wall is
 	// the completed invocation's wall time (0 on failure: no history).
 	var held *runner
@@ -126,12 +139,12 @@ func (s *Server) Invoke(ctx context.Context, name string, req *kernels.Request) 
 	}
 	if err != nil {
 		met.errors.Inc()
-		return nil, nil, err
+		return nil, err
 	}
 	met.observe(report.Cold, report.CachedCold, report.Breakdown)
 	tm.latency.Observe(report.Breakdown.Total())
 	wall = time.Since(wallStart)
-	return resp, report, nil
+	return resp, nil
 }
 
 // shedObserved records one rejection against both the kernel's and the

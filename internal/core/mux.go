@@ -508,7 +508,10 @@ func (s *muxSession) invokeStream(msg *wire.Message) ([]byte, map[string]float64
 	s.addStream(id, st)
 	defer s.endStream(id, st)
 
-	resp, report, err := s.t.srv.Invoke(st, msg.Header.Kernel, req)
+	// The report lives on this worker's stack: Server.invoke keeps no
+	// pointer to it, and the reply header copies out what it needs.
+	var report Report
+	resp, err := s.t.srv.invoke(st, msg.Header.Kernel, req, &report)
 	if err != nil {
 		if st.Err() != nil {
 			// The stream was cancelled (deadline, CANCEL frame, or the

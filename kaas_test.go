@@ -3,6 +3,7 @@ package kaas
 import (
 	"context"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,6 +56,67 @@ func TestPlatformRegisterInvoke(t *testing.T) {
 	}
 	if st := p.Stats(); st.ColdStarts != 1 {
 		t.Errorf("ColdStarts = %d, want 1", st.ColdStarts)
+	}
+}
+
+// TestPlatformReportContract: every in-process call, through Invoke or
+// InvokeTenant, gets a Report of its own — a fresh invocation ID, the
+// kernel and the device that served it, one attempt — and InvokeTenant
+// charges the tenant it names.
+func TestPlatformReportContract(t *testing.T) {
+	p, err := New(WithTimeScale(1e4))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer p.Close()
+	if err := p.RegisterByName("matmul"); err != nil {
+		t.Fatalf("RegisterByName: %v", err)
+	}
+	ctx := context.Background()
+	params := Params{"n": 16}
+	calls := []struct {
+		tenant string // "" calls Invoke
+		cold   bool
+	}{
+		{"", true},
+		{"acme", false},
+		{"", false},
+		{"acme", false},
+	}
+	reps := make([]*Report, len(calls))
+	for i, call := range calls {
+		var rep *Report
+		if call.tenant == "" {
+			_, rep, err = p.Invoke(ctx, "matmul", params, nil)
+		} else {
+			_, rep, err = p.InvokeTenant(ctx, call.tenant, "matmul", params, nil)
+		}
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		reps[i] = rep
+		if rep.Kernel != "matmul" || rep.Device == "" || rep.Attempts != 1 {
+			t.Errorf("call %d: kernel %q, device %q, %d attempts; want matmul, a device, 1",
+				i, rep.Kernel, rep.Device, rep.Attempts)
+		}
+		if rep.Cold != call.cold {
+			t.Errorf("call %d: cold = %v, want %v", i, rep.Cold, call.cold)
+		}
+	}
+	// Checked after the last call, so a report the server reused for a
+	// later call shows here.
+	ids := make(map[string]bool)
+	for i, rep := range reps {
+		if !strings.HasPrefix(rep.InvocationID, "inv-") || ids[rep.InvocationID] {
+			t.Errorf("call %d: invocation ID %q, want a distinct inv- ID", i, rep.InvocationID)
+		}
+		ids[rep.InvocationID] = true
+	}
+	st := p.Stats()
+	for _, tenant := range []string{"default", "acme"} {
+		if got := st.PerTenant[tenant].Admitted; got != 2 {
+			t.Errorf("tenant %q admitted %d calls, want 2", tenant, got)
+		}
 	}
 }
 
